@@ -1,19 +1,28 @@
 """Experiment harness: sweeps, scaling fits, statistics, and table rendering."""
 
-from repro.analysis.complexity import (
-    PowerLawFit,
-    crossover_point,
-    fit_power_law,
-    max_bound_ratio,
-    speedup_series,
-)
+from repro._lazy import lazy_attributes
 from repro.analysis.reporting import banner, format_table, markdown_table
 from repro.analysis.stats import Summary, geometric_mean, summarize
-from repro.analysis.sweep import (
-    SweepRecord,
-    SweepResult,
-    parameter_grid,
-    run_sweep,
+
+# The scaling fits (numpy) and the sweep runner (the experiment engine,
+# networkx) load on first use, so ``banner`` & co. stay cheap to import.
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        "repro.analysis.complexity": (
+            "PowerLawFit",
+            "crossover_point",
+            "fit_power_law",
+            "max_bound_ratio",
+            "speedup_series",
+        ),
+        "repro.analysis.sweep": (
+            "SweepRecord",
+            "SweepResult",
+            "parameter_grid",
+            "run_sweep",
+        ),
+    },
 )
 
 __all__ = [

@@ -31,40 +31,11 @@ import sys
 from typing import List, Optional, Sequence
 
 from repro._version import __version__
-from repro.analysis import banner
-from repro.core.assignment import (
-    approximation_ratio,
-    greedy_assignment,
-    optimal_cost,
-    run_bounded_stable_assignment,
-    run_stable_assignment,
-)
-from repro.core.orientation import (
-    run_bounded_stable_orientation,
-    run_stable_orientation,
-    sequential_flip_algorithm,
-    synchronous_repair_orientation,
-)
-from repro.core.token_dropping import (
-    greedy_token_dropping,
-    run_proposal_algorithm,
-    run_three_level_algorithm,
-)
-from repro.render import (
-    orientation_to_dot,
-    render_assignment,
-    render_layered_game,
-    render_orientation,
-    render_traversals,
-    token_dropping_to_dot,
-)
-from repro.workloads import (
-    datacenter_assignment,
-    figure2_game,
-    random_token_dropping,
-    regular_orientation,
-    sensor_network_orientation,
-)
+from repro.analysis.reporting import banner
+
+# Each command imports what it runs: the workload generators pull in
+# networkx, and ``serve`` (whose restart time is measured) needs neither
+# them nor the renderers.
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -231,6 +202,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_token_dropping(args: argparse.Namespace) -> int:
+    from repro.core.token_dropping import (
+        greedy_token_dropping,
+        run_proposal_algorithm,
+        run_three_level_algorithm,
+    )
+    from repro.render import (
+        render_layered_game,
+        render_traversals,
+        token_dropping_to_dot,
+    )
+    from repro.workloads import figure2_game, random_token_dropping
+
     instance = (
         figure2_game()
         if args.figure2
@@ -275,6 +258,15 @@ def _cmd_token_dropping(args: argparse.Namespace) -> int:
 
 
 def _cmd_orient(args: argparse.Namespace) -> int:
+    from repro.core.orientation import (
+        run_bounded_stable_orientation,
+        run_stable_orientation,
+        sequential_flip_algorithm,
+        synchronous_repair_orientation,
+    )
+    from repro.render import orientation_to_dot, render_orientation
+    from repro.workloads import regular_orientation, sensor_network_orientation
+
     if args.workload == "sensor":
         problem = sensor_network_orientation(
             num_nodes=args.nodes, max_degree=args.degree, seed=args.seed
@@ -325,6 +317,16 @@ def _cmd_orient(args: argparse.Namespace) -> int:
 
 
 def _cmd_assign(args: argparse.Namespace) -> int:
+    from repro.core.assignment import (
+        approximation_ratio,
+        greedy_assignment,
+        optimal_cost,
+        run_bounded_stable_assignment,
+        run_stable_assignment,
+    )
+    from repro.render import render_assignment
+    from repro.workloads import datacenter_assignment
+
     graph = datacenter_assignment(
         num_jobs=args.jobs,
         num_servers=args.servers,
@@ -408,13 +410,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
     import json
 
-    from repro.api import Instance, solve
+    from repro import obs
     from repro.serve import OrientationServer, ServeConfig, load_state
 
     if args.from_snapshot:
         dynamic = load_state(args.from_snapshot)
         origin = f"snapshot {args.from_snapshot}"
     else:
+        from repro.api import Instance, solve
+
         params = json.loads(args.params) if args.params else {}
         instance = Instance.build(args.family, **params)
         solved = solve(
@@ -436,9 +440,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         config.coalesce_ms = args.coalesce_ms
 
     async def _run() -> None:
-        server = OrientationServer(dynamic, config)
-        await server.start()
-        host, port = server.address
+        with obs.span("serve.start") as sp:
+            server = OrientationServer(dynamic, config)
+            await server.start()
+            host, port = server.address
+            sp.set(port=port)
         print(banner("serving stable orientation"))
         print(f"state: {origin}")
         print(

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Hashable, Iterable, Mapping, Optional, Union
 
-import networkx as nx
 
 from repro.core.assignment.problem import Assignment
 from repro.dispatch import resolve_backend
@@ -125,6 +124,8 @@ def optimal_semi_matching(graph: CustomerServerGraph) -> Assignment:
     ``Σ f(load)``, so an integral min-cost flow is an optimal semi-matching
     (this is the standard reduction from HLLT06).
     """
+    import networkx as nx
+
     flow_graph = nx.DiGraph()
     source = ("__source__",)
     sink = ("__sink__",)

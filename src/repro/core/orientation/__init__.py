@@ -30,20 +30,7 @@ path dispatched per :mod:`repro.dispatch` — identical results, verified
 on hundreds of seeded instances by the cross-validation suite.
 """
 
-from repro.core.orientation.bounded import (
-    BoundedOrientationResult,
-    bounded_unhappy_edges,
-    run_bounded_stable_orientation,
-    theoretical_bounded_orientation_round_bound,
-)
-from repro.core.orientation.phases import (
-    PHASE_OVERHEAD_ROUNDS,
-    PhaseStats,
-    StableOrientationResult,
-    run_stable_orientation,
-    theoretical_phase_bound,
-    theoretical_round_bound,
-)
+from repro._lazy import lazy_attributes
 from repro.core.orientation.incremental import (
     BatchStats,
     Delta,
@@ -67,11 +54,34 @@ from repro.core.orientation.repair import (
     RepairRunStats,
     synchronous_repair_orientation,
 )
-from repro.core.orientation.sequential import (
-    FLIP_POLICIES,
-    SequentialRunStats,
-    flip_chain_length,
-    sequential_flip_algorithm,
+
+# The phase algorithm, its k-bounded relaxation (which pulls in the
+# assignment and token-dropping stacks) and the sequential baseline load on
+# first use: the incremental engine and the serving path need none of them.
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        "repro.core.orientation.bounded": (
+            "BoundedOrientationResult",
+            "bounded_unhappy_edges",
+            "run_bounded_stable_orientation",
+            "theoretical_bounded_orientation_round_bound",
+        ),
+        "repro.core.orientation.phases": (
+            "PHASE_OVERHEAD_ROUNDS",
+            "PhaseStats",
+            "StableOrientationResult",
+            "run_stable_orientation",
+            "theoretical_phase_bound",
+            "theoretical_round_bound",
+        ),
+        "repro.core.orientation.sequential": (
+            "FLIP_POLICIES",
+            "SequentialRunStats",
+            "flip_chain_length",
+            "sequential_flip_algorithm",
+        ),
+    },
 )
 
 __all__ = [

@@ -13,7 +13,11 @@ endpoint loads changed.  This module holds the two pieces they share:
   precomputed integer ranks (cheapest to compare), the incremental
   engine supplies the ``repr`` strings themselves (stable under edge
   insertion, where global ranks would shift).  The two key families are
-  never mixed within one tracker.
+  never mixed within one tracker.  The incremental engine's strings are
+  computed on demand, not precomputed: :class:`ReprKeys` builds item
+  ``e`` when the tracker reads it, which happens only while edge ``e``
+  is unhappy — from a stable state, a handful of frontier edges per
+  update instead of two strings for every edge at startup.
 * :func:`run_repair_loop` — the iteration itself, identical for both
   callers, parameterized only by how to enumerate the edges incident to
   a node (CSR scan for the immutable batch graph, overlay scan for the
@@ -35,7 +39,27 @@ from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro import obs
 
-__all__ = ["UnhappyEdgeTracker", "run_repair_loop"]
+__all__ = ["ReprKeys", "UnhappyEdgeTracker", "run_repair_loop"]
+
+
+class ReprKeys:
+    """Per-edge ``repr`` sort keys, computed when read.
+
+    Item ``e`` is ``repr((ids[a[e]], ids[b[e]]))``.  The view holds live
+    references to ``ids``, ``a`` and ``b``, so it covers nodes and edges
+    appended to them later without any bookkeeping.
+    """
+
+    __slots__ = ("ids", "a", "b")
+
+    def __init__(self, ids: Sequence, a: Sequence[int], b: Sequence[int]) -> None:
+        self.ids = ids
+        self.a = a
+        self.b = b
+
+    def __getitem__(self, e: int) -> str:
+        ids = self.ids
+        return repr((ids[self.a[e]], ids[self.b[e]]))
 
 
 class UnhappyEdgeTracker:
@@ -54,8 +78,8 @@ class UnhappyEdgeTracker:
         Per-edge sort keys for the two directions.  Any totally ordered
         keys whose order matches the reference ``repr`` order work:
         integer ranks (batch kernel) or the repr strings themselves
-        (incremental engine).  The sequences may grow in place (the
-        incremental engine appends keys as edges are inserted).
+        (incremental engine, as :class:`ReprKeys` views that grow with
+        the overlay's edge lists).
     """
 
     __slots__ = ("heads", "tails", "load", "ev", "key_to_v", "key_to_u", "unhappy")

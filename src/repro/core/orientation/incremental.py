@@ -64,7 +64,11 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.orientation._unhappy import UnhappyEdgeTracker, run_repair_loop
+from repro.core.orientation._unhappy import (
+    ReprKeys,
+    UnhappyEdgeTracker,
+    run_repair_loop,
+)
 from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
@@ -178,34 +182,57 @@ def _choose_head(key: Tuple[NodeId, NodeId], load_u: int, load_v: int) -> NodeId
     return key[0] if load_u <= load_v else key[1]
 
 
+def _tails_of(heads: List[int], eu, ev) -> List[int]:
+    """The dense tail of every edge; ``ValueError`` if a head is not an endpoint."""
+    tails: List[int] = []
+    append = tails.append
+    for h, u, v in zip(heads, eu, ev):
+        if h == v:
+            append(u)
+        elif h == u:
+            append(v)
+        else:
+            raise ValueError(
+                f"head {h} of edge {len(tails)} is not one of its endpoints "
+                f"({u}, {v})"
+            )
+    return tails
+
+
 # ----------------------------------------------------------------------
 # The compact fast path
 # ----------------------------------------------------------------------
 class _CompactDynamic:
-    """Frontier-seeded local re-stabilization over a delta overlay."""
+    """Frontier-seeded local re-stabilization over a delta overlay.
 
-    def __init__(self, base: CompactGraph, heads: List[int], load: List[int]):
+    Takes ownership of the ``heads``, ``tails`` and ``load`` lists.
+    """
+
+    def __init__(
+        self,
+        base: CompactGraph,
+        heads: List[int],
+        tails: List[int],
+        load: List[int],
+    ):
         self.overlay = DeltaOverlayGraph(base)
         ev = self.overlay.edge_v
         eu = self.overlay.edge_u
-        self.heads = list(heads)
-        self.tails = [
-            eu[e] if self.heads[e] == ev[e] else ev[e]
-            for e in range(len(self.heads))
-        ]
-        self.load = list(load)
+        self.heads = heads
+        self.tails = tails
+        self.load = load
         # Per-edge repr sort keys for the two directions (the reference's
-        # unhappy-edge order).  Strings rather than global ranks: ranks
-        # shift when edges are inserted, the per-edge strings never do.
+        # unhappy-edge order), built only when an unhappy edge is read.
+        # Strings rather than global ranks: ranks shift when edges are
+        # inserted, the per-edge strings never do.
         ids = self.overlay.node_ids
-        self.key_to_v = [
-            repr((ids[eu[e]], ids[ev[e]])) for e in range(len(self.heads))
-        ]
-        self.key_to_u = [
-            repr((ids[ev[e]], ids[eu[e]])) for e in range(len(self.heads))
-        ]
         self.tracker = UnhappyEdgeTracker(
-            self.heads, self.tails, self.load, ev, self.key_to_v, self.key_to_u
+            self.heads,
+            self.tails,
+            self.load,
+            ev,
+            ReprKeys(ids, eu, ev),
+            ReprKeys(ids, ev, eu),
         )
 
     # -- structural mutation -------------------------------------------
@@ -220,8 +247,6 @@ class _CompactDynamic:
         tail = vi if head == ui else ui
         self.heads.append(head)
         self.tails.append(tail)
-        self.key_to_v.append(repr((ids[ui], ids[vi])))
-        self.key_to_u.append(repr((ids[vi], ids[ui])))
         self.load[head] += 1
         return e
 
@@ -334,14 +359,15 @@ class _CompactDynamic:
         frontier: set = set()
         inserted = removed = 0
         try:
-            for delta in deltas:
+            for i, delta in enumerate(deltas):
                 f, ins, rem = self.mutate(delta)
                 frontier |= f
                 inserted += ins
                 removed += rem
-        except DeltaError:
+        except DeltaError as exc:
             # Re-stabilize the already-applied prefix so the stability
             # invariant survives a rejected delta, then propagate.
+            exc.index = i
             self._restabilize_batch(frontier, update_seed)
             raise
         frontier_nodes, repair = self._restabilize_batch(frontier, update_seed)
@@ -527,12 +553,13 @@ class _DictDynamic:
         frontier: set = set()
         inserted = removed = 0
         try:
-            for delta in deltas:
+            for i, delta in enumerate(deltas):
                 f, ins, rem = self.mutate(delta)
                 frontier |= f
                 inserted += ins
                 removed += rem
-        except DeltaError:
+        except DeltaError as exc:
+            exc.index = i
             self._repair_from_carried(update_seed)
             raise
         live = [x for x in frontier if x in self._nodes]
@@ -657,7 +684,8 @@ class DynamicOrientation:
                 from repro.core.orientation._kernels import repair_kernel
 
                 heads, load, _ = repair_kernel(base, seed=seed)
-            self._impl = _CompactDynamic(base, heads, load)
+            tails = _tails_of(heads, base.edge_u, base.edge_v)
+            self._impl = _CompactDynamic(base, heads, tails, load)
         else:
             if isinstance(problem, CompactGraph):
                 problem = problem.to_orientation_problem()
@@ -696,39 +724,39 @@ class DynamicOrientation:
         depends on.  Compact backend only — no dict round-trip is ever
         taken.
         """
-        self = cls.__new__(cls)
-        self.backend = "compact"
-        self._seed = seed
-        self._updates = updates_applied
-        heads = list(heads)
-        if len(heads) != graph.num_edges:
-            raise ValueError(
-                f"heads has {len(heads)} entries for {graph.num_edges} edges"
-            )
-        eu, ev = graph.edge_u, graph.edge_v
-        derived = [0] * graph.num_nodes
-        for e, h in enumerate(heads):
-            if h != eu[e] and h != ev[e]:
+        with obs.span(
+            "engine.start",
+            num_nodes=graph.num_nodes,
+            num_edges=graph.num_edges,
+            validate=validate,
+        ):
+            self = cls.__new__(cls)
+            self.backend = "compact"
+            self._seed = seed
+            self._updates = updates_applied
+            heads = list(heads)
+            if len(heads) != graph.num_edges:
                 raise ValueError(
-                    f"head {h} of edge {e} is not one of its endpoints "
-                    f"({eu[e]}, {ev[e]})"
+                    f"heads has {len(heads)} entries for {graph.num_edges} edges"
                 )
-            derived[h] += 1
-        if load is None:
-            load = derived
-        else:
-            load = list(load)
-            if load != derived:
-                raise ValueError("load array disagrees with the heads array")
-        if validate:
-            for e, h in enumerate(heads):
-                t = eu[e] if h == ev[e] else ev[e]
-                if load[h] - load[t] > 1:
-                    raise ValueError(
-                        "orientation is not stable: edge "
-                        f"{e} has badness {load[h] - load[t]}"
-                    )
-        self._impl = _CompactDynamic(graph, heads, load)
+            tails = _tails_of(heads, graph.edge_u, graph.edge_v)
+            derived = [0] * graph.num_nodes
+            for h in heads:
+                derived[h] += 1
+            if load is None:
+                load = derived
+            else:
+                load = list(load)
+                if load != derived:
+                    raise ValueError("load array disagrees with the heads array")
+            if validate:
+                for e, (h, t) in enumerate(zip(heads, tails)):
+                    if load[h] - load[t] > 1:
+                        raise ValueError(
+                            "orientation is not stable: edge "
+                            f"{e} has badness {load[h] - load[t]}"
+                        )
+            self._impl = _CompactDynamic(graph, heads, tails, load)
         return self
 
     # -- updates --------------------------------------------------------
@@ -775,7 +803,8 @@ class DynamicOrientation:
         repair, and the returned stats carry ``update_seed=None``.  If a
         delta is invalid, the already-applied prefix stays applied, the
         engine is re-stabilized before the :class:`DeltaError`
-        propagates, and the counter still advances by ``len(deltas)``.
+        propagates, and the counter still advances by ``len(deltas)``;
+        the error's ``index`` is the position of the rejected delta.
         """
         deltas = tuple(deltas)
         if not deltas:

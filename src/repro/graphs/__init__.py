@@ -21,6 +21,7 @@ the reproduction operates on:
   lower-bound constructions.
 """
 
+from repro._lazy import lazy_attributes
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.compact import (
     CompactBipartite,
@@ -31,33 +32,42 @@ from repro.graphs.compact import (
 )
 from repro.graphs.hypergraph import Hypergraph
 from repro.graphs.layered import LayeredGraph
-from repro.graphs.generators import (
-    bounded_degree_gnp,
-    caterpillar_graph,
-    complete_bipartite,
-    cycle_graph,
-    grid_graph,
-    high_girth_regular_graph,
-    layered_from_levels,
-    path_graph,
-    perfect_dary_tree,
-    random_bipartite_customer_server,
-    random_layered_graph,
-    random_regular_graph,
-    star_graph,
-)
-from repro.graphs.validation import (
-    GraphValidationError,
-    check_bipartite,
-    check_girth_at_least,
-    check_is_tree,
-    check_max_degree,
-    check_perfect_dary_tree,
-    check_simple_graph,
-    degree_histogram,
-    graph_girth,
-    is_regular,
-    tree_heights,
+
+# The generators and structural checks are built on networkx; they load on
+# first use, so importing the compact substrates (the serving path) does
+# not pay for networkx.
+__getattr__ = lazy_attributes(
+    __name__,
+    {
+        "repro.graphs.generators": (
+            "bounded_degree_gnp",
+            "caterpillar_graph",
+            "complete_bipartite",
+            "cycle_graph",
+            "grid_graph",
+            "high_girth_regular_graph",
+            "layered_from_levels",
+            "path_graph",
+            "perfect_dary_tree",
+            "random_bipartite_customer_server",
+            "random_layered_graph",
+            "random_regular_graph",
+            "star_graph",
+        ),
+        "repro.graphs.validation": (
+            "GraphValidationError",
+            "check_bipartite",
+            "check_girth_at_least",
+            "check_is_tree",
+            "check_max_degree",
+            "check_perfect_dary_tree",
+            "check_simple_graph",
+            "degree_histogram",
+            "graph_girth",
+            "is_regular",
+            "tree_heights",
+        ),
+    },
 )
 
 __all__ = [

@@ -30,6 +30,7 @@ the public entry points; see :mod:`repro.dispatch` for the dispatch rule.
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
@@ -796,7 +797,7 @@ class CompactGraph:
             raise SnapshotError("CSR section lengths are inconsistent")
         return cls(
             node_ids=node_ids,
-            index_of={node: i for i, node in enumerate(node_ids)},
+            index_of=dict(zip(node_ids, range(n))),
             indptr=indptr,
             indices=indices,
             slot_edge=slot_edge,
@@ -809,7 +810,15 @@ class CompactGraph:
 
 
 class DeltaError(ValueError):
-    """Raised for invalid graph deltas (unknown nodes, duplicate edges, ...)."""
+    """Raised for invalid graph deltas (unknown nodes, duplicate edges, ...).
+
+    ``index`` is the batch position of the rejected delta when
+    :meth:`~repro.core.orientation.incremental.DynamicOrientation.
+    apply_batch` raised the error (the deltas before it were applied),
+    and ``None`` otherwise.
+    """
+
+    index: Optional[int] = None
 
 
 class DeltaOverlayGraph:
@@ -830,6 +839,16 @@ class DeltaOverlayGraph:
       dense-order-equals-repr-order invariant of :class:`CompactGraph`);
     * a node that leaves keeps its dense slot (dead, degree 0) so edge
       endpoints never dangle; re-joining the same id revives the slot.
+
+    Edge lookup (``{u, v}`` -> live edge index) keeps no per-edge map of
+    the base graph: a CSR row holds its columns ascending, so a base
+    edge is one bisect for ``v``'s dense id in ``u``'s row, then
+    ``slot_edge`` and an ``edge_alive`` check.  Only inserted edges sit
+    in a dict, keyed by their dense endpoint pair (smaller id first).  A
+    base edge that was deleted and re-inserted is found through the dict
+    (its base slot stays dead), so at most one live index answers for a
+    pair.  Constructing the overlay is therefore O(n) list copies plus
+    O(m) for the endpoint lists, with no hashing per edge.
 
     Memo invalidation is precise: the base graph's ``derived`` cache
     (``directed_ranks``, ``edge_keys``) is never touched — the base is
@@ -852,7 +871,7 @@ class DeltaOverlayGraph:
         "_extra_dead",
         "degrees",
         "sum_sq_degree",
-        "_edge_slot",
+        "_extra_edge",
         "_num_live_nodes",
         "_num_live_edges",
         "derived",
@@ -878,15 +897,14 @@ class DeltaOverlayGraph:
         #: down; ``_kill_edge`` compacts a list once half of it is dead,
         #: which is amortized O(1) per kill.
         self._extra_dead: Dict[int, int] = {}
-        self.degrees: List[int] = [base.degree(i) for i in range(n)]
+        ptr = base.indptr
+        self.degrees: List[int] = [ptr[i + 1] - ptr[i] for i in range(n)]
         #: Σ deg(v)² over live nodes, maintained incrementally (sizes the
         #: repair loop's safety valve without an O(n) rescan per update).
         self.sum_sq_degree = sum(d * d for d in self.degrees)
-        #: Canonical edge key -> live edge index (duplicate detection and
-        #: delete lookup).
-        self._edge_slot: Dict[Tuple[NodeId, NodeId], int] = {
-            key: e for e, key in enumerate(base.edge_keys())
-        }
+        #: (smaller, larger) dense endpoint pair -> live *inserted* edge
+        #: index; live base edges are found through the CSR instead.
+        self._extra_edge: Dict[Tuple[int, int], int] = {}
         self._num_live_nodes = n
         self._num_live_edges = m
         #: Aggregate memos (dropped on every mutation); per-edge facts
@@ -911,19 +929,46 @@ class DeltaOverlayGraph:
         i = self.index_of.get(node)
         return i is not None and bool(self.node_alive[i])
 
-    def has_edge(self, u: NodeId, v: NodeId) -> bool:
-        from repro.core.orientation.problem import edge_key
+    def _live_edge(self, u: NodeId, v: NodeId) -> int:
+        """Live edge index of {u, v}, or ``-1`` when there is none.
 
-        return edge_key(u, v) in self._edge_slot
+        Raises :class:`~repro.core.orientation.problem.OrientationError`
+        for a self-loop, like :func:`~repro.core.orientation.problem.
+        edge_key` does.
+        """
+        if u == v:
+            from repro.core.orientation.problem import edge_key
+
+            edge_key(u, v)
+        index_of = self.index_of
+        ui = index_of.get(u)
+        vi = index_of.get(v)
+        if ui is None or vi is None:
+            return -1
+        base = self.base
+        n = base.num_nodes
+        if ui < n and vi < n:
+            # One bisect for vi in ui's ascending CSR row.
+            ptr = base.indptr
+            indices = base.indices
+            hi = ptr[ui + 1]
+            s = bisect_left(indices, vi, ptr[ui], hi)
+            if s < hi and indices[s] == vi:
+                e = base.slot_edge[s]
+                if self.edge_alive[e]:
+                    return e
+        return self._extra_edge.get((ui, vi) if ui < vi else (vi, ui), -1)
+
+    def has_edge(self, u: NodeId, v: NodeId) -> bool:
+        return self._live_edge(u, v) >= 0
 
     def edge_index(self, u: NodeId, v: NodeId) -> int:
         """Live edge index of {u, v}; raises :class:`DeltaError` if absent."""
-        from repro.core.orientation.problem import edge_key
+        e = self._live_edge(u, v)
+        if e < 0:
+            from repro.core.orientation.problem import edge_key
 
-        key = edge_key(u, v)
-        e = self._edge_slot.get(key)
-        if e is None:
-            raise DeltaError(f"no live edge {key!r}")
+            raise DeltaError(f"no live edge {edge_key(u, v)!r}")
         return e
 
     def incident_edges(self, i: int):
@@ -996,7 +1041,7 @@ class DeltaOverlayGraph:
         from repro.core.orientation.problem import edge_key
 
         key = edge_key(u, v)
-        if key in self._edge_slot:
+        if self._live_edge(u, v) >= 0:
             raise DeltaError(f"duplicate edge {key!r}")
         ui = self.index_of.get(u)
         vi = self.index_of.get(v)
@@ -1012,7 +1057,7 @@ class DeltaOverlayGraph:
         self.edge_alive.append(1)
         self.extra_adj.setdefault(ui, []).append(e)
         self.extra_adj.setdefault(vi, []).append(e)
-        self._edge_slot[key] = e
+        self._extra_edge[(ui, vi) if ui < vi else (vi, ui)] = e
         self._bump_degree(ui, +1)
         self._bump_degree(vi, +1)
         self._num_live_edges += 1
@@ -1027,19 +1072,17 @@ class DeltaOverlayGraph:
         return e
 
     def _kill_edge(self, e: int) -> None:
-        ids = self.node_ids
-        from repro.core.orientation.problem import edge_key
-
-        del self._edge_slot[edge_key(ids[self.edge_u[e]], ids[self.edge_v[e]])]
+        u, v = self.edge_u[e], self.edge_v[e]
         self.edge_alive[e] = 0
-        self._bump_degree(self.edge_u[e], -1)
-        self._bump_degree(self.edge_v[e], -1)
+        self._bump_degree(u, -1)
+        self._bump_degree(v, -1)
         self._num_live_edges -= 1
         if e >= self.base.num_edges:
-            # Only inserted edges live in extra_adj; base edges are
-            # tombstoned in place inside the (bounded) CSR slots.
-            self._prune_extra(self.edge_u[e])
-            self._prune_extra(self.edge_v[e])
+            # Only inserted edges live in extra_adj and _extra_edge; base
+            # edges are tombstoned in place inside the (bounded) CSR slots.
+            del self._extra_edge[(u, v) if u < v else (v, u)]
+            self._prune_extra(u)
+            self._prune_extra(v)
 
     def _prune_extra(self, i: int) -> None:
         """Drop dead ids from ``extra_adj[i]`` once half the list is dead.

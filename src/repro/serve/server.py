@@ -89,6 +89,11 @@ class _UpdateRequest:
         self.future = future
 
 
+def _answer(request: _UpdateRequest, receipt: dict) -> None:
+    if not request.future.done():
+        request.future.set_result(receipt)
+
+
 class OrientationServer:
     """Serve one :class:`DynamicOrientation` over length-prefixed JSON/TCP."""
 
@@ -175,44 +180,59 @@ class OrientationServer:
             with obs.span(
                 "serve.coalesce", num_requests=len(batch), num_deltas=total
             ):
-                deltas = [d for request in batch for d in request.deltas]
-                error: Optional[Exception] = None
-                with obs.span("serve.restabilize", num_deltas=total) as sp:
-                    try:
-                        stats = self.dynamic.apply_batch(deltas)
-                        sp.set(
-                            frontier_nodes=stats.frontier_nodes,
-                            repair_flips=stats.repair.total_flips,
-                        )
-                    except DeltaError as exc:
-                        error = exc
-            self.counters["batches"] += 1
-            obs.add("serve.batches")
-            if error is None:
-                self.counters["deltas_applied"] += total
-                obs.add("serve.deltas_applied", total)
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_result(
-                            {
-                                "ok": True,
-                                "applied": len(request.deltas),
-                                "batch_deltas": total,
-                                "batch_requests": len(batch),
-                                "updates_applied": self.dynamic.updates_applied,
-                            }
-                        )
-            else:
-                # The engine re-stabilized its applied prefix before the
-                # DeltaError propagated; every rider shares the failure.
-                self.counters["errors"] += len(batch)
-                for request in batch:
-                    if not request.future.done():
-                        request.future.set_result(
-                            {"ok": False, "error": str(error)}
-                        )
+                while batch:
+                    batch = self._apply_riders(batch)
             if stop_after:
                 break
+
+    def _apply_riders(self, riders: List[_UpdateRequest]) -> List[_UpdateRequest]:
+        """Apply the riders' deltas as ONE batch and answer each rider.
+
+        When the engine rejects a delta, the deltas before it stay applied
+        (the engine re-stabilized them).  The riders wholly before it get
+        ``ok: true``; the rider holding it gets ``ok: false`` and the count
+        of its deltas that were applied; the riders after it are returned,
+        unanswered, to run as their own batch.
+        """
+        deltas = [d for request in riders for d in request.deltas]
+        error: Optional[DeltaError] = None
+        with obs.span("serve.restabilize", num_deltas=len(deltas)) as sp:
+            try:
+                stats = self.dynamic.apply_batch(deltas)
+                sp.set(
+                    frontier_nodes=stats.frontier_nodes,
+                    repair_flips=stats.repair.total_flips,
+                )
+            except DeltaError as exc:
+                error = exc
+        applied = len(deltas) if error is None else error.index
+        self.counters["batches"] += 1
+        self.counters["deltas_applied"] += applied
+        obs.add("serve.batches")
+        obs.add("serve.deltas_applied", applied)
+        start = 0
+        for j, request in enumerate(riders):
+            end = start + len(request.deltas)
+            if error is not None and end > applied:
+                self.counters["errors"] += 1
+                obs.add("serve.errors")
+                _answer(
+                    request,
+                    {"ok": False, "error": str(error), "applied": applied - start},
+                )
+                return riders[j + 1 :]
+            _answer(
+                request,
+                {
+                    "ok": True,
+                    "applied": len(request.deltas),
+                    "batch_deltas": len(deltas),
+                    "batch_requests": len(riders),
+                    "updates_applied": self.dynamic.updates_applied,
+                },
+            )
+            start = end
+        return []
 
     # -- request handling ----------------------------------------------
     async def _handle_client(self, reader, writer) -> None:

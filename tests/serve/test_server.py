@@ -10,6 +10,7 @@ trace — the server must add *no* semantics of its own.
 
 from __future__ import annotations
 
+import asyncio
 import threading
 
 import pytest
@@ -21,6 +22,7 @@ from repro.core.orientation import (
     NodeJoin,
     NodeLeave,
 )
+from repro.graphs.compact import DeltaError
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread, connect
 from repro.workloads import churn_smoke, churn_smoke_trace
 
@@ -240,6 +242,102 @@ class TestCoalescing:
         assert receipt["applied"] == 12
         assert receipt["batch_requests"] == 1
         assert engine.updates_applied == 12
+
+
+def _coalesced(thread, chunks):
+    """Submit ``chunks`` as update requests that share one queue drain.
+
+    All requests are dispatched from one loop callback, so each is queued
+    before the updater wakes: the drain picks them up together, in order.
+    """
+    from repro.serve import delta_to_wire
+
+    async def submit():
+        return await asyncio.gather(
+            *(
+                thread.server._dispatch(
+                    {"op": "update", "deltas": [delta_to_wire(d) for d in chunk]}
+                )
+                for chunk in chunks
+            )
+        )
+
+    future = asyncio.run_coroutine_threadsafe(submit(), thread._loop)
+    return [response for response, _ in future.result(timeout=30)]
+
+
+def _arrays(engine):
+    graph, heads, load = engine.solved_arrays()
+    return graph.node_ids, list(graph.edge_u), list(graph.edge_v), heads, load
+
+
+def _reference_load(reference, failing, after, node):
+    """Replay the server's two engine calls on ``reference``; load of ``node``.
+
+    The server first applies every rider's deltas as one batch, which fails
+    part-way, then the riders after the failing one as a second batch.
+    """
+    with pytest.raises(DeltaError):
+        reference.apply_batch(failing)
+    reference.apply_batch(after)
+    return reference.load_of(node)
+
+
+class TestPerRiderReceipts:
+    def test_valid_rider_succeeds_beside_an_invalid_one(self):
+        engine, reference = _engine(), _engine()
+        node = ("rider", 1)
+        valid = [NodeJoin(node, ((0, 0), (0, 1)))]
+        invalid = [EdgeDelete(("ghost", 1), ("ghost", 2))]
+        with ServerThread(engine, ServeConfig()) as thread:
+            ok, failed = _coalesced(thread, [valid, invalid])
+            with connect(thread.address) as client:
+                served_load = client.load_of(node)
+                stats = client.stats()
+        assert ok["ok"] is True and ok["applied"] == 1
+        assert ok["batch_requests"] == 2 and ok["batch_deltas"] == 2
+        assert failed["ok"] is False and failed["applied"] == 0
+        assert "no live edge" in failed["error"]
+        # The served state is the valid rider's, re-stabilized.
+        with pytest.raises(DeltaError) as excinfo:
+            reference.apply_batch(valid + invalid)
+        assert excinfo.value.index == 1
+        assert _arrays(engine) == _arrays(reference)
+        assert served_load == reference.load_of(node)
+        assert stats["counters"]["errors"] == 1
+        assert stats["counters"]["deltas_applied"] == 1
+        assert stats["counters"]["batches"] == 1
+        assert engine.is_stable()
+
+    def test_riders_after_the_failure_run_as_their_own_batch(self):
+        engine, reference = _engine(), _engine()
+        first = [NodeJoin(("r", 1), ((0, 0),))]
+        middle = [
+            NodeJoin(("r", 2), ((0, 1),)),
+            NodeLeave(("ghost", 9)),
+            NodeJoin(("r", 3), ((0, 2),)),
+        ]
+        last = [NodeJoin(("r", 4), ((0, 3),)), EdgeInsert(("r", 4), ("r", 1))]
+        with ServerThread(engine, ServeConfig()) as thread:
+            a, b, c = _coalesced(thread, [first, middle, last])
+            with connect(thread.address) as client:
+                stats = client.stats()
+                assert client.load_of(("r", 2)) == _reference_load(
+                    reference, first + middle + last, last, ("r", 2)
+                )
+                # The failing rider's delta after the rejected one never ran.
+                with pytest.raises(ServeError):
+                    client.load_of(("r", 3))
+        assert a["ok"] is True and a["batch_requests"] == 3
+        assert b["ok"] is False and b["applied"] == 1
+        assert c["ok"] is True and c["applied"] == 2
+        assert c["batch_requests"] == 1 and c["batch_deltas"] == 2
+        assert _arrays(engine) == _arrays(reference)
+        assert stats["updates_applied"] == reference.updates_applied
+        assert stats["counters"]["batches"] == 2
+        assert stats["counters"]["errors"] == 1
+        assert stats["counters"]["deltas_applied"] == 4
+        assert engine.is_stable()
 
 
 class TestSnapshotOp:

@@ -158,3 +158,33 @@ class TestAssignCommand:
         )
         out = capsys.readouterr().out
         assert "ratio" in out
+
+
+class TestServeImportCost:
+    def test_cli_and_serve_imports_load_neither_networkx_nor_numpy(self):
+        # ``python -m repro serve`` imports these two; a restart's time to
+        # first answer should not pay for the generators' dependencies.
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )
+        probe = (
+            "import sys, repro.cli, repro.serve; "
+            "print(sorted(m for m in ('networkx', 'numpy') if m in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert result.stdout.strip() == "[]"
