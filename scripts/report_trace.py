@@ -15,10 +15,7 @@ Counters are reported as totals and histogram series as
 count/p50/p95/max — the same nearest-rank percentiles used for spans.
 
 Multi-process traces additionally get a per-process table attributing
-span counts and self time to each pid.  Worker processes of the
-:mod:`repro.parallel` pool label their spans with a ``worker`` attribute
-(the pool slot index), which the table surfaces so "which worker did the
-work" is readable straight off a ``compact-parallel`` trace.
+span counts and self time to each pid.
 
 Usage::
 
@@ -100,16 +97,9 @@ def build_report(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         per_name[e["name"]]["dur"].append(e["dur"])
         per_name[e["name"]]["self"].append(max(own, 0.0))
         pid = e.get("pid")
-        row = per_pid.setdefault(
-            pid, {"pid": pid, "worker": None, "spans": 0, "self_seconds": 0.0}
-        )
+        row = per_pid.setdefault(pid, {"pid": pid, "spans": 0, "self_seconds": 0.0})
         row["spans"] += 1
         row["self_seconds"] += max(own, 0.0)
-        # Pool workers stamp their spans with the worker slot index; any
-        # span carrying it identifies the whole process.
-        worker = (e.get("attrs") or {}).get("worker")
-        if worker is not None:
-            row["worker"] = worker
 
     span_rows = []
     for name, data in per_name.items():
@@ -186,18 +176,15 @@ def render(report: Dict[str, Any], out=None) -> None:
 
     processes = report.get("processes", [])
     # One single-process trace needs no attribution table; print it as
-    # soon as a second pid or a labelled pool worker shows up.
-    if len(processes) > 1 or any(
-        row["worker"] is not None for row in processes
-    ):
+    # soon as a second pid shows up.
+    if len(processes) > 1:
         print(file=out)
-        header = f"{'process':<16} {'worker':>8} {'spans':>7} {'self':>10}"
+        header = f"{'process':<16} {'spans':>7} {'self':>10}"
         print(header, file=out)
         print("-" * len(header), file=out)
         for row in processes:
-            worker = "-" if row["worker"] is None else str(row["worker"])
             print(
-                f"{str(row['pid']):<16} {worker:>8} {row['spans']:>7} "
+                f"{str(row['pid']):<16} {row['spans']:>7} "
                 f"{_fmt_seconds(row['self_seconds']):>10}",
                 file=out,
             )

@@ -209,10 +209,9 @@ def solve(
         Theorem 5.1), or ``"bounded"`` (the k-bounded relaxation; note
         its output is only k-relaxed stable).
     backend:
-        The usual dispatch names (``auto``/``compact``/``dict``, plus
-        ``compact-parallel`` for ``phases``); on the compact backends the
-        kernel's arrays are returned directly — no dict structure is ever
-        built, so ``solve`` costs its kernel.
+        The usual dispatch names (``auto``/``compact``/``dict``); on the
+        compact backend the kernel's arrays are returned directly — no
+        dict structure is ever built, so ``solve`` costs its kernel.
     tie_break, k, check_invariants:
         Passed through to the underlying algorithm where applicable.
     """
@@ -225,7 +224,7 @@ def solve(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
-    resolved = resolve_backend(backend, supports_parallel=algorithm == "phases")
+    resolved = resolve_backend(backend)
 
     with obs.span("api.solve", algorithm=algorithm, backend=resolved):
         if algorithm == "repair":

@@ -12,10 +12,11 @@ delta kinds — :class:`EdgeInsert`, :class:`EdgeDelete`,
 
 Delta semantics
 ---------------
-* ``EdgeInsert(u, v)`` — both endpoints must exist; the new edge is
-  oriented towards its *less loaded* endpoint (canonical-key order
-  breaks ties), so a single insertion into a stable state never creates
-  badness above 1.
+* ``EdgeInsert(u, v)`` — both endpoints must exist and differ; the new
+  edge is oriented towards its *less loaded* endpoint (canonical-key
+  order breaks ties), so a single insertion into a stable state never
+  creates badness above 1.  A self-loop, inserted or deleted, is a
+  :class:`DeltaError`.
 * ``EdgeDelete(u, v)`` — the edge must exist; its head's load drops.
 * ``NodeJoin(node, attach)`` — ``node`` must be new (or previously
   departed); the ``attach`` edges to existing nodes are inserted in the
@@ -182,6 +183,17 @@ def _choose_head(key: Tuple[NodeId, NodeId], load_u: int, load_v: int) -> NodeId
     return key[0] if load_u <= load_v else key[1]
 
 
+def _reject_self_loop(u: NodeId, v: NodeId) -> None:
+    """Reject an edge {n, n} before a delta mutates anything or a query runs.
+
+    Raised as a :class:`DeltaError` so a batch reports the rider's
+    ``index`` and re-stabilizes its applied prefix, and the server
+    answers ``ok: false``, like any other invalid delta or query.
+    """
+    if u == v:
+        raise DeltaError(f"self-loop on {u!r} is not allowed")
+
+
 def _tails_of(heads: List[int], eu, ev) -> List[int]:
     """The dense tail of every edge; ``ValueError`` if a head is not an endpoint."""
     tails: List[int] = []
@@ -258,9 +270,11 @@ class _CompactDynamic:
         """Apply the structural change; returns (frontier, inserted, removed)."""
         overlay = self.overlay
         if isinstance(delta, EdgeInsert):
+            _reject_self_loop(delta.u, delta.v)
             e = self._insert_edge(delta.u, delta.v)
             return {overlay.edge_u[e], overlay.edge_v[e]}, 1, 0
         if isinstance(delta, EdgeDelete):
+            _reject_self_loop(delta.u, delta.v)
             e = overlay.remove_edge(delta.u, delta.v)
             self._remove_edge_slot(e)
             return {overlay.edge_u[e], overlay.edge_v[e]}, 0, 1
@@ -471,6 +485,7 @@ class _DictDynamic:
 
     def mutate(self, delta: Delta) -> Tuple[set, int, int]:
         if isinstance(delta, EdgeInsert):
+            _reject_self_loop(delta.u, delta.v)
             key = edge_key(delta.u, delta.v)
             if key in self._heads:
                 raise DeltaError(f"duplicate edge {key!r}")
@@ -482,6 +497,7 @@ class _DictDynamic:
             self._load[head] += 1
             return set(key), 1, 0
         if isinstance(delta, EdgeDelete):
+            _reject_self_loop(delta.u, delta.v)
             key = edge_key(delta.u, delta.v)
             head = self._heads.pop(key, None)
             if head is None:
@@ -865,6 +881,7 @@ class DynamicOrientation:
 
     def head_of(self, u: NodeId, v: NodeId) -> NodeId:
         """Current head of the live edge {u, v}."""
+        _reject_self_loop(u, v)
         return self._impl.head_of(u, v)
 
     def solved_arrays(self) -> Tuple[CompactGraph, List[int], List[int]]:

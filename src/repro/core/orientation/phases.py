@@ -164,15 +164,13 @@ def run_stable_orientation(
     -------
     StableOrientationResult
     """
-    resolved = resolve_backend(backend, supports_parallel=True)
-    if resolved in ("compact", "compact-parallel"):
+    if resolve_backend(backend) == "compact":
         return _run_stable_orientation_compact(
             problem,
             tie_break=tie_break,
             seed=seed,
             check_invariants=check_invariants,
             max_phases=max_phases,
-            parallel=resolved == "compact-parallel",
         )
     if isinstance(problem, CompactGraph):
         problem = problem.to_orientation_problem()
@@ -280,23 +278,14 @@ def _run_stable_orientation_compact(
     seed: int,
     check_invariants: bool,
     max_phases: Optional[int],
-    parallel: bool = False,
 ) -> StableOrientationResult:
     """Fast path: intern once, run the phase kernel, keep its arrays.
 
     The result's orientation is a :class:`DenseOrientation` over the
     kernel's ``heads``/``load`` arrays; its dict view is built only if a
-    caller asks for it.  With ``parallel=True`` (the ``compact-parallel``
-    backend) the phase games run on the :mod:`repro.parallel`
-    shared-memory worker pool — same results bit for bit, with its own
-    below-threshold fallback to the serial kernel.
+    caller asks for it.
     """
-    if parallel:
-        from repro.parallel import parallel_stable_orientation_kernel as kernel
-    else:
-        from repro.core.orientation._kernels import (
-            stable_orientation_kernel as kernel,
-        )
+    from repro.core.orientation._kernels import stable_orientation_kernel as kernel
 
     if isinstance(problem, CompactGraph):
         compact = problem

@@ -192,92 +192,9 @@ def _csr_from_directed(
     return indptr, indices
 
 
-class ShmError(RuntimeError):
-    """Raised for invalid shared-memory graph lifecycle operations."""
-
-
-#: The flat CSR buffers a shared-memory export packs, in segment order.
-_SHM_FIELDS = ("indptr", "indices", "slot_edge", "edge_u", "edge_v")
-
-#: Process-local refcounts per live segment name.  Every in-process
-#: handle (the owner *and* same-process attachments) holds one reference;
-#: the unlink requested by the owner's ``close()`` is deferred until the
-#: last in-process handle goes away, so a same-process attachment never
-#: has the segment pulled out from under it while other processes keep
-#: their (POSIX-guaranteed) mappings regardless.
-_SHM_REFS: Dict[str, List] = {}
-
-
-def _shm_acquire(name: str) -> None:
-    entry = _SHM_REFS.setdefault(name, [0, False])
-    entry[0] += 1
-
-
-def _shm_release(name: str, shm, *, request_unlink: bool) -> None:
-    entry = _SHM_REFS.get(name)
-    if entry is None:  # pragma: no cover - defensive; close() is idempotent
-        return
-    if request_unlink:
-        entry[1] = True
-    entry[0] -= 1
-    if entry[0] <= 0:
-        del _SHM_REFS[name]
-        if entry[1]:
-            try:
-                shm.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-
-
-class ShmGraph:
-    """A handle over one graph's shared-memory segment.
-
-    Returned by :meth:`CompactGraph.to_shm` (``owner=True``: this process
-    created the segment and is responsible for unlinking it) and
-    :meth:`CompactGraph.attach_shm` (``owner=False``: ``graph`` is a
-    zero-copy :class:`CompactGraph` whose CSR buffers are memoryviews
-    straight into the mapped segment).
-
-    ``meta`` is a small picklable dict — segment name plus array lengths —
-    which is all another process needs to attach; the ~8 bytes/slot of
-    array payload never crosses a pipe.  ``close()`` releases this
-    handle's views and mapping (idempotent); the owner's ``close()``
-    additionally unlinks the segment once the last same-process handle is
-    gone.  Attached graphs must not be used after ``close()``.
-    """
-
-    __slots__ = ("meta", "graph", "owner", "_shm", "_views", "_closed")
-
-    def __init__(self, meta: Dict, graph: "CompactGraph", owner: bool, shm, views):
-        self.meta = meta
-        self.graph = graph
-        self.owner = owner
-        self._shm = shm
-        self._views = views
-        self._closed = False
-        _shm_acquire(meta["name"])
-
-    def close(self) -> None:
-        """Release this handle's mapping; the owner's close also unlinks."""
-        if self._closed:
-            return
-        self._closed = True
-        for view in reversed(self._views):
-            view.release()
-        self._views = ()
-        self._shm.close()
-        _shm_release(self.meta["name"], self._shm, request_unlink=self.owner)
-
-    def __enter__(self) -> "ShmGraph":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "closed" if self._closed else "open"
-        role = "owner" if self.owner else "attached"
-        return f"ShmGraph({self.meta['name']!r}, {role}, {state})"
+#: The five flat CSR buffers of a :class:`CompactGraph`, in snapshot
+#: section order.
+CSR_FIELDS = ("indptr", "indices", "slot_edge", "edge_u", "edge_v")
 
 
 class SnapshotError(ValueError):
@@ -672,100 +589,15 @@ class CompactGraph:
             self._edge_index = {key: e for e, key in enumerate(self.edge_keys())}
         return self._edge_index[edge_key(u, v)]
 
-    # -- shared memory --------------------------------------------------
-    def to_shm(self) -> ShmGraph:
-        """Export the five CSR buffers into one shared-memory segment.
-
-        The returned :class:`ShmGraph` owns the segment: ship its
-        picklable ``meta`` to worker processes, have them
-        :meth:`attach_shm`, and ``close()`` the handle (which unlinks the
-        segment) when the workers are done.  This graph itself is left
-        untouched — the export is one bulk copy per buffer.
-        """
-        from multiprocessing import shared_memory
-
-        buffers = [getattr(self, field) for field in _SHM_FIELDS]
-        lengths = [len(buf) for buf in buffers]
-        total = sum(lengths) * _ITEMSIZE
-        shm = shared_memory.SharedMemory(create=True, size=max(total, 1))
-        raw = shm.buf
-        offset = 0
-        for buf in buffers:
-            nbytes = len(buf) * _ITEMSIZE
-            raw[offset : offset + nbytes] = memoryview(buf).cast("B")
-            offset += nbytes
-        meta = {
-            "name": shm.name,
-            "num_nodes": self.num_nodes,
-            "lengths": dict(zip(_SHM_FIELDS, lengths)),
-        }
-        return ShmGraph(meta, self, owner=True, shm=shm, views=())
-
-    @classmethod
-    def attach_shm(cls, meta: Dict) -> ShmGraph:
-        """Attach to a segment exported by :meth:`to_shm` — zero copy.
-
-        The handle's ``graph`` reads the CSR buffers directly out of the
-        mapped segment.  It is a *dense-id* graph: original node ids are
-        deliberately not shipped (that is the point of the export), so
-        ``node_ids`` is the identity ``range`` and only kernels that work
-        purely on dense ids should run on it.  The memo caches start
-        fresh — nothing derived leaks across the process boundary.
-
-        Raises :class:`ShmError` if the segment is gone (the owner
-        already unlinked it) or the meta layout does not match.
-        """
-        from multiprocessing import shared_memory
-
-        name = meta["name"]
-        try:
-            shm = shared_memory.SharedMemory(name=name)
-        except FileNotFoundError:
-            raise ShmError(
-                f"shared-memory segment {name!r} does not exist "
-                "(never exported, or the owner already unlinked it)"
-            ) from None
-        lengths = meta["lengths"]
-        total = sum(lengths[field] for field in _SHM_FIELDS) * _ITEMSIZE
-        if shm.size < total:
-            shm.close()
-            raise ShmError(
-                f"shared-memory segment {name!r} holds {shm.size} bytes "
-                f"but the meta layout needs {total}"
-            )
-        raw = memoryview(shm.buf)
-        views = [raw]
-        arrays = {}
-        offset = 0
-        for field in _SHM_FIELDS:
-            nbytes = lengths[field] * _ITEMSIZE
-            sliced = raw[offset : offset + nbytes]
-            cast = sliced.cast(INDEX_TYPECODE)
-            views.append(sliced)
-            views.append(cast)
-            arrays[field] = cast
-            offset += nbytes
-        n = meta["num_nodes"]
-        graph = cls(
-            node_ids=range(n),
-            index_of=None,
-            indptr=arrays["indptr"],
-            indices=arrays["indices"],
-            slot_edge=arrays["slot_edge"],
-            edge_u=arrays["edge_u"],
-            edge_v=arrays["edge_v"],
-        )
-        return ShmGraph(meta, graph, owner=False, shm=shm, views=views)
-
     # -- snapshots ------------------------------------------------------
     def snapshot_sections(self) -> Dict[str, array]:
-        """The five CSR buffers keyed by field name, in segment order.
+        """The five CSR buffers keyed by field name, in section order.
 
         The write side of the snapshot round trip: pass these (plus any
         caller sections) to :func:`write_array_snapshot` and rebuild with
         :meth:`from_buffers` over an :class:`ArraySnapshot`'s views.
         """
-        return {field: getattr(self, field) for field in _SHM_FIELDS}
+        return {field: getattr(self, field) for field in CSR_FIELDS}
 
     @classmethod
     def from_buffers(
@@ -773,14 +605,14 @@ class CompactGraph:
     ) -> "CompactGraph":
         """Rebuild a graph over externally-owned CSR buffers — zero copy.
 
-        ``sections`` maps the :data:`_SHM_FIELDS` names to ``'q'``
+        ``sections`` maps the :data:`CSR_FIELDS` names to ``'q'``
         buffers (typically :meth:`ArraySnapshot.section` views, which
         stay mmap-backed).  Buffer lengths are cross-checked; the caller
         keeps the backing storage alive for the graph's lifetime.
         """
         node_ids = tuple(node_ids)
         n = len(node_ids)
-        missing = [f for f in _SHM_FIELDS if f not in sections]
+        missing = [f for f in CSR_FIELDS if f not in sections]
         if missing:
             raise SnapshotError(f"missing CSR sections: {missing}")
         indptr = sections["indptr"]

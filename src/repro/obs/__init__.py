@@ -159,8 +159,8 @@ def configure_from_env(environ=os.environ) -> Optional[Sink]:
 def after_fork_in_child() -> None:
     """Reset inherited per-process obs state in a freshly forked worker.
 
-    Worker initializers (the :mod:`repro.parallel` pool) call this before
-    any instrumented code runs:
+    A fork-based pool's worker initializer calls this before any
+    instrumented code runs:
 
     * the span stack copied from the parent is dropped — those spans
       close in the parent's process, and linking worker spans under them

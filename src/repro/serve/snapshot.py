@@ -45,7 +45,7 @@ from typing import Optional, Tuple
 from repro import obs
 from repro.core.orientation.incremental import DynamicOrientation
 from repro.graphs.compact import (
-    _SHM_FIELDS,
+    CSR_FIELDS,
     ArraySnapshot,
     CompactGraph,
     SnapshotError,
@@ -150,7 +150,7 @@ def load_state(path, *, validate: bool = True) -> DynamicOrientation:
             node_ids = _decode_node_ids(meta["node_ids"], snapshot)
             graph = CompactGraph.from_buffers(
                 node_ids,
-                {field: snapshot.section(field) for field in _SHM_FIELDS},
+                {field: snapshot.section(field) for field in CSR_FIELDS},
             )
             dynamic = DynamicOrientation.from_solved_arrays(
                 graph,

@@ -6,7 +6,13 @@ import pytest
 
 from repro.core.orientation.problem import OrientationError, OrientationProblem
 from repro.graphs.bipartite import BipartiteGraphError, CustomerServerGraph
-from repro.graphs.compact import CompactBipartite, CompactGraph, intern_nodes
+from repro.graphs.compact import (
+    CSR_FIELDS,
+    CompactBipartite,
+    CompactGraph,
+    SnapshotError,
+    intern_nodes,
+)
 from repro.graphs.generators import (
     bounded_degree_gnp,
     random_bipartite_customer_server,
@@ -88,6 +94,77 @@ class TestCompactGraph:
         compact = CompactGraph.from_orientation_problem(problem)
         compact._problem = None
         assert compact.to_orientation_problem() == problem
+
+
+def _views(graph: CompactGraph) -> dict:
+    return {field: memoryview(getattr(graph, field)) for field in CSR_FIELDS}
+
+
+class TestFromBuffers:
+    """``from_buffers`` rebuilds a graph over external CSR buffers."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_round_trip_preserves_every_buffer(self, seed):
+        graph = CompactGraph.from_orientation_problem(
+            OrientationProblem.from_networkx(bounded_degree_gnp(30, 0.2, 6, seed=seed))
+        )
+        mirror = CompactGraph.from_buffers(graph.node_ids, _views(graph))
+        assert mirror.num_nodes == graph.num_nodes
+        assert mirror.num_edges == graph.num_edges
+        for field in CSR_FIELDS:
+            assert list(getattr(mirror, field)) == list(getattr(graph, field))
+        assert mirror.node_ids == graph.node_ids
+        assert mirror.edge_keys() == graph.edge_keys()
+        assert mirror.to_orientation_problem() == graph.to_orientation_problem()
+
+    def test_mixed_type_ids_index_like_the_original(self):
+        graph = CompactGraph.from_edges([(1, "a"), ("a", (2, 3)), (3.5, 1)])
+        mirror = CompactGraph.from_buffers(list(graph.node_ids), _views(graph))
+        assert mirror.node_ids == graph.node_ids
+        assert mirror.index_of == graph.index_of
+        for u, v in graph.edge_keys():
+            assert mirror.edge_index(v, u) == graph.edge_index(u, v)
+
+    def test_edgeless_graph(self):
+        graph = CompactGraph.from_orientation_problem(
+            OrientationProblem([], nodes=range(4))
+        )
+        mirror = CompactGraph.from_buffers(graph.node_ids, _views(graph))
+        assert mirror.num_nodes == 4
+        assert mirror.num_edges == 0
+        assert [mirror.degree(i) for i in range(4)] == [0] * 4
+
+    def test_buffers_are_shared_not_copied(self):
+        graph = CompactGraph.from_edges([(1, 2), (2, 3)])
+        views = _views(graph)
+        mirror = CompactGraph.from_buffers(graph.node_ids, views)
+        for field in CSR_FIELDS:
+            assert getattr(mirror, field) is views[field]
+        assert isinstance(mirror.neighbors(0), memoryview)
+
+    @pytest.mark.parametrize("field", CSR_FIELDS)
+    def test_missing_section_raises_snapshot_error(self, field):
+        graph = CompactGraph.from_edges([(1, 2), (2, 3)])
+        views = _views(graph)
+        del views[field]
+        with pytest.raises(SnapshotError, match=f"missing CSR sections: \\['{field}'\\]"):
+            CompactGraph.from_buffers(graph.node_ids, views)
+
+    @pytest.mark.parametrize("extra_nodes", [-1, 1])
+    def test_indptr_length_must_match_node_count(self, extra_nodes):
+        graph = CompactGraph.from_edges([(1, 2), (2, 3)])
+        ids = list(graph.node_ids)
+        ids = ids[:-1] if extra_nodes < 0 else ids + [99]
+        with pytest.raises(SnapshotError, match="indptr has 4 entries"):
+            CompactGraph.from_buffers(ids, _views(graph))
+
+    @pytest.mark.parametrize("field", ["indices", "slot_edge", "edge_v"])
+    def test_inconsistent_section_lengths_raise(self, field):
+        graph = CompactGraph.from_edges([(1, 2), (2, 3)])
+        views = _views(graph)
+        views[field] = views[field][:-1]
+        with pytest.raises(SnapshotError, match="inconsistent"):
+            CompactGraph.from_buffers(graph.node_ids, views)
 
 
 class TestCompactBipartite:

@@ -134,6 +134,50 @@ class TestErrors:
         with pytest.raises(OrientationError, match="self-loop"):
             overlay.add_edge(node, node)
 
+    @pytest.mark.parametrize("self_loop", [EdgeInsert(2, 2), EdgeDelete(2, 2)])
+    def test_engine_rejects_self_loop_as_delta_error(self, self_loop):
+        # The engine checks before mutating, so both backends raise the
+        # same batch-indexed DeltaError, keep the applied prefix, and
+        # stay stable and in agreement.
+        graph = CompactGraph.from_edges(EDGES)
+        batch = [EdgeDelete(4, 5), self_loop, EdgeInsert(0, 3)]
+        errors = []
+        engines = []
+        for backend in ("compact", "dict"):
+            engine = DynamicOrientation(graph, seed=2, backend=backend)
+            with pytest.raises(DeltaError, match="self-loop on 2") as excinfo:
+                engine.apply_batch(batch)
+            errors.append((str(excinfo.value), excinfo.value.index))
+            engines.append(engine)
+        assert errors[0] == errors[1] == ("self-loop on 2 is not allowed", 1)
+        engine, reference = engines
+        assert engine.num_edges == reference.num_edges == len(EDGES) - 1
+        with pytest.raises(DeltaError):
+            engine.head_of(4, 5)
+        assert engine.loads() == reference.loads()
+        assert not engine.unhappy_edges() and not reference.unhappy_edges()
+        for backend_engine in engines:
+            with pytest.raises(DeltaError, match="self-loop"):
+                backend_engine.apply(self_loop)
+            with pytest.raises(DeltaError, match="self-loop"):
+                backend_engine.head_of(2, 2)
+
+    @pytest.mark.parametrize("backend", ["compact", "dict"])
+    @pytest.mark.parametrize("self_loop", [EdgeInsert(3, 3), EdgeDelete(3, 3)])
+    def test_leading_self_loop_leaves_the_engine_untouched(self, backend, self_loop):
+        graph = CompactGraph.from_edges(EDGES)
+        engine = DynamicOrientation(graph, seed=2, backend=backend)
+        heads = {(u, v): engine.head_of(u, v) for u, v in EDGES}
+        before = (engine.num_edges, engine.loads())
+        with pytest.raises(DeltaError, match="self-loop on 3") as excinfo:
+            engine.apply_batch([self_loop, EdgeInsert(0, 3)])
+        # Nothing landed; only the update counter advances, by the batch size.
+        assert excinfo.value.index == 0
+        assert (engine.num_edges, engine.loads()) == before
+        assert {(u, v): engine.head_of(u, v) for u, v in EDGES} == heads
+        assert engine.updates_applied == 2
+        assert not engine.unhappy_edges()
+
 
 def test_lookup_matches_a_dict_model_under_random_churn():
     rng = random.Random(7)

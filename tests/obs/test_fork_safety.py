@@ -1,12 +1,10 @@
-"""Fork-safety of the obs layer and worker attribution of pool spans.
+"""Fork-safety of the obs layer.
 
 A :class:`~repro.obs.sinks.JsonlSink` crosses a fork as an inherited
 file *object*; :func:`repro.obs.after_fork_in_child` must rebind it to
 the child's own descriptor, drop the inherited span stack (child spans
 are roots, not children of whatever the parent had open), and restart
-span ids.  The parallel pool's batch spans additionally carry the
-``worker`` slot index so multi-process traces stay attributable — see
-``scripts/report_trace.py``.
+span ids.
 """
 
 from __future__ import annotations
@@ -56,45 +54,3 @@ def test_jsonl_sink_survives_fork(tmp_path):
     assert spans["child.work"]["id"] == 1
     assert spans["child.work"]["attrs"]["worker"] == 0
 
-
-def test_parallel_batches_carry_worker_attribution(tmp_path):
-    """A real pool run: worker pids emit ``parallel.batch`` spans."""
-    import random
-
-    from repro.core.orientation.problem import OrientationProblem
-    from repro.graphs.compact import CompactGraph
-    from repro.parallel import parallel_stable_orientation_kernel
-
-    rng = random.Random(1)
-    n = 60
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if rng.random() < 0.1
-    ]
-    graph = CompactGraph.from_orientation_problem(
-        OrientationProblem(edges, nodes=range(n))
-    )
-
-    path = str(tmp_path / "parallel.jsonl")
-    sink = JsonlSink(path)
-    with obs.use(sink):
-        parallel_stable_orientation_kernel(
-            graph, seed=1, workers=2, min_edges=0, min_game_edges=0
-        )
-    sink.close()
-
-    events = load_jsonl(path)
-    batches = [
-        e for e in events if e["type"] == "span" and e["name"] == "parallel.batch"
-    ]
-    assert batches, "no parallel.batch spans were traced"
-    parent_pid = os.getpid()
-    for span in batches:
-        assert span["pid"] != parent_pid
-        assert span["attrs"]["worker"] >= 0
-        assert span["attrs"]["components"] >= 1
-    # The master's side of the dispatch is visible in the same trace.
-    names = {e["name"] for e in events if e["type"] == "counter"}
-    assert "orientation.parallel.components" in names

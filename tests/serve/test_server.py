@@ -24,6 +24,7 @@ from repro.core.orientation import (
 )
 from repro.graphs.compact import DeltaError
 from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread, connect
+from repro.serve.protocol import delta_to_wire
 from repro.workloads import churn_smoke, churn_smoke_trace
 
 pytestmark = pytest.mark.integration
@@ -67,11 +68,14 @@ class TestQueries:
             assert client.load_of(u) == engine.load_of(u)
 
     def test_unknown_node_is_an_error_not_a_crash(self, served):
-        _, client, _ = served
+        _, client, engine = served
         with pytest.raises(ServeError):
             client.load_of(("no-such-node", 1))
         with pytest.raises(ServeError):
             client.assignment_of(("a", 1), ("b", 2))
+        node = engine.solved_arrays()[0].node_ids[0]
+        with pytest.raises(ServeError, match="self-loop"):
+            client.assignment_of(node, node)
         assert client.ping()  # connection survives the error
 
     @pytest.mark.parametrize(
@@ -170,6 +174,21 @@ class TestUpdates:
             client.update([EdgeDelete(("ghost", 1), ("ghost", 2))])
         assert client.ping()
         assert not engine.unhappy_edges()
+
+    def test_self_loop_insert_leaves_the_updater_running(self, served):
+        _, client, engine = served
+        node = engine.solved_arrays()[0].node_ids[0]
+        response = client.request(
+            {"op": "update", "deltas": [delta_to_wire(EdgeInsert(node, node))]}
+        )
+        assert response["ok"] is False and "self-loop" in response["error"]
+        assert response["applied"] == 0
+        # A later update on the same connection is still answered.
+        joined = ("after-loop", 1)
+        receipt = client.update([NodeJoin(joined, (node,))])
+        assert receipt["ok"] is True and receipt["applied"] == 1
+        assert client.load_of(joined) == engine.load_of(joined)
+        assert engine.is_stable()
 
     def test_json_object_in_a_delta_leaves_the_updater_running(self, served):
         _, client, engine = served

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.orientation import DynamicOrientation, EdgeDelete
 from repro.graphs.compact import (
+    CSR_FIELDS,
     ArraySnapshot,
     CompactGraph,
     SnapshotError,
@@ -225,6 +226,31 @@ class TestFileFormat:
         # The CSR buffers are views into the mapping, not copies.
         assert isinstance(graph.indptr, memoryview)
         assert restored._snapshot is not None
+
+    def test_kernel_run_over_mmap_sections_matches_array_run(self, tmp_path):
+        """The phase kernel reads memoryview CSR exactly like ``array`` CSR."""
+        import random
+
+        from repro.core.orientation._kernels import stable_orientation_kernel
+        from repro.core.orientation.problem import OrientationProblem
+
+        rng = random.Random(3)
+        n = 30
+        edges = [
+            (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.2
+        ]
+        graph = CompactGraph.from_orientation_problem(
+            OrientationProblem(edges, nodes=range(n))
+        )
+        expected = stable_orientation_kernel(graph, seed=3)
+        path = tmp_path / "csr.rprosnp"
+        write_array_snapshot(path, graph.snapshot_sections())
+        with ArraySnapshot(path) as snap:
+            mapped = CompactGraph.from_buffers(
+                graph.node_ids, {field: snap.section(field) for field in CSR_FIELDS}
+            )
+            assert isinstance(mapped.indptr, memoryview)
+            assert stable_orientation_kernel(mapped, seed=3) == expected
 
     def test_wrong_kind_rejected(self, tmp_path):
         from array import array

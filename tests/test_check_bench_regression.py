@@ -197,66 +197,8 @@ def test_timing_rounds_scale_for_fast_scenarios():
 def test_gate_scenarios_are_committed(suite):
     """Every registered gate re-times a scenario that is committed."""
     gate = cbr.GATES[suite]()
-    bench_name = gate.bench_suite or suite
-    payload = json.loads((REPO_ROOT / f"BENCH_{bench_name}.json").read_text())
+    payload = json.loads((REPO_ROOT / f"BENCH_{suite}.json").read_text())
     assert gate.scenario in payload["scenarios"], (suite, gate.scenario)
-
-
-def test_min_cpus_skips_timing_but_runs_agreement(monkeypatch, tmp_path, capsys):
-    _write_bench(tmp_path, "fake", "scenario", 0.1)
-    agreement_calls = []
-
-    def check_agreement(ctx):
-        agreement_calls.append(1)
-        return None
-
-    gate = cbr.SuiteGate(
-        scenario="scenario",
-        prepare=lambda: {},
-        run=lambda ctx: None,
-        reference=lambda ctx: None,
-        check_agreement=check_agreement,
-        min_cpus=4,
-    )
-    monkeypatch.setattr(cbr, "GATES", {"fake": lambda: gate})
-    monkeypatch.setattr(cbr.os, "cpu_count", lambda: 2)
-
-    def no_timing(fn, rounds):  # pragma: no cover - would mean a bug
-        raise AssertionError("timing must not run below the CPU floor")
-
-    monkeypatch.setattr(cbr, "timed_median", no_timing)
-    assert cbr.main(["--bench-dir", str(tmp_path)]) == 0
-    assert agreement_calls == [1]
-    assert "SKIPPED timing" in capsys.readouterr().out
-
-
-def test_min_cpus_agreement_failure_still_fails(monkeypatch, tmp_path, capsys):
-    _write_bench(tmp_path, "fake", "scenario", 0.1)
-    gate = cbr.SuiteGate(
-        scenario="scenario",
-        prepare=lambda: {},
-        run=lambda ctx: None,
-        reference=lambda ctx: None,
-        check_agreement=lambda ctx: "parallel and serial disagree",
-        min_cpus=64,
-    )
-    monkeypatch.setattr(cbr, "GATES", {"fake": lambda: gate})
-    assert cbr.main(["--bench-dir", str(tmp_path)]) == 1
-    assert "parallel and serial disagree" in capsys.readouterr().err
-
-
-def test_bench_suite_override_reads_other_file(monkeypatch, tmp_path):
-    # A gate may point at another suite's BENCH file (scale_parallel
-    # reads BENCH_scale.json); its own name must not be consulted.
-    _write_bench(tmp_path, "other", "scenario", 0.1)
-    gate = cbr.SuiteGate(
-        scenario="scenario",
-        prepare=lambda: {},
-        run=lambda ctx: None,
-        bench_suite="other",
-    )
-    _patch(monkeypatch, gate, [0.12])
-    assert cbr.main(["--bench-dir", str(tmp_path)]) == 0
 
 
 def test_serve_gate_contract():

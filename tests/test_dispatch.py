@@ -29,32 +29,15 @@ class TestResolveBackend:
     def test_every_documented_name_is_accepted(self, name):
         assert resolve_backend(name) in ("compact", "dict")
 
-
-class TestParallelBackend:
-    """The ``compact-parallel`` name and its per-entry-point gating."""
-
-    def test_resolves_when_entry_point_supports_it(self):
-        assert (
-            resolve_backend("compact-parallel", supports_parallel=True)
-            == "compact-parallel"
-        )
-
-    def test_degrades_to_compact_without_support(self):
-        # Entry points with nothing to parallelize quietly run compact,
-        # so a process-wide REPRO_BACKEND never breaks them.
-        assert resolve_backend("compact-parallel") == "compact"
-
-    def test_env_var_selects_parallel(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compact-parallel")
-        assert resolve_backend(None, supports_parallel=True) == "compact-parallel"
-        assert resolve_backend(None) == "compact"
-
-    def test_auto_never_resolves_to_parallel(self, monkeypatch):
-        # Parallelism is opt-in: auto prefers the serial compact kernel
-        # even where a parallel path exists.
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert resolve_backend(None, supports_parallel=True) == "compact"
-        assert resolve_backend("auto", supports_parallel=True) == "compact"
+    def test_retired_parallel_backend_is_rejected(self, monkeypatch):
+        # A retired backend name is just another unknown name, whether
+        # it comes from the argument or the environment.
+        retired = "compact-parallel"
+        with pytest.raises(BackendError):
+            resolve_backend(retired)
+        monkeypatch.setenv(BACKEND_ENV_VAR, retired)
+        with pytest.raises(BackendError):
+            resolve_backend(None)
 
 
 class TestBackendErrorDiagnostics:
