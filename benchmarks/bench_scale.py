@@ -2,10 +2,12 @@
 
 Where the other suites race the compact kernels against the dict
 reference on mid-size instances, this one answers a different question:
-*do the streaming builders and frontier-batched kernels actually hold up
-at 10^5–10^6 nodes?*  There is no dict path here — at these sizes the
-reference representation is the thing being avoided — so every scenario
-times the compact pipeline alone and records its peak memory:
+*do the streaming builders (``CompactGraph.from_edges`` and
+``game_from_edge_stream``, both on the one counting-sort CSR routine)
+and the frontier-batched kernels actually hold up at 10^5–10^6 nodes?*
+There is no dict path here — at these sizes the reference representation
+is the thing being avoided — so every scenario times the compact
+pipeline alone and records its peak memory:
 
 * ``peak_mb`` (via the shared benchmark fixture) — tracemalloc peak of
   one untimed run, i.e. the algorithm's Python-heap working set;
@@ -94,7 +96,7 @@ def _game(tier: str):
 @pytest.mark.benchmark(**BENCH_OPTS)
 @pytest.mark.parametrize("tier", TIERS)
 def test_scale_build_orientation(benchmark, record_rows, tier):
-    """Streaming CSR construction: generator -> ``from_edge_stream``."""
+    """Streaming CSR construction: generator -> ``CompactGraph.from_edges``."""
     params = SCALE_TIER_PARAMS[tier]
     graph = benchmark(lambda: scale_layered_orientation(**params))
     record_rows(

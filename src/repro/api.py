@@ -78,12 +78,6 @@ class Instance:
         return cls(CompactGraph.from_edges(edges, nodes=nodes))
 
     @classmethod
-    def from_edge_stream(
-        cls, edges: Iterable[Tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
-    ) -> "Instance":
-        return cls(CompactGraph.from_edge_stream(edges, nodes=nodes))
-
-    @classmethod
     def from_problem(cls, problem) -> "Instance":
         """Intern a reference :class:`OrientationProblem` (lossless)."""
         return cls(CompactGraph.from_orientation_problem(problem))

@@ -209,7 +209,7 @@ def sequential_flip_kernel(
 # ----------------------------------------------------------------------
 # The phase-based stable orientation algorithm (Theorem 5.1)
 # ----------------------------------------------------------------------
-def _solve_phase_game_serial(
+def _solve_phase_game(
     eu: Sequence[int],
     ev: Sequence[int],
     ids: Sequence,
@@ -229,8 +229,9 @@ def _solve_phase_game_serial(
     order (the reference scan order); ``sub`` is a caller-owned dense-id
     -> game-id scratch map of value -1 everywhere, restored before
     returning.  Returns ``(consumed_edges, communication_rounds)`` where
-    ``consumed_edges`` is the ascending list of graph edges consumed by a
-    token pass — exactly the edges step 4 must flip.
+    ``consumed_edges`` lists the graph edges consumed by a token pass —
+    exactly the edges step 4 must flip — in game-edge order (ascending
+    ``(tail, head)`` dense game ids), not in graph-edge order.
 
     The game's connected components never exchange messages, but they
     are solved in this one call: splitting them across worker processes
@@ -439,7 +440,7 @@ def stable_orientation_kernel(
             # Phase-start max load, from the histogram (O(1) instead of an
             # O(n) ``max(load)`` pass; loads are bounded by Δ).
             height = cur_max
-            consumed_edges, td_comm_rounds = _solve_phase_game_serial(
+            consumed_edges, td_comm_rounds = _solve_phase_game(
                 eu,
                 ev,
                 ids,

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.orientation._unhappy import (
@@ -369,7 +369,7 @@ class _CompactDynamic:
         )
         return len(live), repair
 
-    def apply_batch(self, deltas, update_seed: int) -> BatchStats:
+    def apply_batch(self, deltas, seed_for: Callable[[int], int]) -> BatchStats:
         frontier: set = set()
         inserted = removed = 0
         try:
@@ -382,8 +382,10 @@ class _CompactDynamic:
             # Re-stabilize the already-applied prefix so the stability
             # invariant survives a rejected delta, then propagate.
             exc.index = i
-            self._restabilize_batch(frontier, update_seed)
+            if i:
+                self._restabilize_batch(frontier, seed_for(i))
             raise
+        update_seed = seed_for(len(deltas))
         frontier_nodes, repair = self._restabilize_batch(frontier, update_seed)
         return BatchStats(
             num_deltas=len(deltas),
@@ -565,7 +567,7 @@ class _DictDynamic:
             repair=repair_stats,
         )
 
-    def apply_batch(self, deltas, update_seed: int) -> BatchStats:
+    def apply_batch(self, deltas, seed_for: Callable[[int], int]) -> BatchStats:
         frontier: set = set()
         inserted = removed = 0
         try:
@@ -576,8 +578,10 @@ class _DictDynamic:
                 removed += rem
         except DeltaError as exc:
             exc.index = i
-            self._repair_from_carried(update_seed)
+            if i:
+                self._repair_from_carried(seed_for(i))
             raise
+        update_seed = seed_for(len(deltas))
         live = [x for x in frontier if x in self._nodes]
         repair_stats = self._repair_from_carried(update_seed)
         return BatchStats(
@@ -782,16 +786,17 @@ class DynamicOrientation:
         ``seed`` overrides the per-update repair seed (default: a
         deterministic stream derived from the constructor seed and the
         update counter, so replaying a trace is reproducible on either
-        backend).
+        backend).  A rejected delta (:class:`DeltaError`) changes nothing,
+        the counter included.
         """
         update_seed = (
             seed if seed is not None else self._seed * 1_000_003 + self._updates
         )
-        self._updates += 1
         with obs.span(
             "churn.apply", kind=type(delta).__name__, backend=self.backend
         ) as sp:
             stats = self._impl.apply(delta, update_seed)
+            self._updates += 1
             sp.set(
                 frontier_nodes=stats.frontier_nodes,
                 edges_inserted=stats.edges_inserted,
@@ -816,11 +821,12 @@ class DynamicOrientation:
         bit-for-bit identical to replaying the trace delta by delta.
 
         An empty batch is a strict no-op: no seed-stream advance, no
-        repair, and the returned stats carry ``update_seed=None``.  If a
-        delta is invalid, the already-applied prefix stays applied, the
-        engine is re-stabilized before the :class:`DeltaError`
-        propagates, and the counter still advances by ``len(deltas)``;
-        the error's ``index`` is the position of the rejected delta.
+        repair, and the returned stats carry ``update_seed=None``.  If the
+        delta at ``index`` is invalid, the prefix before it stays applied
+        and the engine ends exactly as ``apply_batch(deltas[:index])``
+        would have left it — re-stabilized under that call's seed (or the
+        explicit ``seed``), with the counter advanced by ``index`` — before
+        the :class:`DeltaError` propagates carrying ``index``.
         """
         deltas = tuple(deltas)
         if not deltas:
@@ -831,16 +837,22 @@ class DynamicOrientation:
                 edges_removed=0,
                 frontier_nodes=0,
             )
-        update_seed = (
-            seed
-            if seed is not None
-            else self._seed * 1_000_003 + self._updates + len(deltas) - 1
-        )
-        self._updates += len(deltas)
+
+        def seed_for(count: int) -> int:
+            """The batch seed of the first ``count`` deltas."""
+            if seed is not None:
+                return seed
+            return self._seed * 1_000_003 + self._updates + count - 1
+
         with obs.span(
             "churn.apply_batch", num_deltas=len(deltas), backend=self.backend
         ) as sp:
-            stats = self._impl.apply_batch(deltas, update_seed)
+            try:
+                stats = self._impl.apply_batch(deltas, seed_for)
+            except DeltaError as exc:
+                self._updates += exc.index
+                raise
+            self._updates += len(deltas)
             sp.set(
                 frontier_nodes=stats.frontier_nodes,
                 edges_inserted=stats.edges_inserted,

@@ -58,7 +58,7 @@ from repro.core.token_dropping.game import (
     TokenDroppingInstance,
 )
 from repro.core.token_dropping.traversal import TokenDroppingSolution, Traversal
-from repro.graphs.compact import intern_nodes
+from repro.graphs.compact import _csr, intern_nodes
 from repro.local_model.compact import CompactEngine, CompactNetwork
 from repro.local_model.metrics import ExecutionMetrics
 
@@ -98,13 +98,6 @@ class _DenseGame:
         self.chi_node: List[int] = []
         self.chi_edge: List[int] = []
 
-    def _flatten_children(self, chi_lists: List[List[Tuple[int, int]]]) -> None:
-        for p, entries in enumerate(chi_lists):
-            for child, edge in entries:
-                self.chi_node.append(child)
-                self.chi_edge.append(edge)
-            self.chi_ptr[p + 1] = len(self.chi_node)
-
     @classmethod
     def of(cls, net: CompactNetwork) -> "_DenseGame":
         """The dense game of ``net``, memoized on the compact network.
@@ -120,45 +113,21 @@ class _DenseGame:
         return cached
 
     @classmethod
-    def _build(cls, n: int, rows) -> "_DenseGame":
-        """Build from per-node ``(has_token, level, sorted_dense_parents)``.
-
-        The single place where CSR slots and the shared edge-id space are
-        assigned; both constructors feed it through an accessor generator.
-        """
-        game = cls(n)
-        chi_lists: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-        edge = 0
-        for i, (has_token, level, parents) in enumerate(rows):
-            if has_token:
-                game.has_token[i] = 1
-            if level:
-                game.level[i] = level
-            for p in parents:
-                game.par_node.append(p)
-                game.par_edge.append(edge)
-                chi_lists[p].append((i, edge))
-                edge += 1
-            game.par_ptr[i + 1] = len(game.par_node)
-        game.num_edges = edge
-        game._flatten_children(chi_lists)
-        return game
-
-    @classmethod
     def from_compact_network(cls, net: CompactNetwork) -> "_DenseGame":
         """Read the token-dropping local inputs of every node (one pass)."""
         index_of = net.index_of
-
-        def rows():
-            for local in net.local_inputs:
-                local = local or {}
-                yield (
-                    local.get(LOCAL_HAS_TOKEN),
-                    int(local.get(LOCAL_LEVEL) or 0),
-                    sorted(index_of[x] for x in local.get(LOCAL_PARENTS, ())),
-                )
-
-        return cls._build(net.num_nodes, rows())
+        inputs = [local or {} for local in net.local_inputs]
+        game, _ = game_from_arrays(
+            net.num_nodes,
+            [local.get(LOCAL_HAS_TOKEN) for local in inputs],
+            [int(local.get(LOCAL_LEVEL) or 0) for local in inputs],
+            [
+                (i, index_of[x], 0)
+                for i, local in enumerate(inputs)
+                for x in local.get(LOCAL_PARENTS, ())
+            ],
+        )
+        return game
 
     @classmethod
     def from_instance(
@@ -167,16 +136,17 @@ class _DenseGame:
         """Intern a :class:`TokenDroppingInstance` directly (one pass)."""
         graph = instance.graph
         node_ids, index_of = intern_nodes(graph.levels)
-
-        def rows():
-            for node in node_ids:
-                yield (
-                    node in instance.tokens,
-                    graph.levels[node],
-                    sorted(index_of[x] for x in graph.parents(node)),
-                )
-
-        return cls._build(len(node_ids), rows()), node_ids, index_of
+        game, _ = game_from_arrays(
+            len(node_ids),
+            [node in instance.tokens for node in node_ids],
+            [graph.levels[node] for node in node_ids],
+            [
+                (i, index_of[x], 0)
+                for i, node in enumerate(node_ids)
+                for x in graph.parents(node)
+            ],
+        )
+        return game, node_ids, index_of
 
 
 def game_from_arrays(
@@ -187,9 +157,10 @@ def game_from_arrays(
 ) -> Tuple[_DenseGame, List[int]]:
     """Build a dense game directly from int arrays (no dict instance).
 
-    The instance-from-arrays entry point used by the compact orientation
-    phase driver: callers that already hold dense node ids never pay for a
-    dict :class:`TokenDroppingInstance`/``to_network`` round-trip.
+    The builder of every in-memory game: the compact orientation phase
+    driver and both :class:`_DenseGame` constructors.  Callers that
+    already hold dense node ids never pay for a dict
+    :class:`TokenDroppingInstance`/``to_network`` round-trip.
 
     Parameters
     ----------
@@ -261,9 +232,10 @@ def game_from_edge_stream(
     """Build a dense game from a streamed ``(child, parent)`` iterable.
 
     The million-node counterpart of :func:`game_from_arrays`: the stream
-    is consumed once into two flat ``array('q')`` buffers and
-    counting-sorted into the same ascending ``(child, parent)`` game-edge
-    order — the resulting CSR structures are element-for-element equal to
+    is consumed once into two flat ``array('q')`` buffers and each CSR
+    direction is counting-sorted by :func:`repro.graphs.compact._csr`
+    into the same ascending ``(child, parent)`` game-edge order — the
+    resulting CSR structures are element-for-element equal to
     what :func:`game_from_arrays` produces on the materialised edge list
     (the cross-validation tests assert this), but no per-edge tuples or
     Python-list sort keys ever exist.  All adjacency arrays come out as
@@ -299,56 +271,20 @@ def game_from_edge_stream(
     m = len(child_of)
     game.num_edges = m
 
-    # LSD radix sort of the stream positions: a stable counting pass by
-    # parent, then by child, yields ascending (child, parent) — the game
-    # edge-id order game_from_arrays gets from sorting triples.
-    zeros = bytes(8 * (num_nodes + 1))
-    cnt_p = array("q", zeros)
-    for p in parent_of:
-        cnt_p[p + 1] += 1
-    for i in range(num_nodes):
-        cnt_p[i + 1] += cnt_p[i]
-    by_parent = array("q", bytes(8 * m))
-    cursor = array("q", cnt_p[:num_nodes])
-    for e in range(m):
-        p = parent_of[e]
-        by_parent[cursor[p]] = e
-        cursor[p] += 1
-
-    cnt_c = array("q", zeros)
-    for c in child_of:
-        cnt_c[c + 1] += 1
-    for i in range(num_nodes):
-        cnt_c[i + 1] += cnt_c[i]
-    order = array("q", bytes(8 * m))
-    cursor = array("q", cnt_c[:num_nodes])
-    for e in by_parent:
-        c = child_of[e]
-        order[cursor[c]] = e
-        cursor[c] += 1
-    del by_parent
-
-    # cnt_c / cnt_p are exactly the parent/child CSR offsets.
-    game.par_ptr = cnt_c
-    game.chi_ptr = cnt_p
-    par_node = array("q", bytes(8 * m))
-    chi_node = array("q", bytes(8 * m))
-    chi_edge = array("q", bytes(8 * m))
-    payloads = array("q", bytes(8 * m))
-    cursor = array("q", cnt_p[:num_nodes])
-    for ge in range(m):
-        e = order[ge]
-        p = parent_of[e]
-        par_node[ge] = p
-        payloads[ge] = e
-        slot = cursor[p]
-        chi_node[slot] = child_of[e]
-        chi_edge[slot] = ge
-        cursor[p] = slot + 1
-    game.par_node = par_node
+    # Game edge ids are the parent-CSR slots: ascending (child, parent),
+    # the order game_from_arrays gets from sorting triples.
+    game.par_ptr, game.par_node, payloads = _csr(
+        num_nodes, num_nodes, child_of, parent_of
+    )
     game.par_edge = array("q", range(m))
-    game.chi_node = chi_node
-    game.chi_edge = chi_edge
+    del parent_of
+    # The child CSR sorts the game edges by (parent, child), so its
+    # ``source`` is each child slot's game edge id.
+    child_of_slot = array("q", map(child_of.__getitem__, payloads))
+    del child_of
+    game.chi_ptr, game.chi_node, game.chi_edge = _csr(
+        num_nodes, num_nodes, game.par_node, child_of_slot
+    )
     return game, payloads
 
 

@@ -14,27 +14,22 @@ solvers, and the full stable-orientation pipeline —
 
 The dispatch rule
 -----------------
-1. An explicit ``backend=`` keyword on the call wins.
-2. Otherwise the ``REPRO_BACKEND`` environment variable applies.
-3. Otherwise (``auto``) each entry point's preferred backend is used —
-   compact for iterative algorithms, dict for single-pass greedy on
-   not-yet-interned inputs (see :func:`resolve_backend`).
+An explicit ``backend=`` keyword on the call wins.  Otherwise (``auto``)
+each entry point's preferred backend is used — compact for iterative
+algorithms, dict for single-pass greedy on not-yet-interned inputs (see
+:func:`resolve_backend`).
 
-``backend="compact"`` (or ``REPRO_BACKEND=compact``) forces the fast
-path; ``backend="dict"`` forces the reference path — the debugging
-escape hatch.  Unknown names raise :class:`BackendError`.
+``backend="compact"`` forces the fast path; ``backend="dict"`` forces
+the reference path — the debugging escape hatch.  Unknown names raise
+:class:`BackendError`.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 #: Recognised backend names, in documentation order.
 BACKENDS = ("auto", "compact", "dict")
-
-#: Environment variable consulted when no per-call backend is given.
-BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 
 class BackendError(ValueError):
@@ -51,8 +46,8 @@ def resolve_backend(
     Parameters
     ----------
     backend:
-        Per-call override (``"auto"``, ``"compact"``, ``"dict"`` or None
-        to defer to the environment).
+        Per-call override (``"auto"``, ``"compact"``, ``"dict"``); None
+        means ``"auto"``.
     auto:
         What ``auto`` resolves to.  Iterative entry points amortize the
         one-time interning cost and default to ``"compact"``; single-pass
@@ -60,23 +55,19 @@ def resolve_backend(
         already compact, because re-representing would cost more than the
         pass saves.
     """
-    if backend is not None:
-        choice = backend
-        source = "the backend= argument"
-    else:
-        choice = os.environ.get(BACKEND_ENV_VAR, "auto")
-        source = f"the {BACKEND_ENV_VAR} environment variable"
-    if not isinstance(choice, str):
+    if backend is None:
+        return auto
+    if not isinstance(backend, str):
         # A non-string (e.g. backend=1) must raise the documented error,
         # not an AttributeError from .lower() below.
         raise BackendError(
-            f"backend name must be a string, got {choice!r} "
-            f"({type(choice).__name__}) from {source}"
+            f"backend name must be a string, got {backend!r} "
+            f"({type(backend).__name__}) from the backend= argument"
         )
-    choice = choice.lower().strip()
+    choice = backend.lower().strip()
     if choice not in BACKENDS:
         raise BackendError(
-            f"unknown backend {choice!r} from {source}; "
+            f"unknown backend {choice!r} from the backend= argument; "
             f"expected one of {BACKENDS}"
         )
     if choice == "auto":

@@ -13,8 +13,7 @@ definition of "what E1 measures", three consumers.
 
 Measures whose algorithms have compact fast paths (sequential flips,
 best-response dynamics, greedy assignment) run through them automatically
-via :mod:`repro.dispatch`; set ``REPRO_BACKEND=dict`` to sweep the
-reference paths instead when debugging.
+via :mod:`repro.dispatch`.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from itertools import accumulate
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
@@ -63,133 +64,46 @@ def intern_nodes(
     return ids, {node: i for i, node in enumerate(ids)}
 
 
-def _csr_from_pairs(
-    n: int, pairs: Sequence[Tuple[int, int]], payloads: Sequence[int]
+def _csr(
+    n_rows: int, n_cols: int, rows: Sequence[int], cols: Sequence[int]
 ) -> Tuple[array, array, array]:
-    """Build CSR ``(indptr, indices, slot_payload)`` from (row, col, payload) data.
+    """CSR ``(indptr, indices, source)`` of the arcs ``(rows[k], cols[k])``.
 
-    Within each row, columns are stored in ascending dense-id order (which
-    is ``repr`` order by construction of the interning).
-    """
-    counts = [0] * (n + 1)
-    for row, _ in pairs:
-        counts[row + 1] += 1
-    indptr = array(INDEX_TYPECODE, counts)
-    for i in range(1, n + 1):
-        indptr[i] += indptr[i - 1]
-    indices = _zeros(len(pairs))
-    slot_payload = _zeros(len(pairs))
-    cursor = list(indptr[:n])
-    order = sorted(range(len(pairs)), key=lambda k: pairs[k])
-    for k in order:
-        row, col = pairs[k]
-        slot = cursor[row]
-        indices[slot] = col
-        slot_payload[slot] = payloads[k]
-        cursor[row] = slot + 1
-    return indptr, indices, slot_payload
-
-
-def _csr_from_edge_arrays(
-    n: int, edge_u: array, edge_v: array
-) -> Tuple[array, array, array]:
-    """CSR over both directions of ``m`` undirected edges, edge ids as payload.
-
-    Produces exactly the arrays ``_csr_from_pairs`` would for the pair
-    list ``[(u, v), (v, u) for each edge]`` with payloads ``[e, e]`` —
-    ascending columns within each row — but with two counting passes over
-    flat ``array('q')`` scratch instead of a sorted list of ``2m`` tuples,
-    so peak memory stays a few machine words per edge.
-    """
-    m = len(edge_u)
-    # Pass 1: bucket the 2m directed pairs by *column*.
-    col_counts = [0] * (n + 1)
-    for e in range(m):
-        col_counts[edge_v[e] + 1] += 1
-        col_counts[edge_u[e] + 1] += 1
-    for i in range(1, n + 1):
-        col_counts[i] += col_counts[i - 1]
-    by_col_row = _zeros(2 * m)
-    by_col_edge = _zeros(2 * m)
-    # col_counts[c] doubles as the fill cursor of bucket c; after the
-    # loop it holds bucket c's *end*, which pass 2 uses as boundaries.
-    for e in range(m):
-        u = edge_u[e]
-        v = edge_v[e]
-        s = col_counts[v]
-        by_col_row[s] = u
-        by_col_edge[s] = e
-        col_counts[v] = s + 1
-        s = col_counts[u]
-        by_col_row[s] = v
-        by_col_edge[s] = e
-        col_counts[u] = s + 1
-
-    # Pass 2: row degrees -> indptr, then place the column-sorted pairs
-    # into per-row cursors (each row receives its columns ascending).
-    row_counts = [0] * (n + 1)
-    for e in range(m):
-        row_counts[edge_u[e] + 1] += 1
-        row_counts[edge_v[e] + 1] += 1
-    indptr = array(INDEX_TYPECODE, row_counts)
-    for i in range(1, n + 1):
-        indptr[i] += indptr[i - 1]
-    indices = _zeros(2 * m)
-    slot_edge = _zeros(2 * m)
-    cursor = list(indptr[:n])
-    base = 0
-    for c in range(n):
-        end = col_counts[c]
-        for s in range(base, end):
-            row = by_col_row[s]
-            slot = cursor[row]
-            indices[slot] = c
-            slot_edge[slot] = by_col_edge[s]
-            cursor[row] = slot + 1
-        base = end
-    return indptr, indices, slot_edge
-
-
-def _csr_from_directed(
-    n_rows: int, n_cols: int, rows: array, cols: array
-) -> Tuple[array, array]:
-    """CSR ``(indptr, indices)`` of directed (row, col) pairs, columns ascending.
-
-    The single-direction analogue of :func:`_csr_from_edge_arrays` (used
-    for each side of a bipartite graph): counting sort by column, then
-    placement into row cursors, all in flat arrays.
+    The one CSR builder behind every compact structure: a stable
+    counting sort, first by column and then by row, over flat
+    ``array('q')`` scratch (no per-arc tuples).  Row ``r``'s columns are
+    ``indices[indptr[r]:indptr[r+1]]``, ascending — dense ids are
+    ``repr``-sorted, so that is reference order — and ``source[slot]``
+    is the input position ``k`` of the arc stored in ``slot``; equal
+    ``(row, col)`` arcs keep their input order.
     """
     m = len(rows)
-    col_counts = [0] * (n_cols + 1)
-    for k in range(m):
-        col_counts[cols[k] + 1] += 1
-    for i in range(1, n_cols + 1):
-        col_counts[i] += col_counts[i - 1]
-    by_col_row = _zeros(m)
-    for k in range(m):
-        c = cols[k]
-        s = col_counts[c]
-        by_col_row[s] = rows[k]
-        col_counts[c] = s + 1
+    start = [0] * (n_cols + 1)
+    for c in cols:
+        start[c + 1] += 1
+    start = list(accumulate(start))
+    by_col = _zeros(m)
+    for k, c in enumerate(cols):
+        s = start[c]
+        by_col[s] = k
+        start[c] = s + 1
 
-    row_counts = [0] * (n_rows + 1)
-    for k in range(m):
-        row_counts[rows[k] + 1] += 1
-    indptr = array(INDEX_TYPECODE, row_counts)
-    for i in range(1, n_rows + 1):
-        indptr[i] += indptr[i - 1]
+    counts = [0] * (n_rows + 1)
+    for r in rows:
+        counts[r + 1] += 1
+    indptr = array(INDEX_TYPECODE, accumulate(counts))
+    # Placing the column-sorted arcs into per-row cursors leaves every
+    # row's columns ascending.
+    cursor = indptr.tolist()
     indices = _zeros(m)
-    cursor = list(indptr[:n_rows])
-    base = 0
-    for c in range(n_cols):
-        end = col_counts[c]
-        for s in range(base, end):
-            row = by_col_row[s]
-            slot = cursor[row]
-            indices[slot] = c
-            cursor[row] = slot + 1
-        base = end
-    return indptr, indices
+    source = _zeros(m)
+    for k in by_col:
+        r = rows[k]
+        s = cursor[r]
+        indices[s] = cols[k]
+        source[s] = k
+        cursor[r] = s + 1
+    return indptr, indices, source
 
 
 #: The five flat CSR buffers of a :class:`CompactGraph`, in snapshot
@@ -399,64 +313,18 @@ class CompactGraph:
     def from_edges(
         cls, edges: Iterable[Tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
     ) -> "CompactGraph":
-        """Build directly from an undirected edge list (plus isolated nodes).
+        """Build from an undirected edge iterable (plus isolated nodes).
 
         Applies the same validation as :class:`OrientationProblem`
-        (self-loops and duplicate edges are rejected) without building any
-        per-node dict-of-frozensets, so scenario builders can emit compact
-        instances without paying for the reference representation first.
-        """
-        from repro.core.orientation.problem import OrientationError, edge_key
-
-        keys: Dict[Tuple[NodeId, NodeId], None] = {}
-        for u, v in edges:
-            key = edge_key(u, v)
-            if key in keys:
-                raise OrientationError(f"duplicate edge {key!r}")
-            keys[key] = None
-        all_nodes: List[NodeId] = list(nodes)
-        for u, v in keys:
-            all_nodes.append(u)
-            all_nodes.append(v)
-        node_ids, index_of = intern_nodes(all_nodes)
-        ordered_keys = sorted(keys, key=repr)
-
-        edge_u = _zeros(len(ordered_keys))
-        edge_v = _zeros(len(ordered_keys))
-        pairs: List[Tuple[int, int]] = []
-        payloads: List[int] = []
-        for e, (u, v) in enumerate(ordered_keys):
-            ui, vi = index_of[u], index_of[v]
-            edge_u[e] = ui
-            edge_v[e] = vi
-            pairs.append((ui, vi))
-            pairs.append((vi, ui))
-            payloads.append(e)
-            payloads.append(e)
-        indptr, indices, slot_edge = _csr_from_pairs(len(node_ids), pairs, payloads)
-        return cls(node_ids, index_of, indptr, indices, slot_edge, edge_u, edge_v)
-
-    @classmethod
-    def from_edge_stream(
-        cls, edges: Iterable[Tuple[NodeId, NodeId]], nodes: Iterable[NodeId] = ()
-    ) -> "CompactGraph":
-        """Build from an edge *stream* without per-edge dicts or tuple lists.
-
-        Bit-for-bit equivalent to :meth:`from_edges` — same node order,
-        edge order, CSR layout, and validation errors — but sized for
-        million-edge streams: endpoints are interned first-seen into
+        (self-loops and duplicate edges are rejected) and produces the
+        same node and edge order, without building the reference
+        representation or any per-edge dict or tuple list, so
+        million-edge streams fit: endpoints are interned first-seen into
         growing ``array('q')`` buffers as the stream is consumed, edges
-        are then ordered by the ``repr`` of their canonical key
-        (assembled from per-node ``repr`` strings cached once per node,
-        so no per-edge tuples are ever built), and adjacency is
-        bucket-sorted into CSR by :func:`_csr_from_edge_arrays`.  Peak
-        overhead is a few machine words plus one key string per edge,
-        versus the dict, key list, and 2m-tuple pair list of the
-        reference constructor.
-
-        The dict path stays the semantic reference: equality is enforced
-        on seeded instances up to n=10^4 in
-        ``tests/graphs/test_compact_stream.py``.
+        are ordered by the ``repr`` of their canonical key (assembled
+        from per-node ``repr`` strings cached once per node), and both
+        directions of every edge are counting-sorted into CSR by
+        :func:`_csr`.
         """
         from repro.core.orientation.problem import OrientationError, edge_key
 
@@ -484,7 +352,7 @@ class CompactGraph:
         m = len(stream_u)
 
         # Exactly ``repr((ku, kv))`` of each canonical key, assembled
-        # from the cached per-node reprs; sorting by it reproduces the
+        # from the cached per-node reprs; sorting by it gives the
         # reference edge order (sorted() is stable, so ties keep
         # first-seen order like the reference dict's insertion order).
         edge_strs = [
@@ -526,7 +394,9 @@ class CompactGraph:
             edge_v[e] = rank[stream_v[k]]
         del stream_u, stream_v, edge_strs, order, tmp_reprs, tmp_index, rank
 
-        indptr, indices, slot_edge = _csr_from_edge_arrays(n, edge_u, edge_v)
+        # Arc k < m is edge k read u -> v, arc m + k the same edge v -> u.
+        indptr, indices, source = _csr(n, n, edge_u + edge_v, edge_v + edge_u)
+        slot_edge = array(INDEX_TYPECODE, (k % m for k in source))
         return cls(node_ids, index_of, indptr, indices, slot_edge, edge_u, edge_v)
 
     @classmethod
@@ -1018,82 +888,9 @@ class CompactBipartite:
         Mirrors :class:`CustomerServerGraph` validation: overlapping ids,
         unknown endpoints, duplicate edges, and isolated customers are all
         rejected, so the two constructors accept exactly the same inputs.
-        """
-        from repro.graphs.bipartite import BipartiteGraphError
-
-        customer_ids, customer_index = intern_nodes(customers)
-        server_ids, server_index = intern_nodes(servers)
-        overlap = set(customer_ids) & set(server_ids)
-        if overlap:
-            raise BipartiteGraphError(
-                f"identifiers used on both sides: {sorted(map(repr, overlap))}"
-            )
-
-        seen = set()
-        pairs: List[Tuple[int, int]] = []
-        for edge in edges:
-            if len(edge) != 2:
-                raise BipartiteGraphError(
-                    f"edge {edge!r} is not a (customer, server) pair"
-                )
-            customer, server = edge
-            ci = customer_index.get(customer)
-            if ci is None:
-                raise BipartiteGraphError(
-                    f"unknown customer {customer!r} in edge {edge!r}"
-                )
-            si = server_index.get(server)
-            if si is None:
-                raise BipartiteGraphError(f"unknown server {server!r} in edge {edge!r}")
-            if (ci, si) in seen:
-                raise BipartiteGraphError(f"duplicate edge ({customer!r}, {server!r})")
-            seen.add((ci, si))
-            pairs.append((ci, si))
-
-        degrees = [0] * len(customer_ids)
-        for ci, _ in pairs:
-            degrees[ci] += 1
-        isolated = [customer_ids[ci] for ci, d in enumerate(degrees) if d == 0]
-        if isolated:
-            raise BipartiteGraphError(
-                "every customer needs at least one adjacent server; isolated "
-                f"customer(s): {sorted(map(repr, isolated))}"
-            )
-
-        payloads = list(range(len(pairs)))
-        cust_indptr, cust_indices, _ = _csr_from_pairs(
-            len(customer_ids), pairs, payloads
-        )
-        reverse = [(si, ci) for ci, si in pairs]
-        serv_indptr, serv_indices, _ = _csr_from_pairs(
-            len(server_ids), reverse, payloads
-        )
-        return cls(
-            customer_ids,
-            server_ids,
-            customer_index,
-            server_index,
-            cust_indptr,
-            cust_indices,
-            serv_indptr,
-            serv_indices,
-        )
-
-    @classmethod
-    def from_edge_stream(
-        cls,
-        customers: Iterable[NodeId],
-        servers: Iterable[NodeId],
-        edges: Iterable[Tuple[NodeId, NodeId]],
-    ) -> "CompactBipartite":
-        """Build from a ``(customer, server)`` edge stream, CSR-direct.
-
-        Same validation and same arrays as :meth:`from_edges` (overlap,
-        unknown endpoints, duplicates, isolated customers), but edges go
-        straight into ``array('q')`` buffers and both CSR directions are
-        counting-sorted by :func:`_csr_from_directed` — no per-edge
-        tuple list or seen-set.  Duplicates are detected after the sort
-        (equal columns land in adjacent slots of a customer's row).
+        Edges go straight into ``array('q')`` buffers and each CSR
+        direction is one :func:`_csr` call; duplicates are found after
+        the sort, as equal neighbouring slots of a customer's row.
         """
         from repro.graphs.bipartite import BipartiteGraphError
 
@@ -1124,10 +921,9 @@ class CompactBipartite:
             stream_c.append(ci)
             stream_s.append(si)
 
-        cust_indptr, cust_indices = _csr_from_directed(
-            len(customer_ids), len(server_ids), stream_c, stream_s
-        )
-        for ci in range(len(customer_ids)):
+        num_c, num_s = len(customer_ids), len(server_ids)
+        cust_indptr, cust_indices, _ = _csr(num_c, num_s, stream_c, stream_s)
+        for ci in range(num_c):
             for slot in range(cust_indptr[ci] + 1, cust_indptr[ci + 1]):
                 if cust_indices[slot] == cust_indices[slot - 1]:
                     raise BipartiteGraphError(
@@ -1136,7 +932,7 @@ class CompactBipartite:
                     )
         isolated = [
             customer_ids[ci]
-            for ci in range(len(customer_ids))
+            for ci in range(num_c)
             if cust_indptr[ci] == cust_indptr[ci + 1]
         ]
         if isolated:
@@ -1144,9 +940,7 @@ class CompactBipartite:
                 "every customer needs at least one adjacent server; isolated "
                 f"customer(s): {sorted(map(repr, isolated))}"
             )
-        serv_indptr, serv_indices = _csr_from_directed(
-            len(server_ids), len(customer_ids), stream_s, stream_c
-        )
+        serv_indptr, serv_indices, _ = _csr(num_s, num_c, stream_s, stream_c)
         return cls(
             customer_ids,
             server_ids,

@@ -99,7 +99,7 @@ def bounded_degree_gnp_edges(
     cap), so the yielded edges are the edge set of the seeded networkx
     instance — but nothing larger than a flat degree counter is ever
     materialised.  Streaming consumers
-    (:meth:`~repro.graphs.compact.CompactGraph.from_edge_stream`) build
+    (:meth:`~repro.graphs.compact.CompactGraph.from_edges`) build
     the CSR instance straight from this iterator.
     """
     if n < 1:

@@ -83,13 +83,13 @@ class Runner:
         reference scheduler.
     backend:
         Per-execution backend override (see :mod:`repro.dispatch`).  With
-        the default (``None``), the ``REPRO_BACKEND`` environment variable
-        and then the auto rule apply: algorithms whose factory registers a
-        ``compact_kernel`` run the int-array fast path, everything else
-        runs the reference scheduler.  ``backend="dict"`` forces the
-        reference scheduler; ``backend="compact"`` forces the kernel and
-        raises :class:`~repro.dispatch.BackendError` when none is
-        registered (or when a trace is requested).
+        the default (``None``), the auto rule applies: algorithms whose
+        factory registers a ``compact_kernel`` run the int-array fast
+        path, everything else runs the reference scheduler.
+        ``backend="dict"`` forces the reference scheduler;
+        ``backend="compact"`` forces the kernel and raises
+        :class:`~repro.dispatch.BackendError` when none is registered (or
+        when a trace is requested).
     """
 
     def __init__(
@@ -144,10 +144,7 @@ class Runner:
                         "reference scheduler; drop the trace or use backend='dict'"
                     )
                 return self._run_compact(kernel)
-        elif fast_possible and resolve_backend(None, auto="compact") == "compact":
-            # No per-call override: the environment/auto rule applies, but
-            # only algorithms with a registered kernel have a fast path —
-            # a global REPRO_BACKEND=compact must not break the rest.
+        elif fast_possible:
             return self._run_compact(kernel)
         return self._run_reference()
 

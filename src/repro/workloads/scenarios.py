@@ -23,7 +23,10 @@ Every orientation and assignment builder takes ``compact=True`` to emit
 the :mod:`repro.graphs.compact` CSR form of the *same* instance (same
 nodes, same edges, same seed-determinism) instead of the reference dict
 structure, so benchmarks and engine measures can feed the fast-path
-kernels without re-representing anything.
+kernels without re-representing anything.  Orientation builders stream
+their edges into :meth:`CompactGraph.from_edges`, token builders into
+:func:`~repro.core.token_dropping._kernels.game_from_edge_stream`; both
+counting-sort into CSR with the one routine of :mod:`repro.graphs.compact`.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ def sensor_network_orientation(
     stream consumes the RNG exactly like :func:`bounded_degree_gnp`).
     """
     if compact:
-        return CompactGraph.from_edge_stream(
+        return CompactGraph.from_edges(
             bounded_degree_gnp_edges(
                 num_nodes, density, max_degree=max_degree, seed=seed
             ),
@@ -188,7 +191,7 @@ def layered_dag_orientation(
     """
     rng = random.Random(seed)
     if compact:
-        return CompactGraph.from_edge_stream(
+        return CompactGraph.from_edges(
             layered_dag_edges(
                 num_levels, width, edge_probability, seed=rng, max_degree=max_degree
             ),
@@ -450,13 +453,14 @@ def scale_layered_orientation(
 ) -> CompactGraph:
     """A scale-family layered DAG as a streamed compact orientation instance.
 
-    Geometric-skip sampling plus :meth:`CompactGraph.from_edge_stream`
-    mean nothing larger than the CSR output itself is ever held: no edge
-    list, no dict, no networkx graph.  Node ids are the generator's dense
-    ints ``level * width + index``; isolated nodes are kept via
-    ``nodes=range(n)``.
+    Geometric-skip sampling plus :meth:`CompactGraph.from_edges` (which
+    consumes its edge iterable into flat arrays and counting-sorts them
+    into CSR) mean nothing larger than the CSR output and one key string
+    per edge is ever held: no edge list, no dict, no networkx graph.
+    Node ids are the generator's dense ints ``level * width + index``;
+    isolated nodes are kept via ``nodes=range(n)``.
     """
-    return CompactGraph.from_edge_stream(
+    return CompactGraph.from_edges(
         layered_dag_edge_stream(num_levels, width, edge_probability, seed=seed),
         nodes=range(num_levels * width),
     )

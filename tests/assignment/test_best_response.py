@@ -98,11 +98,6 @@ class TestBackendDispatch:
         fast = greedy_assignment(skewed_graph, order="sorted", backend="compact")
         assert ref.choices() == fast.choices()
 
-    def test_env_var_forces_reference_path(self, skewed_graph, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "dict")
-        assignment, _ = best_response_dynamics(skewed_graph)
-        assert assignment.is_stable()
-
     def test_unknown_backend_rejected(self, skewed_graph):
         with pytest.raises(BackendError):
             best_response_dynamics(skewed_graph, backend="numpy")

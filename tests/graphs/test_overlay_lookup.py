@@ -171,11 +171,11 @@ class TestErrors:
         before = (engine.num_edges, engine.loads())
         with pytest.raises(DeltaError, match="self-loop on 3") as excinfo:
             engine.apply_batch([self_loop, EdgeInsert(0, 3)])
-        # Nothing landed; only the update counter advances, by the batch size.
+        # Nothing landed, so the update counter does not move either.
         assert excinfo.value.index == 0
         assert (engine.num_edges, engine.loads()) == before
         assert {(u, v): engine.head_of(u, v) for u, v in EDGES} == heads
-        assert engine.updates_applied == 2
+        assert engine.updates_applied == 0
         assert not engine.unhappy_edges()
 
 

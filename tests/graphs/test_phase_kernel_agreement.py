@@ -5,8 +5,8 @@ The compact phase kernel (Theorem 5.1) must be indistinguishable from the
 per-phase round counts.  The cross-validation suite covers the workload
 families; this suite adds seeded ``G(n, p)`` instances under every
 tie-break policy, node ids of mixed Python types, edgeless graphs, the
-single-component worst cases (a long path, a star), kernel runs over
-memoryview CSR buffers, and backend selection through ``REPRO_BACKEND``.
+single-component worst cases (a long path, a star), and kernel runs over
+memoryview CSR buffers.
 """
 
 from __future__ import annotations
@@ -142,16 +142,6 @@ def test_kernel_over_memoryview_csr_agrees(tie_break):
     assert stable_orientation_kernel(
         mirror, tie_break=tie_break, seed=5
     ) == stable_orientation_kernel(graph, tie_break=tie_break, seed=5)
-
-
-@pytest.mark.parametrize("backend", ["dict", "compact"])
-def test_env_backend_routes_the_default_dispatch(monkeypatch, backend):
-    """``REPRO_BACKEND`` picks the path when no ``backend=`` is passed."""
-    problem = _random_problem(12)
-    explicit = run_stable_orientation(problem, seed=12, backend=backend)
-    monkeypatch.setenv("REPRO_BACKEND", backend)
-    via_env = run_stable_orientation(problem, seed=12)
-    assert _signature(via_env) == _signature(explicit)
 
 
 def test_snapshot_sections_feed_from_buffers_unchanged():

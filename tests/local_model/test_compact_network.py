@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dispatch import BACKEND_ENV_VAR, BackendError
+from repro.dispatch import BackendError
 from repro.local_model import (
     AlgorithmFactory,
     CompactEngine,
@@ -115,16 +115,6 @@ class TestRunnerDispatch:
         # StatelessRelay echoes its local input, unlike the echo kernel.
         assert result.outputs["c"] == {"tag": "C"}
         assert result.outputs["a"] is None
-
-    def test_env_var_dict_forces_reference_scheduler(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "dict")
-        result = Runner(sample_network(), kernel_factory()).run()
-        assert result.outputs["c"] == {"tag": "C"}
-
-    def test_env_var_compact_is_harmless_without_kernel(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "compact")
-        result = Runner(sample_network(), StatelessRelay).run()
-        assert result.outputs["c"] == {"tag": "C"}
 
     def test_explicit_compact_without_kernel_raises(self):
         with pytest.raises(BackendError):

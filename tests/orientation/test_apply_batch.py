@@ -5,7 +5,9 @@ The coalescing contract the serving layer is built on:
 * a one-delta batch is *identical* (stats and state) to :meth:`apply`;
 * compact and dict backends agree bit-for-bit on every batch;
 * an empty batch is a strict no-op (update counter untouched);
-* a failing delta re-stabilizes the applied prefix before raising;
+* a failing delta re-stabilizes the applied prefix before raising, and
+  leaves the engine exactly as a batch of just that prefix would —
+  update counter included;
 * :meth:`solved_arrays` → :meth:`from_solved_arrays` round-trips the
   full serving state, including seed-stream continuity for future deltas.
 """
@@ -127,6 +129,43 @@ class TestBatchSemantics:
         with pytest.raises(DeltaError):
             engine.load_of(("x",))
         assert not engine.unhappy_edges()
+
+
+class TestRejectedUpdates:
+    """A rejected delta counts nothing that was not applied."""
+
+    @pytest.mark.parametrize("backend", ["compact", "dict"])
+    @pytest.mark.parametrize("seed", [None, 77])
+    # At index 4 the prefix's repair outcome depends on its seed.
+    @pytest.mark.parametrize("index", [1, 4])
+    def test_rejected_batch_equals_a_batch_of_its_prefix(self, backend, seed, index):
+        engine, twin = _engine(backend=backend), _engine(backend=backend)
+        warmup = _trace(12)
+        engine.apply_batch(warmup)
+        twin.apply_batch(warmup)
+        prefix = _trace(12 + index)[12:]
+        bad = EdgeDelete(("nope", 1), ("nope", 2))
+        with pytest.raises(DeltaError) as excinfo:
+            engine.apply_batch(prefix + [bad] + _trace(20)[15:], seed=seed)
+        assert excinfo.value.index == index
+        twin.apply_batch(prefix, seed=seed)
+        assert engine.updates_applied == twin.updates_applied == 12 + index
+        assert engine.loads() == twin.loads()
+        assert _state(engine) == _state(twin)
+        # The seed stream continues from the applied count on both.
+        nxt = _trace(21)[20]
+        assert engine.apply(nxt) == twin.apply(nxt)
+        assert _state(engine) == _state(twin)
+
+    @pytest.mark.parametrize("backend", ["compact", "dict"])
+    def test_rejected_apply_does_not_advance_the_counter(self, backend):
+        engine = _engine(backend=backend)
+        engine.apply_batch(_trace(5))
+        before = _state(engine)
+        with pytest.raises(DeltaError):
+            engine.apply(EdgeDelete(("nope", 1), ("nope", 2)))
+        assert engine.updates_applied == 5
+        assert _state(engine) == before
 
 
 class TestSolvedArraysRoundTrip:

@@ -328,6 +328,21 @@ class TestPerRiderReceipts:
         assert stats["counters"]["batches"] == 1
         assert engine.is_stable()
 
+    def test_receipt_counts_only_the_applied_deltas(self):
+        engine = _engine()
+        valid = [NodeJoin(("rider", 1), ((0, 0),)), NodeJoin(("rider", 2), ())]
+        invalid = [NodeLeave(("ghost", 1)), NodeJoin(("rider", 3), ())]
+        with ServerThread(engine, ServeConfig()) as thread:
+            ok, failed = _coalesced(thread, [valid, invalid])
+            with connect(thread.address) as client:
+                stats = client.stats()
+        assert ok["ok"] is True and failed["ok"] is False
+        assert ok["batch_deltas"] == 4
+        # The first rider's receipt reports the engine's count after the
+        # batch, which only the two applied deltas advanced.
+        assert ok["updates_applied"] == stats["counters"]["deltas_applied"] == 2
+        assert stats["updates_applied"] == engine.updates_applied == 2
+
     def test_riders_after_the_failure_run_as_their_own_batch(self):
         engine, reference = _engine(), _engine()
         first = [NodeJoin(("r", 1), ((0, 0),))]

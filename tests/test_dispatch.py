@@ -4,20 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.dispatch import BACKEND_ENV_VAR, BACKENDS, BackendError, resolve_backend
+from repro.dispatch import BACKENDS, BackendError, resolve_backend
 
 
 class TestResolveBackend:
-    def test_explicit_backend_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "dict")
-        assert resolve_backend("compact") == "compact"
-
-    def test_env_var_applies_without_explicit_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "dict")
-        assert resolve_backend(None) == "dict"
-
-    def test_auto_resolves_to_entry_point_preference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
+    def test_auto_resolves_to_entry_point_preference(self):
         assert resolve_backend(None) == "compact"
         assert resolve_backend(None, auto="dict") == "dict"
         assert resolve_backend("auto", auto="dict") == "dict"
@@ -29,38 +20,19 @@ class TestResolveBackend:
     def test_every_documented_name_is_accepted(self, name):
         assert resolve_backend(name) in ("compact", "dict")
 
-    def test_retired_parallel_backend_is_rejected(self, monkeypatch):
-        # A retired backend name is just another unknown name, whether
-        # it comes from the argument or the environment.
-        retired = "compact-parallel"
+    def test_retired_parallel_backend_is_rejected(self):
+        # A retired backend name is just another unknown name.
         with pytest.raises(BackendError):
-            resolve_backend(retired)
-        monkeypatch.setenv(BACKEND_ENV_VAR, retired)
-        with pytest.raises(BackendError):
-            resolve_backend(None)
+            resolve_backend("compact-parallel")
 
 
 class TestBackendErrorDiagnostics:
-    """A stale env var and a bad argument must be distinguishable."""
-
-    def test_bad_argument_names_the_call_site(self, monkeypatch):
-        # Even with a *valid* env var, a bad argument is the culprit.
-        monkeypatch.setenv(BACKEND_ENV_VAR, "dict")
+    def test_bad_argument_names_the_call_site(self):
         with pytest.raises(BackendError) as excinfo:
             resolve_backend("numpy")
         message = str(excinfo.value)
         assert "backend= argument" in message
-        assert BACKEND_ENV_VAR not in message
         assert "'numpy'" in message
-
-    def test_bad_env_var_names_the_variable(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "gpu")
-        with pytest.raises(BackendError) as excinfo:
-            resolve_backend(None)
-        message = str(excinfo.value)
-        assert BACKEND_ENV_VAR in message
-        assert "backend= argument" not in message
-        assert "'gpu'" in message
 
     @pytest.mark.parametrize("bad", [1, 0, b"compact", ["compact"], object()])
     def test_non_string_backend_raises_backend_error(self, bad):
