@@ -123,9 +123,10 @@ def pytest_sessionfinish(session, exitstatus):
 def pytest_sessionstart(session):
     """Give every timed scenario a ``peak_mb`` row in ``extra_info``.
 
-    Wraps ``BenchmarkFixture.__call__`` (the plugin type-checks the
-    funcarg, so a wrapper *object* is not an option): the benchmarked
-    callable first runs once under :func:`_head_to_head.peak_memory`, so
+    Wraps ``BenchmarkFixture.__call__`` and ``pedantic`` (the plugin
+    type-checks the funcarg, so a wrapper *object* is not an option): the
+    benchmarked callable first runs once under
+    :func:`_head_to_head.peak_memory`, after ``pedantic``'s ``setup``, so
     the committed ``BENCH_*.json`` files report the algorithm's
     Python-heap peak alongside the median — while the tracing overhead
     never contaminates the timed rounds that follow.  The regression
@@ -145,17 +146,26 @@ def pytest_sessionstart(session):
     from _head_to_head import peak_memory
 
     timed_call = BenchmarkFixture.__call__
+    timed_pedantic = BenchmarkFixture.pedantic
+
+    def record_peak(fixture, run):
+        if os.environ.get("REPRO_BENCH_SMOKE", "") != "1":
+            peak_mb, _ = peak_memory(run)
+            fixture.extra_info["peak_mb"] = round(peak_mb, 3)
 
     def call_with_peak(self, function_to_benchmark, *args, **kwargs):
-        if os.environ.get("REPRO_BENCH_SMOKE", "") != "1":
-            peak_mb, _ = peak_memory(
-                lambda: function_to_benchmark(*args, **kwargs)
-            )
-            self.extra_info["peak_mb"] = round(peak_mb, 3)
+        record_peak(self, lambda: function_to_benchmark(*args, **kwargs))
         return timed_call(self, function_to_benchmark, *args, **kwargs)
+
+    def pedantic_with_peak(self, target, args=(), kwargs=None, setup=None, **opts):
+        # ``setup`` runs before the traced run too, outside the trace.
+        run_args, run_kwargs = (setup and setup()) or (args, kwargs or {})
+        record_peak(self, lambda: target(*run_args, **run_kwargs))
+        return timed_pedantic(self, target, args, kwargs, setup=setup, **opts)
 
     call_with_peak._records_peak_mb = True
     BenchmarkFixture.__call__ = call_with_peak
+    BenchmarkFixture.pedantic = pedantic_with_peak
 
 
 @pytest.fixture

@@ -36,15 +36,33 @@ of seeded instances.
 
 How reference tie-breaking is replayed in int-land
 --------------------------------------------------
-The reference path orders unhappy edges by ``repr((tail, head))``.  Each
-edge has exactly two possible oriented tuples, so the kernel computes the
-``repr`` of all ``2m`` of them **once** at setup, sorts them, and stores
-the two integer ranks per edge.  From then on "smallest repr first"
+The reference path breaks ties by ``repr``: unhappy edges by
+``repr((tail, head))``, edge customers by ``repr(("edge", u, v))`` and
+game candidates by ``repr((vertex, customer))``.  The kernels replace
+each of those string orders by an integer rank per tuple, computed once
+per graph and memoized in ``graph.derived``, so "smallest repr first"
 becomes "smallest int rank first" and the per-flip work involves no
-hashing, boxing, or string formatting at all.  Unhappiness is tracked
-incrementally: a flip changes the loads of exactly two nodes, so only the
-edges incident to those nodes can change state (O(Δ) bookkeeping per flip
-versus the reference path's full O(m log m) rescan).
+hashing, boxing, or string formatting at all.
+
+Dense ids are ``repr``-sorted, and the ``repr`` of a tuple of nodes is
+the node ``repr`` strings joined by ``", "`` inside brackets.  So two
+such strings compare like the dense-id tuples compare lexicographically,
+given one predicate P (:meth:`~repro.graphs.compact.CompactGraph.
+lexicographic_reprs`): node ``repr`` strings are distinct, and wherever
+one is a proper prefix of another the longer one continues with a
+character greater than ``","``.  P is an O(n) check over adjacent ids;
+every builtin id type passes it.  When P holds, the lexicographic order
+of the dense tuples is CSR slot order (rows ascend, and each row lists
+its neighbours ascending), so every rank is a slot index read off the
+CSR: no ``repr`` is formatted and nothing is sorted.  When P fails (only
+a custom ``__repr__`` can fail it) the kernels format the ``repr``
+strings, sort them, and rank each tuple by its string, the exact rule.
+Where both apply they give the same ranks.
+
+Unhappiness is tracked incrementally: a flip changes the loads of
+exactly two nodes, so only the edges incident to those nodes can change
+state (O(Δ) bookkeeping per flip versus the reference path's full
+O(m log m) rescan).
 """
 
 from __future__ import annotations
@@ -90,29 +108,57 @@ def directed_ranks(graph: CompactGraph) -> Tuple[List[int], List[int]]:
     """Per-edge integer ranks of ``repr((tail, head))`` for both directions.
 
     ``rank_to_v[e]`` ranks the orientation pointing at ``edge_v[e]`` and
-    ``rank_to_u[e]`` the reverse; comparing ranks is equivalent to
-    comparing the reference path's ``repr`` strings.  Memoized on the
-    (immutable) graph, so repeated kernel runs on the same instance pay
-    the ``repr`` sort exactly once.
+    ``rank_to_u[e]`` the reverse, among all ``2m``; comparing ranks is
+    equivalent to comparing the reference path's ``repr`` strings.  When
+    the graph's :meth:`~repro.graphs.compact.CompactGraph.
+    lexicographic_reprs` holds, the ``repr`` order is the lexicographic
+    order of the dense ``(tail, head)`` pairs, which is CSR slot order
+    (rows ascend, and each row lists its neighbours ascending): the rank
+    of ``(tail, head)`` is the slot of ``head`` in ``tail``'s row, read
+    off with no ``repr`` and no sort.  Otherwise (custom ``__repr__``
+    ids) the ranks come from sorting the ``2m`` ``repr`` strings, the
+    exact rule.  Both give the same ranks whenever both apply.  Memoized
+    on the (immutable) graph, so repeated kernel runs on the same
+    instance build the table once.
     """
     cached = graph.derived.get("directed_ranks")
     if cached is not None:
         return cached
-    ids = graph.node_ids
     m = graph.num_edges
-    reprs: List[str] = []
-    for e in range(m):
-        u = ids[graph.edge_u[e]]
-        v = ids[graph.edge_v[e]]
-        reprs.append(repr((u, v)))  # head = edge_v  (slot 2e)
-        reprs.append(repr((v, u)))  # head = edge_u  (slot 2e + 1)
-    order = sorted(range(2 * m), key=reprs.__getitem__)
-    rank = [0] * (2 * m)
-    for r, slot in enumerate(order):
-        rank[slot] = r
-    ranks = (rank[0::2], rank[1::2])
+    eu = graph.edge_u
+    ev = graph.edge_v
+    with obs.span("orientation.rank_keys", table="directed", edges=m) as sp:
+        lexicographic = graph.lexicographic_reprs()
+        sp.set(lexicographic=lexicographic)
+        if lexicographic:
+            rank_to_v = [0] * m
+            rank_to_u = [0] * m
+            for slot, (e, head) in enumerate(zip(graph.slot_edge, graph.indices)):
+                if head == ev[e]:
+                    rank_to_v[e] = slot
+                else:
+                    rank_to_u[e] = slot
+            ranks = (rank_to_v, rank_to_u)
+        else:
+            ids = graph.node_ids
+            reprs: List[str] = []
+            for e in range(m):
+                u = ids[eu[e]]
+                v = ids[ev[e]]
+                reprs.append(repr((u, v)))  # head = edge_v  (item 2e)
+                reprs.append(repr((v, u)))  # head = edge_u  (item 2e + 1)
+            rank = _ranks(reprs)
+            ranks = (rank[0::2], rank[1::2])
     graph.derived["directed_ranks"] = ranks
     return ranks
+
+
+def _ranks(keys: Sequence[str]) -> List[int]:
+    """``rank[i]`` = position of ``keys[i]`` in ascending (stable) order."""
+    rank = [0] * len(keys)
+    for r, i in enumerate(sorted(range(len(keys)), key=keys.__getitem__)):
+        rank[i] = r
+    return rank
 
 
 def sequential_flip_kernel(
@@ -710,50 +756,62 @@ def repair_kernel(
     return heads, load, stats
 
 
-
 # ----------------------------------------------------------------------
 # The k-bounded stable orientation algorithm (Sections 1.4 / 7.3)
 # ----------------------------------------------------------------------
 def _edge_customer_ranks(graph: CompactGraph):
-    """Repr-rank tables of the edge-customer view, memoized on the graph.
+    """Rank tables of the edge-customer view, memoized on the graph.
 
     Edge customers are labelled ``("edge", u, v)`` with endpoints in
-    repr-sorted order; dense interning is repr-sorted, so the label's
-    endpoint order is (min, max) of the dense endpoints.  Returns
-    ``(lo, hi, labels, cust_order, pair_rank)`` where ``cust_order`` is
-    the ascending customer-``repr`` scan order and ``pair_rank`` ranks the
-    ``repr`` of every ``(endpoint, label)`` tuple — the candidate
-    universe of the hypergraph game's ``choose``.
+    ``repr``-sorted order; dense interning is ``repr``-sorted, so the
+    label's endpoint order is (min, max) of the dense endpoints.  Returns
+    ``(lo, hi, cust_order, pair_rank)`` where ``cust_order`` is the
+    ascending customer-``repr`` scan order and ``pair_rank[2e + i]``
+    ranks, among all ``2m``, the ``repr`` of the ``(endpoint, label)``
+    tuple of edge ``e``'s ``lo`` (``i = 0``) or ``hi`` (``i = 1``)
+    endpoint — the candidate universe of the hypergraph game's
+    ``choose``.  When :meth:`~repro.graphs.compact.CompactGraph.
+    lexicographic_reprs` holds, those ``repr`` orders are the
+    lexicographic orders of the dense tuples ``(lo, hi)`` and ``(x, lo,
+    hi)``, and both are CSR slot order: row ``x`` lists its incident
+    edges by ascending neighbour, which is ascending ``(lo, hi)``.  So
+    ``cust_order`` lists each edge at its slot in row ``lo`` and
+    ``pair_rank`` is the edge's slot in row ``x``, read off with no
+    ``repr`` and no sort.  Otherwise (custom ``__repr__`` ids) both come
+    from sorting the ``repr`` strings, the exact rule.
     """
     cached = graph.derived.get("edge_customer_ranks")
     if cached is not None:
         return cached
-    ids = graph.node_ids
     m = graph.num_edges
-    lo = [0] * m
-    hi = [0] * m
-    labels = []
-    for e in range(m):
-        u, v = graph.edge_u[e], graph.edge_v[e]
-        if u > v:
-            u, v = v, u
-        lo[e] = u
-        hi[e] = v
-        labels.append(("edge", ids[u], ids[v]))
+    with obs.span("orientation.rank_keys", table="edge_customer", edges=m) as sp:
+        eu = graph.edge_u
+        ev = graph.edge_v
+        lo = [u if u < v else v for u, v in zip(eu, ev)]
+        hi = [v if u < v else u for u, v in zip(eu, ev)]
+        lexicographic = graph.lexicographic_reprs()
+        sp.set(lexicographic=lexicographic)
+        if lexicographic:
+            cust_order: List[int] = []
+            pair_rank = [0] * (2 * m)
+            for slot, (e, y) in enumerate(zip(graph.slot_edge, graph.indices)):
+                if y == hi[e]:  # slot of row lo
+                    cust_order.append(e)
+                    pair_rank[2 * e] = slot
+                else:
+                    pair_rank[2 * e + 1] = slot
+        else:
+            ids = graph.node_ids
+            labels = [("edge", ids[a], ids[b]) for a, b in zip(lo, hi)]
+            label_reprs = list(map(repr, labels))
+            cust_order = sorted(range(m), key=label_reprs.__getitem__)
+            pair_reprs: List[str] = []
+            for a, b, label in zip(lo, hi, labels):
+                pair_reprs.append(repr((ids[a], label)))
+                pair_reprs.append(repr((ids[b], label)))
+            pair_rank = _ranks(pair_reprs)
 
-    label_reprs = [repr(label) for label in labels]
-    cust_order = sorted(range(m), key=label_reprs.__getitem__)
-
-    pair_reprs: List[str] = []
-    for e in range(m):
-        pair_reprs.append(repr((ids[lo[e]], labels[e])))
-        pair_reprs.append(repr((ids[hi[e]], labels[e])))
-    order = sorted(range(2 * m), key=pair_reprs.__getitem__)
-    pair_rank = [0] * (2 * m)
-    for r, slot in enumerate(order):
-        pair_rank[slot] = r
-
-    cached = (lo, hi, labels, cust_order, pair_rank)
+    cached = (lo, hi, cust_order, pair_rank)
     graph.derived["edge_customer_ranks"] = cached
     return cached
 
@@ -777,11 +835,11 @@ def bounded_orientation_kernel(
     specialisation as :func:`_run_phases` with level cap ``k``: edges
     propose in customer-``repr`` order, and the embedded rank-2
     hypergraph proposal games (Theorem 7.1) run on flat arrays with the
-    reference's ``repr`` tie-breaks replayed through two precomputed rank
-    tables — customer-label ranks for the accept step and ``(vertex,
-    customer)`` pair ranks for the game's ``choose``.  Assignments,
-    per-phase statistics, and game-round counts match the dict path bit
-    for bit.
+    reference's ``repr`` tie-breaks replayed through the tables of
+    :func:`_edge_customer_ranks` — the customer scan order for the
+    accept step and ``(vertex, customer)`` pair ranks for the game's
+    ``choose``.  Assignments, per-phase statistics, and game-round counts
+    match the dict path bit for bit.
 
     Returns
     -------
@@ -800,7 +858,7 @@ def bounded_orientation_kernel(
     m = graph.num_edges
     indptr = list(graph.indptr)
     slot_edge = list(graph.slot_edge)
-    lo, hi, labels, cust_order, pair_rank = _edge_customer_ranks(graph)
+    lo, hi, cust_order, pair_rank = _edge_customer_ranks(graph)
 
     # Per-phase game scratch, reset frontier-sized after every game.
     live = bytearray(m)
@@ -859,9 +917,11 @@ def bounded_orientation_kernel(
                     continue
                 other = lo[e] if h == hi[e] else hi[e]
                 if not occupied[other]:
+                    ids = graph.node_ids
+                    label = ("edge", ids[lo[e]], ids[hi[e]])
                     raise AlgorithmError(
                         "invalid hypergraph token dropping solution: "
-                        f"not maximal at customer {labels[e]!r}"
+                        f"not maximal at customer {label!r}"
                     )
 
         # The only ``occupied`` bits ever set belong to accepting servers

@@ -9,11 +9,16 @@ endpoint loads changed.  This module holds the two pieces they share:
 
 * :class:`UnhappyEdgeTracker` — the incrementally maintained
   ``edge -> sort key`` map.  Keys only need to *order* like the
-  reference's ``repr((tail, head))`` strings: the batch kernel supplies
-  precomputed integer ranks (cheapest to compare), the incremental
-  engine supplies the ``repr`` strings themselves (stable under edge
-  insertion, where global ranks would shift).  The two key families are
-  never mixed within one tracker.  The incremental engine's strings are
+  reference's ``repr((tail, head))`` strings.  The batch kernel supplies
+  the integer ranks of :func:`~repro.core.orientation._kernels.
+  directed_ranks` (cheapest to compare): CSR slot indices when the node
+  ``repr`` strings pass the predicate P of
+  :meth:`~repro.graphs.compact.CompactGraph.lexicographic_reprs` (every
+  builtin id type does), else the ranks of the sorted strings (custom
+  ``__repr__`` ids).  The incremental engine supplies the ``repr``
+  strings themselves: its overlay appends nodes out of ``repr`` order,
+  and global ranks would shift under edge insertion.  The two key
+  families are never mixed within one tracker.  The incremental engine's strings are
   computed on demand, not precomputed: :class:`ReprKeys` builds item
   ``e`` when the tracker reads it, which happens only while edge ``e``
   is unhappy — from a stable state, a handful of frontier edges per

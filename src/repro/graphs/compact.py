@@ -451,6 +451,31 @@ class CompactGraph:
             self.derived["edge_keys"] = cached
         return cached
 
+    def lexicographic_reprs(self) -> bool:
+        """Whether tuples of dense ids sort like the ``repr`` of the tuples.
+
+        The ``repr`` of a tuple of nodes is ``"(" + R[a] + ", " + R[b] +
+        ")"`` with ``R[i] = repr(node_ids[i])``.  Comparing two such
+        strings is comparing the dense-id tuples lexicographically
+        exactly when this predicate holds: every ``R[i]`` is distinct
+        and, wherever one is a proper prefix of another, the longer one's
+        next character is greater than ``","`` (and so than ``")"``, the
+        other delimiter a tuple ``repr`` can put there).  As ``node_ids``
+        are ``repr``-sorted, checking adjacent ids is enough; the check
+        also confirms that order.  Every builtin id type (ints, strs,
+        floats, tuples and mixes of them) passes; only a custom
+        ``__repr__`` can fail.  Memoized, like every derived structure.
+        """
+        cached = self.derived.get("lexicographic_reprs")
+        if cached is None:
+            reprs = list(map(repr, self.node_ids))
+            cached = all(
+                a < b and (not b.startswith(a) or b[len(a)] > ",")
+                for a, b in zip(reprs, reprs[1:])
+            )
+            self.derived["lexicographic_reprs"] = cached
+        return cached
+
     def edge_index(self, u: NodeId, v: NodeId) -> int:
         """Edge index of the undirected edge {u, v} (original ids)."""
         from repro.core.orientation.problem import edge_key
