@@ -69,7 +69,10 @@ class Instance:
         """Build a named workload family (see :meth:`families`)."""
         from repro.workloads.scenarios import build_orientation_instance
 
-        return cls(build_orientation_instance(family, **params))
+        with obs.span("api.build", family=family) as sp:
+            graph = build_orientation_instance(family, **params)
+            sp.set(nodes=graph.num_nodes, edges=graph.num_edges)
+        return cls(graph)
 
     @classmethod
     def from_edges(

@@ -63,6 +63,26 @@ Unhappiness is tracked incrementally: a flip changes the loads of
 exactly two nodes, so only the edges incident to those nodes can change
 state (O(Δ) bookkeeping per flip versus the reference path's full
 O(m log m) rescan).
+
+Playing only the token-bearing part of a phase game
+---------------------------------------------------
+A token moves only inside its own weakly connected component of the
+Lemma 5.2 game, and the components run independently, so
+:func:`stable_orientation_kernel` plays only the components that hold a
+token.  A token-free component makes no move, and its round count has a
+closed form under the proposal algorithm's quiet ``LEAVE`` rule: a node
+with no game parents halts at round 0, and every other node halts at
+the announce round three rounds after its last parent halts.  Its last
+halt is round ``3·L``, for ``L`` its longest upward path; every game
+edge climbs exactly one level, so ``L`` is a DP over the token-free
+edges bucketed by head level, highest first.  The phase's round count is
+``max(played rounds, 3·L)``, the round count of the full game.  The
+played part is the same per-component execution as before (per-node
+``random`` streams are keyed by node id), the round budget still comes
+from the full game's height and degree, and the maximality check, vacuous
+on token-free components, runs on the played game.  Late phases are
+mostly token-free: at the 100k tier, a phase game of 52k edges may hold
+two tokens.
 """
 
 from __future__ import annotations
@@ -488,10 +508,16 @@ def stable_orientation_kernel(
     The compact counterpart of
     :func:`~repro.core.orientation.phases.run_stable_orientation`:
     :func:`_run_phases` with levels equal to loads and edges proposing in
-    index order.  Each phase's token dropping game is built *directly* as
-    a dense game (:func:`repro.core.token_dropping._kernels.
-    game_from_arrays` — no dict instance or ``to_network`` round-trip) and
-    solved by the compact proposal-game kernel.  Because dense node ids
+    index order.  Each phase's token dropping game is split into its
+    weakly connected components in one union-find pass; only the
+    components holding a token are built *directly* as a dense game
+    (:func:`repro.core.token_dropping._kernels.game_from_arrays` — no
+    dict instance or ``to_network`` round-trip) and solved by the
+    compact proposal-game kernel, while the token-free ones add only
+    their closed-form round count ``3·L`` (see the module docstring).
+    The ``orientation.frontier.played_edges`` and ``free_rounds``
+    counters record, per phase, the played game's size and that ``3·L``
+    term.  Because dense node ids
     are ``repr``-sorted and edge indices follow the reference's
     canonical-key ``repr`` order, the reference tie-breaks ("propose to
     the canonical endpoint on a load tie", "accept the smallest-``repr``
@@ -533,77 +559,128 @@ def stable_orientation_kernel(
     eu = list(graph.edge_u)
     ev = list(graph.edge_v)
     ids = graph.node_ids
-    # Dense id -> game id of the phase's game (-1 = not in it), reset
-    # after every game.
-    sub = [-1] * graph.num_nodes
+    # Per-node scratch of the phase's game: ``deg`` is the game degree
+    # (0 = not in the game) and ``sub`` the game id in the played game
+    # (-1 = not played), both reset after every game; ``comp`` is a
+    # union-find forest over the game's weakly connected components,
+    # whose entries a node resets when it enters a game.
+    n = graph.num_nodes
+    deg = [0] * n
+    sub = [-1] * n
+    comp = [0] * n
 
     def play(heads, level, game_edge_list, accepted, height):
-        # The game is restricted to nodes incident to a game edge: every
-        # other node (tokenless, or a token holder with no game
-        # neighbours) halts at round 0 with no LEAVE fan-out in the
-        # reference execution, so dropping it changes neither the
-        # surviving run nor its rounds.
+        # Classify the Lemma 5.2 game in one pass: tails, degrees and
+        # components.  Nodes off the game edges (tokenless, or token
+        # holders with no game neighbours) halt at round 0 with no LEAVE
+        # fan-out in the reference execution, so they never enter it.
         game_edges: List[Tuple[int, int, int]] = []
         participants: List[int] = []
         for e in game_edge_list:
             h = heads[e]
             t = eu[e] if h == ev[e] else ev[e]
             game_edges.append((t, h, e))
-            if sub[t] < 0:
-                sub[t] = 0
+            if not deg[t]:
+                comp[t] = t
                 participants.append(t)
-            if sub[h] < 0:
-                sub[h] = 0
+            if not deg[h]:
+                comp[h] = h
                 participants.append(h)
-        participants.sort()
-        for i, g in enumerate(participants):
-            sub[g] = i
-        num_participants = len(participants)
+            deg[t] += 1
+            deg[h] += 1
+            while comp[t] != t:
+                comp[t] = t = comp[comp[t]]
+            while comp[h] != h:
+                comp[h] = h = comp[comp[h]]
+            if t != h:
+                comp[t] = h
+        # The reference budget: three LOCAL rounds per game round of the
+        # Theorem 4.1 bound computed from the full game's height/degree.
+        game_degree = max([deg[g] for g in participants], default=0)
+        max_rounds = 3 * (8 * (height + 1) * (game_degree + 1) ** 2 + 8)
 
-        has_token = bytearray(num_participants)
+        # Tokens only move inside their own component, so only the
+        # components holding one are played; ``sub`` marks their nodes.
+        bearing: Set[int] = set()
+        for node in accepted:
+            if deg[node]:
+                while comp[node] != node:
+                    comp[node] = node = comp[comp[node]]
+                bearing.add(node)
+        played_nodes: List[int] = []
+        for g in participants:
+            deg[g] = 0
+            r = g
+            while comp[r] != r:
+                comp[r] = r = comp[comp[r]]
+            if r in bearing:
+                sub[g] = 0
+                played_nodes.append(g)
+        played_edges: List[Tuple[int, int, int]] = []
+        free_edges: List[List[Tuple[int, int, int]]] = [[] for _ in range(height + 1)]
+        for edge in game_edges:
+            if sub[edge[0]] < 0:
+                free_edges[level[edge[1]]].append(edge)
+            else:
+                played_edges.append(edge)
+
+        # A token-free component has a closed form: a node with no
+        # parents halts at round 0 and every other node at the announce
+        # round three rounds after its last parent halts, so the last
+        # halt is round 3·L for L its longest upward path.  Every game
+        # edge climbs one level, so L is a DP over head levels, top down.
+        climb: Dict[int, int] = {}
+        for bucket in reversed(free_edges):
+            for t, h, _ in bucket:
+                c = climb.get(h, 0) + 1
+                if c > climb.get(t, 0):
+                    climb[t] = c
+        free_rounds = 3 * max(climb.values(), default=0)
+        if obs.enabled():
+            obs.add("orientation.frontier.played_edges", len(played_edges))
+            obs.add("orientation.frontier.free_rounds", free_rounds)
+        if not played_edges:
+            return [], free_rounds
+
+        played_nodes.sort()
+        for i, g in enumerate(played_nodes):
+            sub[g] = i
+        num_played = len(played_nodes)
+        has_token = bytearray(num_played)
         for node in accepted:
             if sub[node] >= 0:
                 has_token[sub[node]] = 1
         game, payloads = game_from_arrays(
-            num_participants,
+            num_played,
             has_token,
-            [level[g] for g in participants],
-            [(sub[t], sub[h], e) for t, h, e in game_edges],
+            [level[g] for g in played_nodes],
+            [(sub[t], sub[h], e) for t, h, e in played_edges],
         )
-        par_ptr, chi_ptr = game.par_ptr, game.chi_ptr
-        game_degree = 0
-        for i in range(num_participants):
-            degree = par_ptr[i + 1] - par_ptr[i] + chi_ptr[i + 1] - chi_ptr[i]
-            if degree > game_degree:
-                game_degree = degree
-        # The reference budget: three LOCAL rounds per game round of the
-        # Theorem 4.1 bound computed from this instance's height/degree.
-        max_rounds = 3 * (8 * (height + 1) * (game_degree + 1) ** 2 + 8)
+        for g in played_nodes:
+            sub[g] = -1
         _, final_token, _, _, consumed, engine = proposal_game_kernel(
             game,
             max_rounds,
             tie_break=tie_break,
-            rngs=_node_rngs(tie_break, seed, tuple(ids[g] for g in participants))
+            rngs=_node_rngs(tie_break, seed, tuple(ids[g] for g in played_nodes))
             if tie_break == "random"
             else None,
             count_messages=False,
         )
-        for g in participants:
-            sub[g] = -1
 
         if check_invariants:
             # Maximality (output rule 3) is the part of the solution
             # validation that guards Lemma 5.4; rules 1 and 2 hold by
             # construction of the game kernel.
-            chi_node, chi_edge = game.chi_node, game.chi_edge
-            for i in range(num_participants):
+            chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
+            for i in range(num_played):
                 if final_token[i] < 0:
                     continue
                 for s in range(chi_ptr[i], chi_ptr[i + 1]):
                     if not consumed[chi_edge[s]] and final_token[chi_node[s]] < 0:
                         raise InvalidSolutionError(
-                            f"not maximal: token at {ids[participants[i]]!r} can "
-                            f"still move to {ids[participants[chi_node[s]]]!r}"
+                            f"not maximal: token at {ids[played_nodes[i]]!r} can "
+                            f"still move to {ids[played_nodes[chi_node[s]]]!r}"
                         )
 
         # Every consumed game edge flips its graph edge to the tail.
@@ -612,7 +689,7 @@ def stable_orientation_kernel(
             if consumed[ge]:
                 e = payloads[ge]
                 moves.append((e, eu[e] if heads[e] == ev[e] else ev[e]))
-        return moves, engine.rounds
+        return moves, max(engine.rounds, free_rounds)
 
     def make_row(
         phase, proposals, accepted, game_edges, height, rounds, moves, oriented, badness

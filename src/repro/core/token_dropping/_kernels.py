@@ -361,8 +361,10 @@ def proposal_game_kernel(
     """Run the proposal algorithm's execution loop on a dense game.
 
     The shared core behind :func:`proposal_kernel` (which wraps a
-    :class:`CompactNetwork`) and the compact orientation phase driver
-    (which builds per-phase games via :func:`game_from_arrays`).  Returns
+    :class:`CompactNetwork`) and the Theorem 5.1 orientation kernel
+    (which builds, via :func:`game_from_arrays`, only the token-bearing
+    components of each phase's game and counts the rounds of the
+    token-free ones in closed form).  Returns
     the dense end state ``(has_token, token, received, passed, consumed,
     engine)``: ``consumed[game_edge]`` marks exactly the edges used by
     passes, and ``engine`` carries the reference-equal round/message/halt

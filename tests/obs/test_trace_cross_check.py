@@ -134,6 +134,21 @@ def test_api_solve_root_span_and_lazy_result_wrap_spans(sink, algorithm):
     assert all(s["attrs"]["edges"] == graph.num_edges for s in wraps)
 
 
+def test_api_build_root_span_carries_family_and_size(sink):
+    import repro
+
+    instance = repro.Instance.build("orientation-smoke")
+    (root,) = sink.spans("api.build")
+    assert root["parent"] is None
+    assert root["attrs"] == {
+        "family": "orientation-smoke",
+        "nodes": instance.num_nodes,
+        "edges": instance.num_edges,
+    }
+    assert instance.num_edges > 0
+    assert all(s["parent"] == root["id"] for s in sink.spans() if s is not root)
+
+
 # ----------------------------------------------------------------------
 # Repair loop
 # ----------------------------------------------------------------------
