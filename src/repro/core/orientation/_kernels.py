@@ -14,7 +14,9 @@ This module holds the compact counterparts of the orientation algorithms:
 
 The last two are one algorithm: O(Δ) phases of propose/accept, a token
 dropping game, then flip and orient.  :func:`_run_phases` is that loop,
-written once; the two kernels are thin wrappers that hand it four inputs:
+written once on NumPy ``int64`` arrays (every step a vector op over the
+phase's frontier); the two kernels are thin wrappers that hand it four
+inputs:
 
 * the endpoint pair and scan order of the proposals — ``(edge_u,
   edge_v)`` in edge-index order for Theorem 5.1, ``(lo, hi)`` in
@@ -24,8 +26,14 @@ written once; the two kernels are thin wrappers that hand it four inputs:
   which no load reaches;
 * the phase game — the layered token dropping game of Lemma 5.2 solved
   by the compact proposal-game kernel, or the rank-2 hypergraph game of
-  Theorem 7.1;
+  Theorem 7.1 — as a ``play`` closure that takes and returns arrays;
 * the factory of the per-phase stats row and span attributes.
+
+The game kernels themselves run on Python lists: Theorem 5.1's ``play``
+classifies its game in NumPy and converts only the token-bearing part
+for :func:`~repro.core.token_dropping._kernels.game_from_arrays`, and
+the bounded ``play`` converts its inputs at the boundary.  Both kernels
+return lists of Python ``int`` and stats rows of ``int`` fields.
 
 Each kernel runs the same algorithm as its reference on a
 :class:`~repro.graphs.compact.CompactGraph`, touching only flat integer
@@ -59,10 +67,10 @@ a custom ``__repr__`` can fail it) the kernels format the ``repr``
 strings, sort them, and rank each tuple by its string, the exact rule.
 Where both apply they give the same ranks.
 
-Unhappiness is tracked incrementally: a flip changes the loads of
-exactly two nodes, so only the edges incident to those nodes can change
-state (O(Δ) bookkeeping per flip versus the reference path's full
-O(m log m) rescan).
+The sequential and repair kernels track unhappiness incrementally: a
+flip changes the loads of exactly two nodes, so only the edges incident
+to those nodes can change state (O(Δ) bookkeeping per flip versus the
+reference path's full O(m log m) rescan).
 
 Playing only the token-bearing part of a phase game
 ---------------------------------------------------
@@ -75,7 +83,8 @@ with no game parents halts at round 0, and every other node halts at
 the announce round three rounds after its last parent halts.  Its last
 halt is round ``3·L``, for ``L`` its longest upward path; every game
 edge climbs exactly one level, so ``L`` is a DP over the token-free
-edges bucketed by head level, highest first.  The phase's round count is
+edges bucketed by head level, highest first, one vector step per bucket
+(a bucket's heads are never its own tails).  The phase's round count is
 ``max(played rounds, 3·L)``, the round count of the full game.  The
 played part is the same per-component execution as before (per-node
 ``random`` streams are keyed by node id), the round budget still comes
@@ -91,13 +100,15 @@ import dataclasses
 import functools
 import gc
 import random
-from itertools import chain
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.graphs.compact import CompactGraph
 from repro.local_model.errors import AlgorithmError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _gc_paused(kernel):
@@ -290,10 +301,10 @@ def sequential_flip_kernel(
 # ----------------------------------------------------------------------
 def _run_phases(
     graph: CompactGraph,
-    ends: Tuple[List[int], List[int]],
+    ends: Tuple[Sequence[int], Sequence[int]],
     order: Sequence[int],
     k: int,
-    play: Callable[..., Tuple[List[Tuple[int, int]], int]],
+    play: Callable[..., Tuple[np.ndarray, np.ndarray, int]],
     make_row: Callable[..., Tuple[object, Dict[str, int]]],
     *,
     max_phases: int,
@@ -311,52 +322,59 @@ def _run_phases(
        ``level[b] < level[a]``, else ``a``;
     2. every proposed-to node accepts the first proposal to reach it —
        the smallest-``repr`` one, as ``order`` is the reference order;
-    3. ``play(heads, level, game_edges, accepted, height)`` solves the
-       game on the badness-1 edges (ascending; tail = child, head =
-       parent, Lemma 5.2) with tokens on the ``accepted`` nodes (node ->
-       edge), returning ``(moves, rounds)``;
-    4. every move ``(edge, new_head)`` re-points its edge;
+    3. ``play(heads, level, game_edges, acc_nodes, acc_edges, height)``
+       solves the game on the badness-1 edges (ascending; tail = child,
+       head = parent, Lemma 5.2) with tokens on the accepting nodes
+       ``acc_nodes``, whose accepted edges are ``acc_edges`` (both in
+       scan order), returning ``(move_edges, move_heads, rounds)``;
+    4. every move re-points ``move_edges[i]`` at ``move_heads[i]``;
     5. every accepted edge is oriented towards its accepting node.
+
+    All state lives in NumPy ``int64`` arrays (``heads``, ``load``,
+    ``level``, ``badness``; ``heads`` is ``-1`` while unoriented), and
+    ``play`` receives and returns arrays.  Each step is a vector op over
+    the phase's frontier: proposals are a ``where`` over the pending
+    edges, acceptance the first occurrence per target from ``unique``,
+    moves and accepts a scatter of heads with ``add.at``/``subtract.at``
+    on loads, and levels ``minimum(load, k)`` over the nodes whose load
+    changed.  Badness is refreshed only where it can have changed: the
+    incident slots of the nodes whose level changed *net* over the phase
+    (one ragged CSR gather), plus the moved and accepted edges, which
+    covers a new head whose level stayed at the cap.  The only
+    whole-array work per phase is vectorized: ``flatnonzero(badness ==
+    1)`` (the next game, already ascending) and ``badness.max()`` over
+    the m edges, and ``level.max()`` (the game height) over the n nodes.
+    No per-phase Python loop runs over all nodes or all edges.
 
     ``make_row(phase, proposals, accepted, game_edges, height, rounds,
     moves, oriented, max_badness)`` returns a phase's stats row and span
-    attributes.  ``labels`` is ``(span name, problem noun, phase-budget
-    lemma, badness invariant)``.  Returns ``(heads, load, per_phase)``.
-    Callers run it under :func:`_gc_paused`, which also covers their
-    rank-table setup.
+    attributes; it gets Python ``int``\\ s.  ``labels`` is ``(span name,
+    problem noun, phase-budget lemma, badness invariant)``.  Returns
+    ``(heads, load, per_phase)`` with ``heads``/``load`` as lists of
+    Python ``int``.  Callers run it under :func:`_gc_paused`, which also
+    covers their rank-table setup.
     """
+    import numpy as np
+
     span_name, noun, budget_lemma, invariant = labels
-    a_end, b_end = ends
+    a_end = np.asarray(ends[0], dtype=np.int64)
+    b_end = np.asarray(ends[1], dtype=np.int64)
     n = graph.num_nodes
     m = graph.num_edges
-    indptr = graph.indptr
-    slot_edge = graph.slot_edge
+    indptr = np.asarray(graph.indptr, dtype=np.int64)
+    slot_edge = np.asarray(graph.slot_edge, dtype=np.int64)
 
-    heads = [-1] * m
-    load = [0] * n
-    level = [0] * n
+    heads = np.full(m, -1, dtype=np.int64)
+    load = np.zeros(n, dtype=np.int64)
+    level = np.zeros(n, dtype=np.int64)
+    # ``level[head] - level[tail]`` of every oriented edge, 0 while
+    # unoriented: the badness-1 edges are the next phase's game edges.
+    badness = np.zeros(m, dtype=np.int64)
+    # The unoriented edges in scan order.
+    pending = np.asarray(order, dtype=np.int64)
     per_phase: List = []
     phases = 0
     oriented = 0
-    # Frontier state, maintained incrementally so a phase never rescans
-    # all n nodes or all m edges (an edge's badness changes only when its
-    # head moves or an endpoint's level does):
-    #
-    # * ``pending`` — the unoriented edges in scan order;
-    # * ``cand`` — the oriented edges of badness exactly 1 (the next
-    #   phase's game edges); ``over`` — badness > 1 with its value
-    #   (empty in any valid run, Lemma 5.4);
-    # * ``hist``/``cur_max`` — a level histogram for an O(1) game height;
-    # * ``touched``/``touched_nodes`` — the nodes whose level changed this
-    #   phase, whose incident edges get re-examined, plus the ``stale``
-    #   edges whose new head kept its level at the cap.
-    pending = order
-    cand: Set[int] = set()
-    over: Dict[int, int] = {}
-    hist = [0] * (k + 1)
-    hist[0] = n
-    cur_max = 0
-    touched = bytearray(n)
 
     while oriented < m:
         phases += 1
@@ -367,93 +385,58 @@ def _run_phases(
             )
 
         with obs.span(span_name, phase=phases) as psp:
-            # Steps 1 + 2: propose and accept.
-            accepted: Dict[int, int] = {}
+            # Steps 1 + 2: propose, then accept the first proposal per
+            # target (``unique`` returns first occurrences), in scan order.
+            a = a_end[pending]
+            b = b_end[pending]
+            target = np.where(level[b] < level[a], b, a)
+            first = np.unique(target, return_index=True)[1]
+            first.sort()
+            acc_edges = pending[first]
+            acc_nodes = target[first]
             proposals = len(pending)
-            for e in pending:
-                a = a_end[e]
-                b = b_end[e]
-                target = b if level[b] < level[a] else a
-                if target not in accepted:
-                    accepted[target] = e
 
-            # Step 3, on ``cand`` as maintained at the end of the last phase.
-            game_edges = sorted(cand)
-            height = cur_max
-            moves, rounds = play(heads, level, game_edges, accepted, height)
+            # Step 3, on the badness as refreshed at the end of the last phase.
+            game_edges = np.flatnonzero(badness == 1)
+            height = int(level.max())
+            move_edges, move_heads, rounds = play(
+                heads, level, game_edges, acc_nodes, acc_edges, height
+            )
 
-            # Steps 4 + 5: moves, then the accepted edges (no old head).  A
-            # load change moves the level only below the cap: a decrement
-            # from ``l <= k``, an increment from ``l < k``.
-            touched_nodes: List[int] = []
-            stale: List[int] = []
-            for e, t in chain(moves, zip(accepted.values(), accepted)):
-                h = heads[e]
-                heads[e] = t
-                if h >= 0:
-                    lh = load[h]
-                    load[h] = lh - 1
-                    if lh <= k:
-                        level[h] = lh - 1
-                        hist[lh] -= 1
-                        hist[lh - 1] += 1
-                        if not touched[h]:
-                            touched[h] = 1
-                            touched_nodes.append(h)
-                lt = load[t]
-                load[t] = lt + 1
-                if lt < k:
-                    level[t] = lt + 1
-                    hist[lt] -= 1
-                    hist[lt + 1] += 1
-                    if lt >= cur_max:
-                        cur_max = lt + 1
-                    if not touched[t]:
-                        touched[t] = 1
-                        touched_nodes.append(t)
-                else:
-                    stale.append(e)
-            oriented += len(accepted)
-            if len(accepted) < len(pending):
-                pending = [e for e in pending if heads[e] < 0]
-            else:
-                pending = []
-            while cur_max and not hist[cur_max]:
-                cur_max -= 1
+            # Steps 4 + 5: moves, then the accepted edges (no old head).
+            old_heads = heads[move_edges]
+            heads[move_edges] = move_heads
+            heads[acc_edges] = acc_nodes
+            np.subtract.at(load, old_heads, 1)
+            np.add.at(load, move_heads, 1)
+            load[acc_nodes] += 1
+            oriented += len(first)
+            pending = pending[heads[pending] < 0]
 
-            # Refresh the touched nodes' incident edges and the stale
-            # edges: exhaustive, so the reference's full-scan max badness
-            # is 1 iff ``cand`` is non-empty (badness > 1 lands in ``over``).
+            # Re-level the nodes whose load changed; the ones whose level
+            # changed net have their incident slots refreshed, together
+            # with the moved and accepted edges, whose head changed.
+            changed = np.unique(np.concatenate((old_heads, move_heads, acc_nodes)))
+            new_level = np.minimum(load[changed], k)
+            touched = changed[new_level != level[changed]]
+            level[changed] = new_level
+            starts = indptr[touched]
+            counts = indptr[touched + 1] - starts
+            refreshed = int(counts.sum())
+            slots = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            slots += np.arange(refreshed)
             if obs.enabled():
                 obs.add("orientation.frontier.game_edges", len(game_edges))
-                obs.add("orientation.frontier.touched_nodes", len(touched_nodes))
-                obs.add(
-                    "orientation.frontier.refreshed_slots",
-                    sum(indptr[x + 1] - indptr[x] for x in touched_nodes),
-                )
-            for x in touched_nodes:
-                touched[x] = 0
-            incident = chain.from_iterable(
-                slot_edge[indptr[x] : indptr[x + 1]] for x in touched_nodes
-            )
-            for e in chain(incident, stale):
-                h = heads[e]
-                if h < 0:
-                    continue
-                t = a_end[e] if h == b_end[e] else b_end[e]
-                badness = level[h] - level[t]
-                if badness == 1:
-                    cand.add(e)
-                    if over:
-                        over.pop(e, None)
-                else:
-                    cand.discard(e)
-                    if badness > 1:
-                        over[e] = badness
-                    elif over:
-                        over.pop(e, None)
+                obs.add("orientation.frontier.touched_nodes", len(touched))
+                obs.add("orientation.frontier.refreshed_slots", refreshed)
+            edges = np.concatenate((slot_edge[slots], move_edges, acc_edges))
+            h = heads[edges]
+            edges = edges[h >= 0]
+            h = h[h >= 0]
+            t = np.where(h == b_end[edges], a_end[edges], b_end[edges])
+            badness[edges] = level[h] - level[t]
 
-            max_badness = max(over.values()) if over else (1 if cand else 0)
+            max_badness = max(int(badness.max()), 0)
             if check_invariants and max_badness > 1:
                 raise AlgorithmError(
                     f"phase {phases} ended with max badness {max_badness} > 1; "
@@ -462,11 +445,11 @@ def _run_phases(
             row, attrs = make_row(
                 phases,
                 proposals,
-                len(accepted),
+                len(first),
                 len(game_edges),
                 height,
                 rounds,
-                len(moves),
+                len(move_edges),
                 oriented,
                 max_badness,
             )
@@ -474,21 +457,52 @@ def _run_phases(
             psp.set(**attrs)
 
     if check_invariants:
-        ids = graph.node_ids
-        violations = []
-        for e in range(m):
-            h = heads[e]
-            t = a_end[e] if h == b_end[e] else b_end[e]
-            if level[h] - level[t] > 1:
+        tails = np.where(heads == b_end, a_end, b_end)
+        unhappy = np.flatnonzero(level[heads] - level[tails] > 1).tolist()
+        if unhappy:
+            ids = graph.node_ids
+            violations = []
+            for e in unhappy:
+                h = int(heads[e])
+                t = int(tails[e])
                 violations.append(
                     f"edge {ids[t]!r} -> {ids[h]!r} is unhappy: level({ids[h]!r})="
                     f"{level[h]} > level({ids[t]!r})+1={level[t] + 1}"
                 )
-        if violations:
             raise AlgorithmError(
                 f"final {noun} is not stable: " + "; ".join(violations)
             )
-    return heads, load, per_phase
+    return heads.tolist(), load.tolist(), per_phase
+
+
+def _weak_components(num_nodes: int, tails: np.ndarray, heads: np.ndarray):
+    """Weakly connected component label per node of a directed edge list.
+
+    ``tails``/``heads`` are NumPy arrays of node ids in ``range(num_nodes)``;
+    returns ``label`` with ``label[x] == label[y]`` iff ``x`` and ``y``
+    are joined by the edges.  Min-label hooking with pointer jumping:
+    each round hooks every root to the smallest root across its edges,
+    then points every node straight at its root, until every edge joins
+    equal labels.  Labels only decrease and ``label[x] <= x`` throughout,
+    so the forest stays acyclic and each round merges at least one pair
+    of roots.
+    """
+    import numpy as np
+
+    label = np.arange(num_nodes)
+    while True:
+        lt = label[tails]
+        lh = label[heads]
+        if np.array_equal(lt, lh):
+            return label
+        low = np.minimum(lt, lh)
+        np.minimum.at(label, lt, low)
+        np.minimum.at(label, lh, low)
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 # ----------------------------------------------------------------------
@@ -508,8 +522,9 @@ def stable_orientation_kernel(
     The compact counterpart of
     :func:`~repro.core.orientation.phases.run_stable_orientation`:
     :func:`_run_phases` with levels equal to loads and edges proposing in
-    index order.  Each phase's token dropping game is split into its
-    weakly connected components in one union-find pass; only the
+    index order.  Its ``play`` classifies each phase's token dropping
+    game in NumPy: tails, game degrees and the round budget, then the
+    weakly connected components (:func:`_weak_components`); only the
     components holding a token are built *directly* as a dense game
     (:func:`repro.core.token_dropping._kernels.game_from_arrays` — no
     dict instance or ``to_network`` round-trip) and solved by the
@@ -556,108 +571,79 @@ def stable_orientation_kernel(
             f"unknown tie-break policy {tie_break!r}; "
             f"expected one of {TIE_BREAK_POLICIES}"
         )
-    eu = list(graph.edge_u)
-    ev = list(graph.edge_v)
-    ids = graph.node_ids
-    # Per-node scratch of the phase's game: ``deg`` is the game degree
-    # (0 = not in the game) and ``sub`` the game id in the played game
-    # (-1 = not played), both reset after every game; ``comp`` is a
-    # union-find forest over the game's weakly connected components,
-    # whose entries a node resets when it enters a game.
-    n = graph.num_nodes
-    deg = [0] * n
-    sub = [-1] * n
-    comp = [0] * n
+    import numpy as np
 
-    def play(heads, level, game_edge_list, accepted, height):
-        # Classify the Lemma 5.2 game in one pass: tails, degrees and
+    eu = np.asarray(graph.edge_u, dtype=np.int64)
+    ev = np.asarray(graph.edge_v, dtype=np.int64)
+    ids = graph.node_ids
+
+    def play(heads, level, game_edges, acc_nodes, acc_edges, height):
+        # Classify the Lemma 5.2 game: tails, the game's own node ids
+        # (``nodes`` ascending, ``gt``/``gh`` per edge), degrees and
         # components.  Nodes off the game edges (tokenless, or token
         # holders with no game neighbours) halt at round 0 with no LEAVE
         # fan-out in the reference execution, so they never enter it.
-        game_edges: List[Tuple[int, int, int]] = []
-        participants: List[int] = []
-        for e in game_edge_list:
-            h = heads[e]
-            t = eu[e] if h == ev[e] else ev[e]
-            game_edges.append((t, h, e))
-            if not deg[t]:
-                comp[t] = t
-                participants.append(t)
-            if not deg[h]:
-                comp[h] = h
-                participants.append(h)
-            deg[t] += 1
-            deg[h] += 1
-            while comp[t] != t:
-                comp[t] = t = comp[comp[t]]
-            while comp[h] != h:
-                comp[h] = h = comp[comp[h]]
-            if t != h:
-                comp[t] = h
+        h = heads[game_edges]
+        t = np.where(h == ev[game_edges], eu[game_edges], ev[game_edges])
+        nodes, local = np.unique(np.concatenate((t, h)), return_inverse=True)
+        gt = local[: len(game_edges)]
+        gh = local[len(game_edges) :]
         # The reference budget: three LOCAL rounds per game round of the
         # Theorem 4.1 bound computed from the full game's height/degree.
-        game_degree = max([deg[g] for g in participants], default=0)
+        game_degree = int(np.bincount(local).max()) if len(local) else 0
         max_rounds = 3 * (8 * (height + 1) * (game_degree + 1) ** 2 + 8)
 
         # Tokens only move inside their own component, so only the
-        # components holding one are played; ``sub`` marks their nodes.
-        bearing: Set[int] = set()
-        for node in accepted:
-            if deg[node]:
-                while comp[node] != node:
-                    comp[node] = node = comp[comp[node]]
-                bearing.add(node)
-        played_nodes: List[int] = []
-        for g in participants:
-            deg[g] = 0
-            r = g
-            while comp[r] != r:
-                comp[r] = r = comp[comp[r]]
-            if r in bearing:
-                sub[g] = 0
-                played_nodes.append(g)
-        played_edges: List[Tuple[int, int, int]] = []
-        free_edges: List[List[Tuple[int, int, int]]] = [[] for _ in range(height + 1)]
-        for edge in game_edges:
-            if sub[edge[0]] < 0:
-                free_edges[level[edge[1]]].append(edge)
-            else:
-                played_edges.append(edge)
+        # components holding one are played.
+        comp = _weak_components(len(nodes), gt, gh)
+        token = np.isin(nodes, acc_nodes)
+        bearing = np.zeros(len(nodes), dtype=bool)
+        bearing[comp[token]] = True
+        played = bearing[comp]
+        played_edge = played[gt]
 
         # A token-free component has a closed form: a node with no
         # parents halts at round 0 and every other node at the announce
         # round three rounds after its last parent halts, so the last
         # halt is round 3·L for L its longest upward path.  Every game
-        # edge climbs one level, so L is a DP over head levels, top down.
-        climb: Dict[int, int] = {}
-        for bucket in reversed(free_edges):
-            for t, h, _ in bucket:
-                c = climb.get(h, 0) + 1
-                if c > climb.get(t, 0):
-                    climb[t] = c
-        free_rounds = 3 * max(climb.values(), default=0)
+        # edge climbs one level, so L is a DP over head levels, top down:
+        # a bucket's heads are never its tails, so it is one vector step.
+        free = ~played_edge
+        head_level = level[h[free]]
+        by_level = np.argsort(-head_level)
+        ft = gt[free][by_level]
+        fh = gh[free][by_level]
+        cuts = np.flatnonzero(np.diff(head_level[by_level])) + 1
+        climb = np.zeros(len(nodes), dtype=np.int64)
+        for bt, bh in zip(np.split(ft, cuts), np.split(fh, cuts)):
+            np.maximum.at(climb, bt, climb[bh] + 1)
+        free_rounds = 3 * int(climb.max()) if len(nodes) else 0
+        num_played = int(played_edge.sum())
         if obs.enabled():
-            obs.add("orientation.frontier.played_edges", len(played_edges))
+            obs.add("orientation.frontier.played_edges", num_played)
             obs.add("orientation.frontier.free_rounds", free_rounds)
-        if not played_edges:
-            return [], free_rounds
+        if not num_played:
+            return game_edges[:0], game_edges[:0], free_rounds
 
-        played_nodes.sort()
-        for i, g in enumerate(played_nodes):
-            sub[g] = i
-        num_played = len(played_nodes)
-        has_token = bytearray(num_played)
-        for node in accepted:
-            if sub[node] >= 0:
-                has_token[sub[node]] = 1
+        # The played game, in its own ascending ids ``sub``.
+        played_nodes = nodes[played].tolist()
+        sub = np.cumsum(played) - 1
+        pt = sub[gt[played_edge]]
+        ph = sub[gh[played_edge]]
+        payload = game_edges[played_edge]
+        by_arc = np.lexsort((ph, pt))
         game, payloads = game_from_arrays(
-            num_played,
-            has_token,
-            [level[g] for g in played_nodes],
-            [(sub[t], sub[h], e) for t, h, e in played_edges],
+            len(played_nodes),
+            token[played].tolist(),
+            level[nodes[played]].tolist(),
+            list(
+                zip(
+                    pt[by_arc].tolist(),
+                    ph[by_arc].tolist(),
+                    payload[by_arc].tolist(),
+                )
+            ),
         )
-        for g in played_nodes:
-            sub[g] = -1
         _, final_token, _, _, consumed, engine = proposal_game_kernel(
             game,
             max_rounds,
@@ -673,7 +659,7 @@ def stable_orientation_kernel(
             # validation that guards Lemma 5.4; rules 1 and 2 hold by
             # construction of the game kernel.
             chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
-            for i in range(num_played):
+            for i in range(len(played_nodes)):
                 if final_token[i] < 0:
                     continue
                 for s in range(chi_ptr[i], chi_ptr[i + 1]):
@@ -684,12 +670,15 @@ def stable_orientation_kernel(
                         )
 
         # Every consumed game edge flips its graph edge to the tail.
-        moves = []
-        for ge in range(game.num_edges):
-            if consumed[ge]:
-                e = payloads[ge]
-                moves.append((e, eu[e] if heads[e] == ev[e] else ev[e]))
-        return moves, max(engine.rounds, free_rounds)
+        moved = np.asarray(payloads, dtype=np.int64)[
+            np.frombuffer(consumed, dtype=np.uint8) != 0
+        ]
+        old = heads[moved]
+        return (
+            moved,
+            np.where(old == ev[moved], eu[moved], ev[moved]),
+            max(engine.rounds, free_rounds),
+        )
 
     def make_row(
         phase, proposals, accepted, game_edges, height, rounds, moves, oriented, badness
@@ -722,7 +711,7 @@ def stable_orientation_kernel(
     heads, load, per_phase = _run_phases(
         graph,
         (eu, ev),
-        range(m),
+        np.arange(m),
         delta + 1,
         play,
         make_row,
@@ -925,6 +914,8 @@ def bounded_orientation_kernel(
         the run counters with the per-phase :class:`~repro.core.
         assignment.algorithm.AssignmentPhaseStats` rows.
     """
+    import numpy as np
+
     from repro.core.assignment._kernels import hypergraph_phase_game_kernel
     from repro.core.assignment.algorithm import (
         PHASE_OVERHEAD_ROUNDS,
@@ -936,43 +927,41 @@ def bounded_orientation_kernel(
     indptr = list(graph.indptr)
     slot_edge = list(graph.slot_edge)
     lo, hi, cust_order, pair_rank = _edge_customer_ranks(graph)
+    lo_ends = np.asarray(lo, dtype=np.int64)
+    hi_ends = np.asarray(hi, dtype=np.int64)
 
-    # Per-phase game scratch, reset frontier-sized after every game.
+    # Per-phase game scratch the engine reads and writes, reset
+    # frontier-sized after every game through the NumPy views.
     live = bytearray(m)
-    incidence = [0] * n
     occupied = bytearray(n)
+    live_bits = np.frombuffer(live, dtype=np.uint8)
+    occupied_bits = np.frombuffer(occupied, dtype=np.uint8)
 
-    def play(choice, level, game_edges, accepted, height):
+    def play(choice, level, game_edges, acc_nodes, acc_edges, height):
         # The per-phase hypergraph token dropping instance: levels are
         # effective loads, hyperedges the badness-1 customers (head =
         # assigned server), tokens on the accepting servers.
-        game_vertices: List[int] = []
-        for e in game_edges:
-            live[e] = 1
-            if not incidence[lo[e]]:
-                game_vertices.append(lo[e])
-            if not incidence[hi[e]]:
-                game_vertices.append(hi[e])
-            incidence[lo[e]] += 1
-            incidence[hi[e]] += 1
-        for server in accepted:
-            occupied[server] = 1
-        max_vertex_degree = max((incidence[v] for v in game_vertices), default=0)
+        game_vertices, incidence = np.unique(
+            np.concatenate((lo_ends[game_edges], hi_ends[game_edges])),
+            return_counts=True,
+        )
+        max_vertex_degree = int(incidence.max()) if len(incidence) else 0
         max_game_rounds = 8 * (height + 1) * (max_vertex_degree + 1) ** 2 + 8
+        live_bits[game_edges] = 1
+        occupied_bits[acc_nodes] = 1
 
         # The Theorem 7.1 proposal strategy on the rank-2 game, run by the
-        # shared assignment-phase engine.  Only endpoints of live
-        # hyperedges can ever have options, so the per-round scan skips
-        # every other vertex (the reference scans them too, but they make
-        # no choices and consume no randomness).
-        game_vertices.sort()
+        # shared assignment-phase engine on Python lists.  Only endpoints
+        # of live hyperedges can ever have options, so the per-round scan
+        # skips every other vertex (the reference scans them too, but
+        # they make no choices and consume no randomness).
         rounds, passes = hypergraph_phase_game_kernel(
             indptr=indptr,
             slot_edge=slot_edge,
-            choice=choice,
+            choice=choice.tolist(),
             live=live,
             occupied=occupied,
-            game_vertices=game_vertices,
+            game_vertices=game_vertices.tolist(),
             lo=lo,
             hi=hi,
             pair_rank=pair_rank,
@@ -980,38 +969,37 @@ def bounded_orientation_kernel(
             rng=random.Random(seed),
             max_game_rounds=max_game_rounds,
         )
+        moves = np.array(passes, dtype=np.int64).reshape(-1, 2)
 
         if check_invariants:
             # Maximality of the game outcome (the only validation rule not
             # guaranteed by construction): no occupied head may still have
             # a live hyperedge towards an unoccupied child.  Consumed game
             # edges had their ``live`` bit cleared by the engine.
-            for e in game_edges:
-                if not live[e]:
-                    continue
-                h = choice[e]
-                if h < 0 or not occupied[h]:
-                    continue
-                other = lo[e] if h == hi[e] else hi[e]
-                if not occupied[other]:
-                    ids = graph.node_ids
-                    label = ("edge", ids[lo[e]], ids[hi[e]])
-                    raise AlgorithmError(
-                        "invalid hypergraph token dropping solution: "
-                        f"not maximal at customer {label!r}"
-                    )
+            h = choice[game_edges]
+            lo_game = lo_ends[game_edges]
+            hi_game = hi_ends[game_edges]
+            other = np.where(h == hi_game, lo_game, hi_game)
+            stuck = game_edges[
+                (live_bits[game_edges] != 0)
+                & (occupied_bits[h] != 0)
+                & (occupied_bits[other] == 0)
+            ]
+            if len(stuck):
+                ids = graph.node_ids
+                e = int(stuck[0])
+                label = ("edge", ids[lo[e]], ids[hi[e]])
+                raise AlgorithmError(
+                    "invalid hypergraph token dropping solution: "
+                    f"not maximal at customer {label!r}"
+                )
 
         # The only ``occupied`` bits ever set belong to accepting servers
         # and pass targets.
-        for e in game_edges:
-            live[e] = 0
-        for v in game_vertices:
-            incidence[v] = 0
-        for server in accepted:
-            occupied[server] = 0
-        for _e, child in passes:
-            occupied[child] = 0
-        return passes, rounds
+        live_bits[game_edges] = 0
+        occupied_bits[acc_nodes] = 0
+        occupied_bits[moves[:, 1]] = 0
+        return moves[:, 0], moves[:, 1], rounds
 
     def make_row(
         phase, proposals, accepted, game_edges, height, rounds, moves, oriented, badness
@@ -1032,7 +1020,7 @@ def bounded_orientation_kernel(
 
     choice, load, per_phase = _run_phases(
         graph,
-        (lo, hi),
+        (lo_ends, hi_ends),
         cust_order,
         k,
         play,

@@ -2,10 +2,10 @@
 
 The bounded kernel shares the frontier contract of its unbounded
 sibling (see ``test_frontier_batching``): each phase's hypergraph game
-is built from the maintained badness-1 candidate set, load re-levelling
-touches only the nodes whose load actually changed, and badness
-re-examination visits only the touched nodes' incident slots — never a
-fresh O(m) edge scan.  The kernel exports the same
+is built from the maintained badness-1 edges, re-levelling reads only
+the nodes whose load changed, and badness re-examination visits only
+the incident slots of the touched nodes, those whose effective level
+changed net over the phase — never a fresh O(m) edge scan.  The kernel exports the same
 ``orientation.frontier.*`` counters, extended by the per-phase game
 engine's ``game_vertices``/``scanned_slots`` pair, and this suite pins
 them against the phase's own recorded work.

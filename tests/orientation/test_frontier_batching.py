@@ -3,13 +3,14 @@
 The million-node acceptance bar: a phase of
 :func:`~repro.core.orientation._kernels.stable_orientation_kernel` may
 only materialise state proportional to its *frontier* — the badness-1
-game edges, the nodes whose load changed, and their incident CSR slots —
-never O(n) scratch for non-participating nodes.  The kernel exports
-exactly those three quantities as ``orientation.frontier.*`` obs
-counters; this test pins both their structural meaning (they are bounded
-by the phase's own flip/accept work) and the scaling consequence (once
-the instance converges, late phases touch a vanishing fraction of the
-graph even though every phase still runs).
+game edges, the nodes whose level changed net over the phase (a subset
+of those whose load changed), and their incident CSR slots — never O(n)
+scratch for non-participating nodes.  The kernel exports exactly those
+three quantities as ``orientation.frontier.*`` obs counters; this test
+pins both their structural meaning (they are bounded by the phase's own
+flip/accept work) and the scaling consequence (once the instance
+converges, late phases touch a vanishing fraction of the graph even
+though every phase still runs).
 """
 
 from __future__ import annotations
