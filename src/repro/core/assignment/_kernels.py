@@ -1,23 +1,28 @@
 """Int-array fast-path kernels for assignment algorithms.
 
-Compact counterparts of :func:`~repro.core.assignment.semi_matching.
-greedy_assignment` and :func:`~repro.core.assignment.best_response.
-best_response_dynamics`, operating on a
-:class:`~repro.graphs.compact.CompactBipartite`.
+* :func:`hypergraph_phase_game_kernel` — the rank-2 hypergraph proposal
+  game (Theorem 7.1) of each phase of the k-bounded orientation kernel,
+  on NumPy arrays, replaying the reference's ``repr`` tie-breaks
+  through the edge-customer pair ranks;
+* :func:`greedy_kernel` and :func:`best_response_kernel` — compact
+  counterparts of :func:`~repro.core.assignment.semi_matching.
+  greedy_assignment` and :func:`~repro.core.assignment.best_response.
+  best_response_dynamics`, operating on a
+  :class:`~repro.graphs.compact.CompactBipartite`.
 
 Because both sides of a compact bipartite graph are interned in
-``repr``-sorted order, every reference tie-break ("smallest ``repr``
-first") becomes "smallest dense id first", so these kernels reproduce the
-reference implementations' choices exactly — asserted by the
-cross-validation suite on hundreds of seeded instances.  The hot loops
-touch only flat integer arrays: no hashing, no frozenset iteration, no
-``repr`` calls.
+``repr``-sorted order, every reference tie-break of the last two
+("smallest ``repr`` first") becomes "smallest dense id first", so all
+three kernels reproduce the reference implementations' choices exactly —
+asserted by the cross-validation suite on hundreds of seeded instances.
+The hot loops touch only flat integer arrays: no hashing, no frozenset
+iteration, no ``repr`` calls.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.core.token_dropping.hypergraph_game import (
@@ -25,86 +30,98 @@ from repro.core.token_dropping.hypergraph_game import (
 )
 from repro.graphs.compact import CompactBipartite
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def hypergraph_phase_game_kernel(
     *,
-    indptr: Sequence[int],
-    slot_edge: Sequence[int],
-    choice: Sequence[int],
-    live: bytearray,
-    occupied: bytearray,
-    game_vertices: Sequence[int],
-    lo: Sequence[int],
-    hi: Sequence[int],
-    pair_rank: Sequence[int],
+    indptr: np.ndarray,
+    slot_edge: np.ndarray,
+    choice: np.ndarray,
+    live: np.ndarray,
+    occupied: np.ndarray,
+    game_vertices: np.ndarray,
+    lo: np.ndarray,
+    pair_rank: np.ndarray,
     tie_break: str,
     rng: random.Random,
     max_game_rounds: int,
-) -> Tuple[int, List[Tuple[int, int]]]:
-    """One assignment-phase rank-2 hypergraph proposal game on int arrays.
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """One rank-2 hypergraph proposal game (Theorem 7.1) on NumPy arrays.
 
-    The Theorem 7.1 proposal strategy shared by every assignment-style
-    phase driver (:func:`~repro.core.orientation._kernels.
-    bounded_orientation_kernel` embeds one instance per phase): unoccupied
-    vertices propose to an occupied head over a live hyperedge, every
-    proposed-to head passes its token to one proposer, with the
-    reference's ``repr`` tie-breaks replayed through the precomputed
-    ``(vertex, customer)`` pair ranks.
+    The game of each phase of :func:`~repro.core.orientation._kernels.
+    bounded_orientation_kernel`, its only caller: unoccupied vertices
+    propose to an occupied head over a live hyperedge, every proposed-to
+    head passes its token to one proposer, with the reference's ``repr``
+    tie-breaks replayed through the precomputed ``(vertex, customer)``
+    pair ranks (``pair_rank[2e]`` for endpoint ``lo[e]``,
+    ``pair_rank[2e + 1]`` for the other).
 
-    The caller owns the phase state: ``live[e]`` flags the phase's game
-    hyperedges (cleared here as they are consumed), ``occupied`` flags the
-    token holders (mutated in place by every pass), ``choice[e]`` is the
-    current head of hyperedge ``e``, and ``game_vertices`` is the sorted
-    set of vertices incident to a live hyperedge — the only vertices
-    scanned, so each round costs the frontier's CSR slots, never O(n).
-    The per-round scan work is exported as the
-    ``orientation.frontier.scanned_slots`` obs counter (with
-    ``orientation.frontier.game_vertices`` for the instance size).
+    The caller owns the phase state: ``live[e]`` (bool) flags the phase's
+    game hyperedges (cleared here as they are consumed), ``occupied``
+    (bool) flags the token holders (mutated in place by every pass),
+    ``choice[e]`` is the head of hyperedge ``e`` at the start of the
+    game, and ``game_vertices`` is the ascending set of vertices incident
+    to a live hyperedge — the only vertices scanned, so each round costs
+    the frontier's CSR slots, never O(n).  The per-round scan work (the
+    degrees of the unoccupied game vertices) is exported as the
+    ``orientation.frontier.scanned_slots`` obs counter, with
+    ``orientation.frontier.game_vertices`` for the instance size.
 
-    Returns ``(rounds, passes)`` where ``passes`` lists ``(hyperedge,
-    new_head)`` in consumption order.
+    The options — (proposer, hyperedge, head) per CSR slot of a game
+    vertex on a live hyperedge it does not head — are gathered once and
+    sorted by proposer, then head rank.  A round is one mask over them,
+    ``live[edge] & occupied[head] & ~occupied[proposer]``: each proposer
+    takes the first of its options for ``min``, the last for ``max``;
+    each head then takes, among its requests ordered by proposer rank,
+    the first or the last, with heads in the order of their first
+    proposal.  For ``random`` the draws come from ``rng`` in the
+    reference order: one ``randrange(count)`` per proposer, ascending,
+    then one per head in first-proposal order.
+
+    Returns ``(rounds, move_edges, move_heads)``: the passes ``(hyperedge,
+    new_head)`` in consumption order, as ``int64`` arrays.
     """
-    rounds = 0
-    passes: List[Tuple[int, int]] = []
+    import numpy as np
+
     counting = obs.enabled()
     scanned_slots = 0
+    starts = indptr[game_vertices]
+    degree = indptr[game_vertices + 1] - starts
+    total = int(degree.sum())
+    slots = np.repeat(starts - (np.cumsum(degree) - degree), degree)
+    slots += np.arange(total)
+    owner = np.repeat(game_vertices, degree)
+    edge = slot_edge[slots]
+    head = choice[edge]
+    keep = live[edge] & (head != owner)
+    owner = owner[keep]
+    edge = edge[keep]
+    head = head[keep]
+    head_is_hi = head != lo[edge]
+    head_rank = pair_rank[2 * edge + head_is_hi]
+    owner_rank = pair_rank[2 * edge + ~head_is_hi]
+    by_owner = np.lexsort((head_rank, owner))
+    owner = owner[by_owner]
+    edge = edge[by_owner]
+    head = head[by_owner]
+    owner_rank = owner_rank[by_owner]
 
-    def rank(pair: Tuple[int, int]) -> int:
-        x, e = pair  # a (vertex, hyperedge) pair
-        return pair_rank[2 * e] if x == lo[e] else pair_rank[2 * e + 1]
-
-    def choose(pairs: List[Tuple[int, int]]) -> Tuple[int, int]:
-        if tie_break == "min":
-            return min(pairs, key=rank)
-        if tie_break == "max":
-            return max(pairs, key=rank)
-        if tie_break == "random":
-            pairs.sort(key=rank)
-            return pairs[rng.randrange(len(pairs))]
-        raise ValueError(f"unknown tie-break policy {tie_break!r}")
-
+    rounds = 0
+    move_edges = [np.zeros(0, dtype=np.int64)]
+    move_heads = [np.zeros(0, dtype=np.int64)]
     while True:
-        proposals: Dict[int, List[Tuple[int, int]]] = {}
-        for v in game_vertices:
-            if occupied[v]:
-                continue
-            if counting:
-                scanned_slots += indptr[v + 1] - indptr[v]
-            options: List[Tuple[int, int]] = []
-            for s in range(indptr[v], indptr[v + 1]):
-                e = slot_edge[s]
-                if not live[e]:
-                    continue
-                h = choice[e]
-                if h == v or not occupied[h]:
-                    continue
-                options.append((h, e))
-            if options:
-                parent, e = choose(options)
-                proposals.setdefault(parent, []).append((v, e))
-
-        if not proposals:
+        if counting:
+            scanned_slots += int(degree[~occupied[game_vertices]].sum())
+        options = np.flatnonzero(live[edge] & occupied[head] & ~occupied[owner])
+        if not len(options):
             break
+        # Each proposer picks one of its options, already in head-rank order.
+        _, start, size = np.unique(
+            owner[options], return_index=True, return_counts=True
+        )
+        picks = options[_pick(start, size, tie_break, rng)]
         rounds += 1
         if rounds > max_game_rounds:
             raise HypergraphRoundLimitExceeded(
@@ -112,17 +129,50 @@ def hypergraph_phase_game_kernel(
                 "game rounds"
             )
 
-        for parent, requests in proposals.items():
-            child, e = choose(requests)
-            occupied[parent] = 0
-            occupied[child] = 1
-            live[e] = 0
-            passes.append((e, child))
+        child = owner[picks]
+        parent = head[picks]
+        # Each head picks one request by proposer rank; heads take turns in
+        # the order of their first proposal, i.e. of their smallest request
+        # index, as requests are in proposer order.
+        by_parent = np.lexsort((owner_rank[picks], parent))
+        _, start, size = np.unique(
+            parent[by_parent], return_index=True, return_counts=True
+        )
+        turn = np.argsort(np.minimum.reduceat(by_parent, start))
+        won = by_parent[_pick(start[turn], size[turn], tie_break, rng)]
+
+        won_edges = edge[picks[won]]
+        won_children = child[won]
+        occupied[parent[won]] = False
+        occupied[won_children] = True
+        live[won_edges] = False
+        move_edges.append(won_edges)
+        move_heads.append(won_children)
 
     if counting:
         obs.add("orientation.frontier.game_vertices", len(game_vertices))
         obs.add("orientation.frontier.scanned_slots", scanned_slots)
-    return rounds, passes
+    return rounds, np.concatenate(move_edges), np.concatenate(move_heads)
+
+
+def _pick(
+    start: np.ndarray, size: np.ndarray, tie_break: str, rng: random.Random
+) -> np.ndarray:
+    """The chosen index of each group ``[start, start + size)``, in rank order.
+
+    ``random`` draws one ``rng.randrange(size)`` per group, in the given
+    group order.
+    """
+    import numpy as np
+
+    if tie_break == "min":
+        return start
+    if tie_break == "max":
+        return start + size - 1
+    if tie_break == "random":
+        draws = [rng.randrange(c) for c in size.tolist()]
+        return start + np.array(draws, dtype=np.int64)
+    raise ValueError(f"unknown tie-break policy {tie_break!r}")
 
 
 def greedy_kernel(

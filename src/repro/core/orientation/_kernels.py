@@ -29,11 +29,13 @@ inputs:
   Theorem 7.1 — as a ``play`` closure that takes and returns arrays;
 * the factory of the per-phase stats row and span attributes.
 
-The game kernels themselves run on Python lists: Theorem 5.1's ``play``
-classifies its game in NumPy and converts only the token-bearing part
-for :func:`~repro.core.token_dropping._kernels.game_from_arrays`, and
-the bounded ``play`` converts its inputs at the boundary.  Both kernels
-return lists of Python ``int`` and stats rows of ``int`` fields.
+Theorem 5.1's ``play`` classifies its game in NumPy and converts only
+the token-bearing part for :func:`~repro.core.token_dropping._kernels.
+game_from_arrays`, whose proposal game runs on Python lists.  The
+bounded ``play`` hands its arrays to :func:`~repro.core.assignment.
+_kernels.hypergraph_phase_game_kernel`, which plays the rank-2 game as
+per-round NumPy vector ops.  Both kernels return lists of Python ``int``
+and stats rows of ``int`` fields.
 
 Each kernel runs the same algorithm as its reference on a
 :class:`~repro.graphs.compact.CompactGraph`, touching only flat integer
@@ -831,15 +833,15 @@ def _edge_customer_ranks(graph: CompactGraph):
     Edge customers are labelled ``("edge", u, v)`` with endpoints in
     ``repr``-sorted order; dense interning is ``repr``-sorted, so the
     label's endpoint order is (min, max) of the dense endpoints.  Returns
-    ``(lo, hi, cust_order, pair_rank)`` where ``cust_order`` is the
-    ascending customer-``repr`` scan order and ``pair_rank[2e + i]``
-    ranks, among all ``2m``, the ``repr`` of the ``(endpoint, label)``
-    tuple of edge ``e``'s ``lo`` (``i = 0``) or ``hi`` (``i = 1``)
-    endpoint — the candidate universe of the hypergraph game's
-    ``choose``.  When :meth:`~repro.graphs.compact.CompactGraph.
-    lexicographic_reprs` holds, those ``repr`` orders are the
-    lexicographic orders of the dense tuples ``(lo, hi)`` and ``(x, lo,
-    hi)``, and both are CSR slot order: row ``x`` lists its incident
+    ``(lo, hi, cust_order, pair_rank)`` as NumPy ``int64`` arrays, where
+    ``cust_order`` is the ascending customer-``repr`` scan order and
+    ``pair_rank[2e + i]`` ranks, among all ``2m``, the ``repr`` of the
+    ``(endpoint, label)`` tuple of edge ``e``'s ``lo`` (``i = 0``) or
+    ``hi`` (``i = 1``) endpoint — the ranks by which the hypergraph
+    game's proposers and heads pick.  When :meth:`~repro.graphs.compact.
+    CompactGraph.lexicographic_reprs` holds, those ``repr`` orders are
+    the lexicographic orders of the dense tuples ``(lo, hi)`` and ``(x,
+    lo, hi)``, and both are CSR slot order: row ``x`` lists its incident
     edges by ascending neighbour, which is ascending ``(lo, hi)``.  So
     ``cust_order`` lists each edge at its slot in row ``lo`` and
     ``pair_rank`` is the edge's slot in row ``x``, read off with no
@@ -849,33 +851,35 @@ def _edge_customer_ranks(graph: CompactGraph):
     cached = graph.derived.get("edge_customer_ranks")
     if cached is not None:
         return cached
+    import numpy as np
+
     m = graph.num_edges
     with obs.span("orientation.rank_keys", table="edge_customer", edges=m) as sp:
-        eu = graph.edge_u
-        ev = graph.edge_v
-        lo = [u if u < v else v for u, v in zip(eu, ev)]
-        hi = [v if u < v else u for u, v in zip(eu, ev)]
+        eu = np.asarray(graph.edge_u, dtype=np.int64)
+        ev = np.asarray(graph.edge_v, dtype=np.int64)
+        lo = np.minimum(eu, ev)
+        hi = np.maximum(eu, ev)
         lexicographic = graph.lexicographic_reprs()
         sp.set(lexicographic=lexicographic)
         if lexicographic:
-            cust_order: List[int] = []
-            pair_rank = [0] * (2 * m)
-            for slot, (e, y) in enumerate(zip(graph.slot_edge, graph.indices)):
-                if y == hi[e]:  # slot of row lo
-                    cust_order.append(e)
-                    pair_rank[2 * e] = slot
-                else:
-                    pair_rank[2 * e + 1] = slot
+            slot_edge = np.asarray(graph.slot_edge, dtype=np.int64)
+            lo_row = np.asarray(graph.indices, dtype=np.int64) == hi[slot_edge]
+            cust_order = slot_edge[lo_row]
+            pair_rank = np.empty(2 * m, dtype=np.int64)
+            pair_rank[2 * slot_edge + ~lo_row] = np.arange(2 * m)
         else:
             ids = graph.node_ids
-            labels = [("edge", ids[a], ids[b]) for a, b in zip(lo, hi)]
+            ends = list(zip(lo.tolist(), hi.tolist()))
+            labels = [("edge", ids[a], ids[b]) for a, b in ends]
             label_reprs = list(map(repr, labels))
-            cust_order = sorted(range(m), key=label_reprs.__getitem__)
+            cust_order = np.array(
+                sorted(range(m), key=label_reprs.__getitem__), dtype=np.int64
+            )
             pair_reprs: List[str] = []
-            for a, b, label in zip(lo, hi, labels):
+            for (a, b), label in zip(ends, labels):
                 pair_reprs.append(repr((ids[a], label)))
                 pair_reprs.append(repr((ids[b], label)))
-            pair_rank = _ranks(pair_reprs)
+            pair_rank = np.array(_ranks(pair_reprs), dtype=np.int64)
 
     cached = (lo, hi, cust_order, pair_rank)
     graph.derived["edge_customer_ranks"] = cached
@@ -900,11 +904,12 @@ def bounded_orientation_kernel(
     effective loads ``min(load, k)``.  This kernel runs that edge-customer
     specialisation as :func:`_run_phases` with level cap ``k``: edges
     propose in customer-``repr`` order, and the embedded rank-2
-    hypergraph proposal games (Theorem 7.1) run on flat arrays with the
-    reference's ``repr`` tie-breaks replayed through the tables of
-    :func:`_edge_customer_ranks` — the customer scan order for the
+    hypergraph proposal games (Theorem 7.1) run on NumPy arrays
+    (:func:`~repro.core.assignment._kernels.hypergraph_phase_game_kernel`)
+    with the reference's ``repr`` tie-breaks replayed through the tables
+    of :func:`_edge_customer_ranks` — the customer scan order for the
     accept step and ``(vertex, customer)`` pair ranks for the game's
-    ``choose``.  Assignments, per-phase statistics, and game-round counts
+    picks.  Assignments, per-phase statistics, and game-round counts
     match the dict path bit for bit.
 
     Returns
@@ -922,69 +927,55 @@ def bounded_orientation_kernel(
         AssignmentPhaseStats,
     )
 
-    n = graph.num_nodes
-    m = graph.num_edges
-    indptr = list(graph.indptr)
-    slot_edge = list(graph.slot_edge)
+    indptr = np.asarray(graph.indptr, dtype=np.int64)
+    slot_edge = np.asarray(graph.slot_edge, dtype=np.int64)
     lo, hi, cust_order, pair_rank = _edge_customer_ranks(graph)
-    lo_ends = np.asarray(lo, dtype=np.int64)
-    hi_ends = np.asarray(hi, dtype=np.int64)
 
-    # Per-phase game scratch the engine reads and writes, reset
-    # frontier-sized after every game through the NumPy views.
-    live = bytearray(m)
-    occupied = bytearray(n)
-    live_bits = np.frombuffer(live, dtype=np.uint8)
-    occupied_bits = np.frombuffer(occupied, dtype=np.uint8)
+    # Per-phase game scratch the game kernel reads and writes, reset
+    # frontier-sized after every game.
+    live = np.zeros(graph.num_edges, dtype=bool)
+    occupied = np.zeros(graph.num_nodes, dtype=bool)
 
     def play(choice, level, game_edges, acc_nodes, acc_edges, height):
         # The per-phase hypergraph token dropping instance: levels are
         # effective loads, hyperedges the badness-1 customers (head =
         # assigned server), tokens on the accepting servers.
         game_vertices, incidence = np.unique(
-            np.concatenate((lo_ends[game_edges], hi_ends[game_edges])),
-            return_counts=True,
+            np.concatenate((lo[game_edges], hi[game_edges])), return_counts=True
         )
         max_vertex_degree = int(incidence.max()) if len(incidence) else 0
         max_game_rounds = 8 * (height + 1) * (max_vertex_degree + 1) ** 2 + 8
-        live_bits[game_edges] = 1
-        occupied_bits[acc_nodes] = 1
+        live[game_edges] = True
+        occupied[acc_nodes] = True
 
-        # The Theorem 7.1 proposal strategy on the rank-2 game, run by the
-        # shared assignment-phase engine on Python lists.  Only endpoints
-        # of live hyperedges can ever have options, so the per-round scan
-        # skips every other vertex (the reference scans them too, but
-        # they make no choices and consume no randomness).
-        rounds, passes = hypergraph_phase_game_kernel(
+        # The Theorem 7.1 proposal strategy on the rank-2 game.  Only
+        # endpoints of live hyperedges can ever have options, so the game
+        # scans no other vertex (the reference scans them too, but they
+        # make no choices and consume no randomness).
+        rounds, move_edges, move_heads = hypergraph_phase_game_kernel(
             indptr=indptr,
             slot_edge=slot_edge,
-            choice=choice.tolist(),
+            choice=choice,
             live=live,
             occupied=occupied,
-            game_vertices=game_vertices.tolist(),
+            game_vertices=game_vertices,
             lo=lo,
-            hi=hi,
             pair_rank=pair_rank,
             tie_break=tie_break,
             rng=random.Random(seed),
             max_game_rounds=max_game_rounds,
         )
-        moves = np.array(passes, dtype=np.int64).reshape(-1, 2)
 
         if check_invariants:
             # Maximality of the game outcome (the only validation rule not
             # guaranteed by construction): no occupied head may still have
             # a live hyperedge towards an unoccupied child.  Consumed game
-            # edges had their ``live`` bit cleared by the engine.
+            # edges had their ``live`` bit cleared by the game kernel.
             h = choice[game_edges]
-            lo_game = lo_ends[game_edges]
-            hi_game = hi_ends[game_edges]
+            lo_game = lo[game_edges]
+            hi_game = hi[game_edges]
             other = np.where(h == hi_game, lo_game, hi_game)
-            stuck = game_edges[
-                (live_bits[game_edges] != 0)
-                & (occupied_bits[h] != 0)
-                & (occupied_bits[other] == 0)
-            ]
+            stuck = game_edges[live[game_edges] & occupied[h] & ~occupied[other]]
             if len(stuck):
                 ids = graph.node_ids
                 e = int(stuck[0])
@@ -996,10 +987,10 @@ def bounded_orientation_kernel(
 
         # The only ``occupied`` bits ever set belong to accepting servers
         # and pass targets.
-        live_bits[game_edges] = 0
-        occupied_bits[acc_nodes] = 0
-        occupied_bits[moves[:, 1]] = 0
-        return moves[:, 0], moves[:, 1], rounds
+        live[game_edges] = False
+        occupied[acc_nodes] = False
+        occupied[move_heads] = False
+        return move_edges, move_heads, rounds
 
     def make_row(
         phase, proposals, accepted, game_edges, height, rounds, moves, oriented, badness
@@ -1020,13 +1011,13 @@ def bounded_orientation_kernel(
 
     choice, load, per_phase = _run_phases(
         graph,
-        (lo_ends, hi_ends),
+        (lo, hi),
         cust_order,
         k,
         play,
         make_row,
         # Lemma 7.2: the explicit O(C·S) phase budget, C = 2 for edges.
-        max_phases=4 * (2 + 1) * (graph.max_degree() + 1) + 4,
+        max_phases=4 * (2 + 1) * (int(np.diff(indptr).max(initial=0)) + 1) + 4,
         labels=(
             "orientation.bounded_phase",
             "assignment",
