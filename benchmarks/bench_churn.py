@@ -19,8 +19,8 @@ sampled along the same trace):
   perf-regression gate re-times (``scripts/check_bench_regression.py``,
   which also enforces its own incremental-vs-scratch ratio floor so a
   silent full-recompute fallback inside ``apply`` fails CI).  The full
-  compact-vs-dict lockstep agreement is asserted here before the timing
-  is ever committed.
+  lockstep agreement with ``ScratchDynamicOrientation`` is asserted here
+  before the timing is ever committed.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the full-scale trace to CI size and
 skips the ratio assertion; the agreement checks always run.  The
@@ -40,7 +40,9 @@ from _head_to_head import phase_medians
 
 from repro.core.orientation import (
     DynamicOrientation,
+    ScratchDynamicOrientation,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
 from repro.graphs.compact import CompactGraph
 from repro.workloads import churn_smoke, churn_smoke_trace, churn_trace
@@ -67,9 +69,9 @@ TRACE_SEED = 31
 SOLVE_SEED = 2
 
 
-def _replay(problem, trace, *, backend, timings=None):
+def _replay(problem, trace, *, timings=None):
     """Fresh engine, full trace replay; optionally collect per-update times."""
-    engine = DynamicOrientation(problem, seed=SOLVE_SEED, backend=backend)
+    engine = DynamicOrientation(problem, seed=SOLVE_SEED)
     for delta in trace:
         if timings is None:
             engine.apply(delta)
@@ -95,7 +97,7 @@ def test_churn_full_scale(benchmark, record_rows):
 
     def replay():
         per_update.clear()
-        return _replay(problem, trace, backend="compact", timings=per_update)
+        return _replay(problem, trace, timings=per_update)
 
     engine = benchmark(replay)
     assert engine.is_stable()
@@ -104,7 +106,7 @@ def test_churn_full_scale(benchmark, record_rows):
     # trace: what a non-incremental deployment pays per update — re-intern
     # the mutated edge set and solve it with the compact repair kernel.
     scratch_times = []
-    sampler = DynamicOrientation(problem, seed=SOLVE_SEED, backend="compact")
+    sampler = DynamicOrientation(problem, seed=SOLVE_SEED)
     for step, delta in enumerate(trace):
         sampler.apply(delta)
         if step % SCRATCH_EVERY == 0:
@@ -113,7 +115,7 @@ def test_churn_full_scale(benchmark, record_rows):
             start = time.perf_counter()
             mutated = CompactGraph.from_edges(edges, nodes=nodes)
             solved, _ = synchronous_repair_orientation(
-                mutated, seed=SOLVE_SEED, backend="compact"
+                mutated, seed=SOLVE_SEED
             )
             scratch_times.append(time.perf_counter() - start)
             assert solved.is_stable()
@@ -124,8 +126,8 @@ def test_churn_full_scale(benchmark, record_rows):
     # tests/integration/test_incremental_churn.py and the smoke test
     # below.
     final = engine.orientation()
-    fixed_point, fixed_stats = synchronous_repair_orientation(
-        final.problem, initial=final, seed=SOLVE_SEED, backend="dict"
+    fixed_point, fixed_stats = synchronous_repair_orientation_reference(
+        final.problem, initial=final, seed=SOLVE_SEED
     )
     assert fixed_stats.iterations == 0
     assert fixed_point.oriented_edges() == final.oriented_edges()
@@ -155,8 +157,8 @@ def test_churn_full_scale(benchmark, record_rows):
 def test_churn_smoke_scale(benchmark, record_rows):
     """The fixed mid-size churn replay the CI perf-regression gate re-times.
 
-    Timed on the compact engine; the dict engine replays the same trace
-    in lockstep first (untimed) and every update's result must agree, so
+    Timed on the incremental engine; the scratch oracle replays the same
+    trace in lockstep first (untimed) and every update's result must agree, so
     a fast-but-wrong incremental path fails before its timing is ever
     committed.
     """
@@ -165,12 +167,8 @@ def test_churn_smoke_scale(benchmark, record_rows):
     trace = churn_smoke_trace(compact_problem)
     assert trace == churn_smoke_trace(reference_problem)
 
-    fast = DynamicOrientation(
-        compact_problem, seed=SOLVE_SEED, backend="compact"
-    )
-    reference = DynamicOrientation(
-        reference_problem, seed=SOLVE_SEED, backend="dict"
-    )
+    fast = DynamicOrientation(compact_problem, seed=SOLVE_SEED)
+    reference = ScratchDynamicOrientation(reference_problem, seed=SOLVE_SEED)
     for step, delta in enumerate(trace):
         assert fast.apply(delta) == reference.apply(delta), (step, delta)
     assert fast.orientation().oriented_edges() == (
@@ -178,7 +176,7 @@ def test_churn_smoke_scale(benchmark, record_rows):
     )
     assert fast.loads() == reference.loads()
 
-    engine = benchmark(lambda: _replay(compact_problem, trace, backend="compact"))
+    engine = benchmark(lambda: _replay(compact_problem, trace))
     assert engine.is_stable()
     assert engine.orientation().oriented_edges() == (
         reference.orientation().oriented_edges()
@@ -188,7 +186,5 @@ def test_churn_smoke_scale(benchmark, record_rows):
         nodes=len(compact_problem.node_ids),
         edges=compact_problem.num_edges,
         updates=len(trace),
-        **phase_medians(
-            lambda: _replay(compact_problem, trace, backend="compact")
-        ),
+        **phase_medians(lambda: _replay(compact_problem, trace)),
     )

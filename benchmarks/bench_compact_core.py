@@ -1,7 +1,7 @@
-"""Head-to-head: compact fast-path kernels vs. dict reference paths.
+"""Head-to-head: compact kernels vs. their ``*_reference`` dict oracles.
 
-Every dispatched entry point (sequential flips, best-response dynamics,
-greedy semi-matching) is timed on both backends on the same instance —
+Every entry point with a kernel (sequential flips, best-response dynamics,
+greedy semi-matching) is timed against its reference on the same instance —
 the E1 layered-DAG family and the datacenter-assignment family at
 ``n >= 10,000`` nodes — and the results are asserted *identical* before
 any timing is trusted.  The compact medians land in
@@ -27,8 +27,17 @@ import os
 import pytest
 from _head_to_head import compact_median, median_time, record_head_to_head
 
-from repro.core.assignment import best_response_dynamics, greedy_assignment
-from repro.core.orientation import sequential_flip_algorithm
+from repro.core.assignment import (
+    best_response_dynamics,
+    best_response_dynamics_reference,
+    greedy_assignment,
+    greedy_assignment_reference,
+)
+from repro.core.orientation import (
+    sequential_flip_algorithm,
+    sequential_flip_algorithm_reference,
+)
+from repro.graphs.compact import CompactBipartite
 from repro.workloads import datacenter_assignment, layered_dag_orientation
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "") == "1"
@@ -59,7 +68,7 @@ def test_sequential_flips_on_layered_dag(benchmark, record_rows):
 
     fast, fast_stats = benchmark(lambda: sequential_flip_algorithm(compact_problem))
     dict_median, (ref, ref_stats) = median_time(
-        lambda: sequential_flip_algorithm(reference_problem, backend="dict"),
+        lambda: sequential_flip_algorithm_reference(reference_problem),
         REFERENCE_ROUNDS,
     )
 
@@ -90,7 +99,7 @@ def test_best_response_on_datacenter(benchmark, record_rows):
 
     fast, fast_stats = benchmark(lambda: best_response_dynamics(compact_graph))
     dict_median, (ref, ref_stats) = median_time(
-        lambda: best_response_dynamics(reference_graph, backend="dict"),
+        lambda: best_response_dynamics_reference(reference_graph),
         REFERENCE_ROUNDS,
     )
 
@@ -117,16 +126,17 @@ def test_best_response_on_datacenter(benchmark, record_rows):
 def test_greedy_semi_matching_on_datacenter(benchmark, record_rows):
     """Greedy semi-matching: single-pass kernel on a pre-interned instance.
 
-    Greedy is a single pass, so the fast path only pays off when the
-    instance is already compact (which is exactly how `auto` dispatches
-    it); no >= 2x floor is asserted here — the row tracks the ratio.
+    Greedy is a single pass, so the kernel only pays off when the
+    instance is already compact (which is exactly when
+    ``greedy_assignment`` takes it); no >= 2x floor is asserted here — the
+    row tracks the ratio.
     """
     reference_graph = datacenter_assignment(**DATACENTER_PARAMS)
     compact_graph = datacenter_assignment(**DATACENTER_PARAMS, compact=True)
 
     fast = benchmark(lambda: greedy_assignment(compact_graph))
     dict_median, ref = median_time(
-        lambda: greedy_assignment(reference_graph, backend="dict"),
+        lambda: greedy_assignment_reference(reference_graph),
         REFERENCE_ROUNDS,
     )
 
@@ -148,26 +158,27 @@ def test_backends_agree_on_sampled_instances(seed):
         num_levels=5, width=6, edge_probability=0.4, seed=seed
     )
     for policy in ("first", "random", "max_badness"):
-        ref, ref_stats = sequential_flip_algorithm(
-            problem, policy=policy, seed=seed, backend="dict"
+        ref, ref_stats = sequential_flip_algorithm_reference(
+            problem, policy=policy, seed=seed
         )
         fast, fast_stats = sequential_flip_algorithm(
-            problem, policy=policy, seed=seed, backend="compact"
+            problem, policy=policy, seed=seed
         )
         assert ref.oriented_edges() == fast.oriented_edges(), (seed, policy)
         assert ref_stats == fast_stats, (seed, policy)
 
     graph = datacenter_assignment(num_jobs=60, num_servers=12, replicas=3, seed=seed)
     for policy in ("first", "random"):
-        ref, ref_stats = best_response_dynamics(
-            graph, policy=policy, seed=seed, backend="dict"
+        ref, ref_stats = best_response_dynamics_reference(
+            graph, policy=policy, seed=seed
         )
         fast, fast_stats = best_response_dynamics(
-            graph, policy=policy, seed=seed, backend="compact"
+            graph, policy=policy, seed=seed
         )
         assert ref.choices() == fast.choices(), (seed, policy)
         assert ref_stats == fast_stats, (seed, policy)
+    compact = CompactBipartite.from_customer_server_graph(graph)
     for order in ("sorted", "random"):
-        ref = greedy_assignment(graph, order=order, seed=seed, backend="dict")
-        fast = greedy_assignment(graph, order=order, seed=seed, backend="compact")
+        ref = greedy_assignment_reference(graph, order=order, seed=seed)
+        fast = greedy_assignment(compact, order=order, seed=seed)
         assert ref.choices() == fast.choices(), (seed, order)

@@ -12,8 +12,9 @@ avoid paying sequentially).
 Compact head-to-heads
 ---------------------
 The full orientation pipeline (phase algorithm, repair baseline,
-k-bounded relaxation) is additionally timed on both backends on one E1
-layered-DAG instance at 10,000 nodes; the results are asserted identical
+k-bounded relaxation) is additionally timed against its ``*_reference``
+dict oracle on one E1 layered-DAG instance at 10,000 nodes; the results
+are asserted identical
 before any timing is trusted, and the compact medians (with the measured
 dict medians and speedups) land in ``BENCH_orientation.json``.  The
 phase-based and k-bounded drivers must stay at least 10x faster than the
@@ -36,9 +37,12 @@ from _head_to_head import median_time, phase_medians, record_head_to_head
 
 from repro.core.orientation import (
     run_bounded_stable_orientation,
+    run_bounded_stable_orientation_reference,
     run_stable_orientation,
+    run_stable_orientation_reference,
     sequential_flip_algorithm,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
     theoretical_phase_bound,
     theoretical_round_bound,
 )
@@ -187,7 +191,7 @@ def test_stable_orientation_head_to_head(benchmark, record_rows):
 
     fast = benchmark(lambda: run_stable_orientation(compact_problem))
     dict_median, ref = median_time(
-        lambda: run_stable_orientation(reference_problem, backend="dict"),
+        lambda: run_stable_orientation_reference(reference_problem),
         REFERENCE_ROUNDS,
     )
 
@@ -227,8 +231,8 @@ def test_repair_head_to_head(benchmark, record_rows):
         lambda: synchronous_repair_orientation(compact_problem, seed=2)
     )
     dict_median, (ref, ref_stats) = median_time(
-        lambda: synchronous_repair_orientation(
-            reference_problem, seed=2, backend="dict"
+        lambda: synchronous_repair_orientation_reference(
+            reference_problem, seed=2
         ),
         REFERENCE_ROUNDS,
     )
@@ -264,8 +268,8 @@ def test_bounded_orientation_head_to_head(benchmark, record_rows):
 
     fast = benchmark(lambda: run_bounded_stable_orientation(compact_problem, seed=2))
     dict_median, ref = median_time(
-        lambda: run_bounded_stable_orientation(
-            reference_problem, seed=2, backend="dict"
+        lambda: run_bounded_stable_orientation_reference(
+            reference_problem, seed=2
         ),
         REFERENCE_ROUNDS,
     )
@@ -299,16 +303,16 @@ def test_bounded_orientation_head_to_head(benchmark, record_rows):
 def test_stable_orientation_smoke_scale(benchmark, record_rows):
     """The fixed mid-size game the CI perf-regression gate re-times.
 
-    Timed on the compact backend only (the gate measures the dict backend
-    itself for the same-machine ratio floor); the compact-vs-dict
-    agreement is asserted here so a fast-but-wrong driver fails before
-    its timing is ever committed.
+    Timed on the kernel only (the gate times the dict reference itself
+    for the same-machine ratio floor); the kernel-vs-reference agreement
+    is asserted here so a fast-but-wrong driver fails before its timing
+    is ever committed.
     """
     compact_problem = orientation_smoke(compact=True)
     reference_problem = orientation_smoke()
 
     fast = benchmark(lambda: run_stable_orientation(compact_problem))
-    ref = run_stable_orientation(reference_problem, backend="dict")
+    ref = run_stable_orientation_reference(reference_problem)
     assert ref.orientation.oriented_edges() == fast.orientation.oriented_edges()
     assert ref.per_phase == fast.per_phase
     assert fast.stable

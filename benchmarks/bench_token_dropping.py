@@ -18,13 +18,14 @@ benchmark suite times exactly what the report measures.
 Head-to-head: compact round kernels vs. the reference simulator
 ---------------------------------------------------------------
 The ``test_*_head_to_head`` cases time the int-array token-dropping
-kernels (:mod:`repro.core.token_dropping._kernels`, dispatched through
-the :class:`~repro.local_model.runner.Runner`) against the dict reference
-scheduler on layered DAGs at n ≈ 10,000 across heights and degrees.  The
-solutions are asserted **identical** (placements, used edges, pass
-histories, round counts) before any timing is trusted, and the compact
-medians land in ``BENCH_token_dropping.json`` together with the measured
-reference medians and the speedup.
+kernels (:mod:`repro.core.token_dropping._kernels`, run by the
+:class:`~repro.local_model.runner.Runner`) against their ``*_reference``
+oracles on the dict reference scheduler, on layered DAGs at n ≈ 10,000
+across heights and degrees. The solutions are asserted **identical**
+(placements, used edges, pass histories, round counts) before any timing
+is trusted, and the compact medians land in
+``BENCH_token_dropping.json`` together with the measured reference
+medians and the speedup.
 
 ``REPRO_BENCH_SMOKE=1`` shrinks the head-to-head instances to CI size and
 skips the speedup floors (tiny timings are all constant overhead); the
@@ -42,8 +43,11 @@ from _head_to_head import median_time, record_head_to_head
 
 from repro.core.token_dropping import (
     greedy_token_dropping,
+    greedy_token_dropping_reference,
     run_proposal_algorithm,
+    run_proposal_algorithm_reference,
     run_three_level_algorithm,
+    run_three_level_algorithm_reference,
 )
 from repro.engine import ExperimentSpec, execute_task, library, parameter_grid
 from repro.workloads import random_token_dropping, token_dropping_smoke
@@ -93,12 +97,10 @@ else:
     REFERENCE_ROUNDS = 3
 
 
-def _head_to_head(benchmark, record_rows, *, scenario, instance, run):
-    """Time both backends on ``instance``, asserting exact agreement first."""
-    fast = benchmark(lambda: run(instance, backend="compact"))
-    dict_median, ref = median_time(
-        lambda: run(instance, backend="dict"), REFERENCE_ROUNDS
-    )
+def _head_to_head(benchmark, record_rows, *, scenario, instance, run, reference):
+    """Time ``run`` and its ``reference`` on ``instance``; they must agree."""
+    fast = benchmark(lambda: run(instance))
+    dict_median, ref = median_time(lambda: reference(instance), REFERENCE_ROUNDS)
     # Exact agreement: same placements, used edges, pass histories, and
     # round counts — solution equality covers all of them.
     assert ref == fast
@@ -134,9 +136,8 @@ def test_proposal_wide_head_to_head(benchmark, record_rows):
         record_rows,
         scenario="proposal_wide_dag",
         instance=random_token_dropping(**PROPOSAL_WIDE),
-        run=lambda instance, backend: run_proposal_algorithm(
-            instance, backend=backend
-        ),
+        run=run_proposal_algorithm,
+        reference=run_proposal_algorithm_reference,
     )
 
 
@@ -148,9 +149,8 @@ def test_proposal_tall_head_to_head(benchmark, record_rows):
         record_rows,
         scenario="proposal_tall_dag",
         instance=random_token_dropping(**PROPOSAL_TALL),
-        run=lambda instance, backend: run_proposal_algorithm(
-            instance, backend=backend
-        ),
+        run=run_proposal_algorithm,
+        reference=run_proposal_algorithm_reference,
     )
 
 
@@ -162,9 +162,8 @@ def test_three_level_head_to_head(benchmark, record_rows):
         record_rows,
         scenario="three_level_dense",
         instance=random_token_dropping(**THREE_LEVEL),
-        run=lambda instance, backend: run_three_level_algorithm(
-            instance, backend=backend
-        ),
+        run=run_three_level_algorithm,
+        reference=run_three_level_algorithm_reference,
     )
 
 
@@ -176,9 +175,8 @@ def test_greedy_head_to_head(benchmark, record_rows):
         record_rows,
         scenario="greedy_baseline",
         instance=random_token_dropping(**GREEDY),
-        run=lambda instance, backend: greedy_token_dropping(
-            instance, backend=backend
-        ),
+        run=greedy_token_dropping,
+        reference=greedy_token_dropping_reference,
     )
 
 
@@ -193,7 +191,7 @@ def test_proposal_smoke_scale(benchmark, record_rows):
     """
     instance = token_dropping_smoke()
     fast = benchmark(lambda: run_proposal_algorithm(instance))
-    ref = run_proposal_algorithm(instance, backend="dict")
+    ref = run_proposal_algorithm_reference(instance)
     assert ref == fast
     record_rows(
         scenario="proposal_smoke_scale",

@@ -11,18 +11,19 @@ couple of milliseconds would otherwise flake on any slower runner.
 
 Because committed medians were measured on a different machine, the
 absolute budget alone cannot distinguish "slow CI runner" from "kernel
-fell back to the reference path".  Suites with a compact fast path
-(``token_dropping``, ``orientation``, ``compact_core``) therefore also
-time the dict reference *on the same machine in the same process* and
-require the gated path to stay at least ``--min-ratio`` times faster (3x
-by default).  A silent fallback drives that ratio to ~1 and fails
-regardless of runner speed.  Suites without a compact backend
+fell back to the reference path".  Suites with a compact kernel
+(``token_dropping``, ``orientation``, ``compact_core``, ``churn``)
+therefore also time the kernel's ``*_reference`` dict oracle (for churn,
+``ScratchDynamicOrientation``) *on the same machine in the same process*
+and require the gated path to stay at least ``--min-ratio`` times faster
+(3x by default).  A silent fallback drives that ratio to ~1 and fails
+regardless of runner speed.  Suites without a compact kernel
 (``assignment``, ``semi_matching``, ``lower_bounds``) get the budget
 check only.
 
-Before timing anything, each compact-backed gate cross-checks the compact
-and reference backends on its instance and fails on any disagreement, so
-CI keeps a standing compact-vs-reference agreement check even when every
+Before timing anything, each kernel gate cross-checks the kernel against
+its reference oracle on its instance and fails on any disagreement, so
+CI keeps a standing kernel-vs-reference agreement check even when every
 timing is fine.
 
 Suites whose committed rows carry a ``peak_mb`` column (the tracemalloc
@@ -99,19 +100,22 @@ class SuiteGate:
 # Gate definitions, one per committed BENCH_*.json
 # ----------------------------------------------------------------------
 def _token_dropping_gate() -> SuiteGate:
-    from repro.core.token_dropping import run_proposal_algorithm
+    from repro.core.token_dropping import (
+        run_proposal_algorithm,
+        run_proposal_algorithm_reference,
+    )
     from repro.workloads import token_dropping_smoke
 
     def prepare() -> dict:
         instance = token_dropping_smoke()
         # Warm the instance's network/compact caches, like the benchmark
         # does before timing.
-        run_proposal_algorithm(instance, backend="compact")
+        run_proposal_algorithm(instance)
         return {"instance": instance}
 
     def check_agreement(ctx: dict) -> Optional[str]:
-        fast = run_proposal_algorithm(ctx["instance"], backend="compact")
-        reference = run_proposal_algorithm(ctx["instance"], backend="dict")
+        fast = run_proposal_algorithm(ctx["instance"])
+        reference = run_proposal_algorithm_reference(ctx["instance"])
         if fast != reference:
             return (
                 "compact and reference token-dropping executions disagree "
@@ -123,25 +127,28 @@ def _token_dropping_gate() -> SuiteGate:
     return SuiteGate(
         scenario="test_proposal_smoke_scale",
         prepare=prepare,
-        run=lambda ctx: run_proposal_algorithm(ctx["instance"], backend="compact"),
-        reference=lambda ctx: run_proposal_algorithm(ctx["instance"], backend="dict"),
+        run=lambda ctx: run_proposal_algorithm(ctx["instance"]),
+        reference=lambda ctx: run_proposal_algorithm_reference(ctx["instance"]),
         check_agreement=check_agreement,
     )
 
 
 def _orientation_gate() -> SuiteGate:
-    from repro.core.orientation import run_stable_orientation
+    from repro.core.orientation import (
+        run_stable_orientation,
+        run_stable_orientation_reference,
+    )
     from repro.workloads import orientation_smoke
 
     def prepare() -> dict:
         compact = orientation_smoke(compact=True)
         reference = orientation_smoke()
-        run_stable_orientation(compact, backend="compact")
+        run_stable_orientation(compact)
         return {"compact": compact, "reference": reference}
 
     def check_agreement(ctx: dict) -> Optional[str]:
-        fast = run_stable_orientation(ctx["compact"], backend="compact")
-        ref = run_stable_orientation(ctx["reference"], backend="dict")
+        fast = run_stable_orientation(ctx["compact"])
+        ref = run_stable_orientation_reference(ctx["reference"])
         if (
             ref.orientation.oriented_edges() != fast.orientation.oriented_edges()
             or ref.per_phase != fast.per_phase
@@ -157,16 +164,17 @@ def _orientation_gate() -> SuiteGate:
     return SuiteGate(
         scenario="test_stable_orientation_smoke_scale",
         prepare=prepare,
-        run=lambda ctx: run_stable_orientation(ctx["compact"], backend="compact"),
-        reference=lambda ctx: run_stable_orientation(
-            ctx["reference"], backend="dict"
-        ),
+        run=lambda ctx: run_stable_orientation(ctx["compact"]),
+        reference=lambda ctx: run_stable_orientation_reference(ctx["reference"]),
         check_agreement=check_agreement,
     )
 
 
 def _compact_core_gate() -> SuiteGate:
-    from repro.core.orientation import sequential_flip_algorithm
+    from repro.core.orientation import (
+        sequential_flip_algorithm,
+        sequential_flip_algorithm_reference,
+    )
     from repro.workloads import layered_dag_orientation
 
     # The bench_compact_core.py full-scale sequential-flips instance.
@@ -175,16 +183,12 @@ def _compact_core_gate() -> SuiteGate:
     def prepare() -> dict:
         compact = layered_dag_orientation(**params, compact=True)
         reference = layered_dag_orientation(**params)
-        sequential_flip_algorithm(compact, backend="compact")
+        sequential_flip_algorithm(compact)
         return {"compact": compact, "reference": reference}
 
     def check_agreement(ctx: dict) -> Optional[str]:
-        fast, fast_stats = sequential_flip_algorithm(
-            ctx["compact"], backend="compact"
-        )
-        ref, ref_stats = sequential_flip_algorithm(
-            ctx["reference"], backend="dict"
-        )
+        fast, fast_stats = sequential_flip_algorithm(ctx["compact"])
+        ref, ref_stats = sequential_flip_algorithm_reference(ctx["reference"])
         if ref.oriented_edges() != fast.oriented_edges() or ref_stats != fast_stats:
             return (
                 "compact and reference sequential-flip runs disagree on the "
@@ -195,20 +199,18 @@ def _compact_core_gate() -> SuiteGate:
     return SuiteGate(
         scenario="test_sequential_flips_on_layered_dag",
         prepare=prepare,
-        run=lambda ctx: sequential_flip_algorithm(ctx["compact"], backend="compact"),
-        reference=lambda ctx: sequential_flip_algorithm(
-            ctx["reference"], backend="dict"
-        ),
+        run=lambda ctx: sequential_flip_algorithm(ctx["compact"]),
+        reference=lambda ctx: sequential_flip_algorithm_reference(ctx["reference"]),
         check_agreement=check_agreement,
     )
 
 
 def _churn_gate() -> SuiteGate:
-    from repro.core.orientation import DynamicOrientation
+    from repro.core.orientation import DynamicOrientation, ScratchDynamicOrientation
     from repro.workloads import churn_smoke, churn_smoke_trace
 
-    def replay(problem, trace, backend):
-        engine = DynamicOrientation(problem, seed=2, backend=backend)
+    def replay(engine_cls, problem, trace):
+        engine = engine_cls(problem, seed=2)
         for delta in trace:
             engine.apply(delta)
         return engine
@@ -217,12 +219,13 @@ def _churn_gate() -> SuiteGate:
         compact = churn_smoke(compact=True)
         reference = churn_smoke()
         trace = churn_smoke_trace(compact)
-        replay(compact, trace, "compact")  # warm caches like the benchmark
+        # Warm caches like the benchmark.
+        replay(DynamicOrientation, compact, trace)
         return {"compact": compact, "reference": reference, "trace": trace}
 
     def check_agreement(ctx: dict) -> Optional[str]:
-        fast = DynamicOrientation(ctx["compact"], seed=2, backend="compact")
-        ref = DynamicOrientation(ctx["reference"], seed=2, backend="dict")
+        fast = DynamicOrientation(ctx["compact"], seed=2)
+        ref = ScratchDynamicOrientation(ctx["reference"], seed=2)
         for step, delta in enumerate(ctx["trace"]):
             if fast.apply(delta) != ref.apply(delta):
                 return (
@@ -244,8 +247,10 @@ def _churn_gate() -> SuiteGate:
     return SuiteGate(
         scenario="test_churn_smoke_scale",
         prepare=prepare,
-        run=lambda ctx: replay(ctx["compact"], ctx["trace"], "compact"),
-        reference=lambda ctx: replay(ctx["reference"], ctx["trace"], "dict"),
+        run=lambda ctx: replay(DynamicOrientation, ctx["compact"], ctx["trace"]),
+        reference=lambda ctx: replay(
+            ScratchDynamicOrientation, ctx["reference"], ctx["trace"]
+        ),
         check_agreement=check_agreement,
         min_ratio=10.0,
     )
@@ -608,7 +613,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         gate = GATES[suite]()
         worst = max(worst, check_suite(suite, gate, args))
     if worst == 0:
-        print(f"OK: {len(suites)} suite gate(s) within budget; backends agree")
+        print(f"OK: {len(suites)} suite gate(s) within budget; oracles agree")
     return worst
 
 

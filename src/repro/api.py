@@ -11,29 +11,27 @@ Three steps cover the whole library surface for most users::
 :class:`Instance` wraps a compact CSR graph (built from a named workload
 family, an edge list/stream, or an existing
 :class:`~repro.graphs.compact.CompactGraph`); :func:`solve` runs one of
-the paper's stable-orientation algorithms under the usual
-backend-dispatch rule and returns a :class:`Solved` holding the *flat*
-``heads``/``load`` arrays; :meth:`Solved.dynamic` enters the incremental
-engine through the trusted constructor — no re-solve, no dict
-round-trip.  The serving layer (:mod:`repro.serve`) and the examples are
-built entirely on these entry points.
+the paper's stable-orientation kernels and returns a :class:`Solved`
+holding the *flat* ``heads``/``load`` arrays; :meth:`Solved.dynamic`
+enters the incremental engine through the trusted constructor — no
+re-solve, no dict round-trip. The serving layer (:mod:`repro.serve`) and
+the examples are built entirely on these entry points.
 
 The historical per-module entry points
 (:func:`~repro.core.orientation.phases.run_stable_orientation`,
 :func:`~repro.core.orientation.repair.synchronous_repair_orientation`,
 :func:`~repro.core.orientation.bounded.run_bounded_stable_orientation`)
-are unchanged — this module delegates to them; they remain the
-reference-validated core.
+are unchanged — this module delegates to them; each is cross-validated
+against its ``*_reference`` twin.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, List, Tuple
 
 from repro import obs
 from repro.core.orientation.incremental import DynamicOrientation
-from repro.dispatch import resolve_backend
 from repro.graphs.compact import CompactGraph
 
 NodeId = Hashable
@@ -110,17 +108,19 @@ class Solved:
     """A solved orientation as flat arrays plus its provenance.
 
     ``heads[e]`` is the dense head of edge ``e`` of ``instance.graph``;
-    ``load[i]`` the indegree of dense node ``i``.  On the compact backends
-    both are the kernel's own lists, shared with ``result``: treat them as
-    read-only.  ``result`` carries the underlying algorithm's stats/result
-    object (``RepairRunStats``, ``StableOrientationResult``, or
+    ``load[i]`` the indegree of dense node ``i``.  Both are the kernel's
+    own lists, shared with ``result``: treat them as read-only.
+    ``result`` carries the underlying algorithm's stats/result object
+    (``RepairRunStats``, ``StableOrientationResult``, or
     ``BoundedOrientationResult``), whose dict views are built only on
     demand.
     """
 
+    # Compatibility shim for perfbench/story.py; delete with the next benchmark change.
+    backend = "compact"
+
     instance: Instance
     algorithm: str
-    backend: str
     seed: int
     heads: List[int]
     load: List[int]
@@ -187,7 +187,6 @@ def solve(
     instance,
     *,
     algorithm: str = "repair",
-    backend: Optional[str] = None,
     seed: int = 0,
     tie_break: str = "min",
     k: int = 2,
@@ -205,12 +204,12 @@ def solve(
         native solver), ``"phases"`` (the token-dropping phase algorithm,
         Theorem 5.1), or ``"bounded"`` (the k-bounded relaxation; note
         its output is only k-relaxed stable).
-    backend:
-        The usual dispatch names (``auto``/``compact``/``dict``); on the
-        compact backend the kernel's arrays are returned directly — no
-        dict structure is ever built, so ``solve`` costs its kernel.
     tie_break, k, check_invariants:
-        Passed through to the underlying algorithm where applicable.
+        Passed through to the underlying algorithm where applicable;
+        ``tie_break`` is checked up front for every algorithm.
+
+    The kernel's arrays are returned directly — no dict structure is ever
+    built, so ``solve`` costs its kernel.
     """
     if isinstance(instance, CompactGraph):
         instance = Instance(instance)
@@ -221,17 +220,17 @@ def solve(
         raise ValueError(
             f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}"
         )
-    resolved = resolve_backend(backend)
+    from repro.core.tie_break import check_tie_break
 
-    with obs.span("api.solve", algorithm=algorithm, backend=resolved):
+    check_tie_break(tie_break)
+
+    with obs.span("api.solve", algorithm=algorithm):
         if algorithm == "repair":
             from repro.core.orientation.repair import (
                 synchronous_repair_orientation,
             )
 
-            orientation, result = synchronous_repair_orientation(
-                graph, seed=seed, backend=resolved
-            )
+            orientation, result = synchronous_repair_orientation(graph, seed=seed)
         elif algorithm == "phases":
             from repro.core.orientation.phases import run_stable_orientation
 
@@ -240,7 +239,6 @@ def solve(
                 tie_break=tie_break,
                 seed=seed,
                 check_invariants=check_invariants,
-                backend=resolved,
             )
             orientation = result.orientation
         else:
@@ -254,16 +252,14 @@ def solve(
                 tie_break=tie_break,
                 seed=seed,
                 check_invariants=check_invariants,
-                backend=resolved,
             )
             orientation = result.orientation
-        # On the compact backends this hands back the kernel's own arrays.
+        # This hands back the kernel's own arrays.
         heads, load = orientation.to_arrays(graph)
 
     return Solved(
         instance=instance,
         algorithm=algorithm,
-        backend=resolved,
         seed=seed,
         heads=heads,
         load=load,

@@ -184,18 +184,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--seed", type=int, default=0)
     serve.add_argument(
-        "--backend", type=str, default=None,
-        help="solver backend (auto/compact/dict; dispatch default when omitted)",
-    )
-    serve.add_argument(
         "--max-batch", type=int, default=None,
-        help="max deltas per coalesced apply (default: "
-        "$REPRO_SERVE_MAX_BATCH or 256)",
+        help="max deltas per coalesced apply (default: 256)",
     )
     serve.add_argument(
         "--coalesce-ms", type=float, default=None,
-        help="gathering window after the first queued update (default: "
-        "$REPRO_SERVE_COALESCE_MS or 0)",
+        help="gathering window after the first queued update (default: 0)",
     )
     return parser
 
@@ -421,17 +415,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
         params = json.loads(args.params) if args.params else {}
         instance = Instance.build(args.family, **params)
-        solved = solve(
-            instance,
-            algorithm=args.algorithm,
-            backend=args.backend,
-            seed=args.seed,
-        )
+        solved = solve(instance, algorithm=args.algorithm, seed=args.seed)
         dynamic = solved.dynamic()
-        origin = (
-            f"{args.family} solved with {args.algorithm} "
-            f"({solved.backend} backend, seed {args.seed})"
-        )
+        origin = f"{args.family} solved with {args.algorithm} (seed {args.seed})"
 
     config = ServeConfig(host=args.host, port=args.port)
     if args.max_batch is not None:

@@ -19,7 +19,13 @@ Semi-matching quality (experiment E8)
 
 Scalable baseline
     :func:`best_response_dynamics` -- centralized unhappy-customer moves
-    with a compact int-array fast path (see :mod:`repro.dispatch`).
+    on int arrays.
+
+:func:`best_response_dynamics` and :func:`greedy_assignment` have dict
+twins, :func:`best_response_dynamics_reference` and
+:func:`greedy_assignment_reference`, kept as the readable oracles the
+kernels are cross-validated against.  The Theorem 7.3 phase algorithm
+has no kernel: :func:`run_stable_assignment` is the reference.
 """
 
 from repro.core.assignment.algorithm import (
@@ -34,6 +40,7 @@ from repro.core.assignment.best_response import (
     BEST_RESPONSE_POLICIES,
     BestResponseStats,
     best_response_dynamics,
+    best_response_dynamics_reference,
 )
 from repro.core.assignment.bounded import (
     is_bounded_stable,
@@ -53,6 +60,7 @@ from repro.core.assignment.semi_matching import (
     approximation_ratio,
     assignment_cost,
     greedy_assignment,
+    greedy_assignment_reference,
     is_two_approximation,
     load_histogram,
     optimal_cost,
@@ -68,6 +76,7 @@ __all__ = [
     "BEST_RESPONSE_POLICIES",
     "BestResponseStats",
     "best_response_dynamics",
+    "best_response_dynamics_reference",
     "AssignmentPhaseStats",
     "AssignmentProblemSummary",
     "PHASE_OVERHEAD_ROUNDS",
@@ -77,6 +86,7 @@ __all__ = [
     "check_stable_assignment",
     "effective_load",
     "greedy_assignment",
+    "greedy_assignment_reference",
     "is_bounded_stable",
     "is_two_approximation",
     "load_histogram",

@@ -6,8 +6,8 @@
   through the edge-customer pair ranks;
 * :func:`greedy_kernel` and :func:`best_response_kernel` — compact
   counterparts of :func:`~repro.core.assignment.semi_matching.
-  greedy_assignment` and :func:`~repro.core.assignment.best_response.
-  best_response_dynamics`, operating on a
+  greedy_assignment_reference` and :func:`~repro.core.assignment.
+  best_response.best_response_dynamics_reference`, operating on a
   :class:`~repro.graphs.compact.CompactBipartite`.
 
 Because both sides of a compact bipartite graph are interned in
@@ -169,10 +169,8 @@ def _pick(
         return start
     if tie_break == "max":
         return start + size - 1
-    if tie_break == "random":
-        draws = [rng.randrange(c) for c in size.tolist()]
-        return start + np.array(draws, dtype=np.int64)
-    raise ValueError(f"unknown tie-break policy {tie_break!r}")
+    draws = [rng.randrange(c) for c in size.tolist()]  # "random"
+    return start + np.array(draws, dtype=np.int64)
 
 
 def greedy_kernel(

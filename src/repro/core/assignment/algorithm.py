@@ -34,6 +34,7 @@ from repro.core.assignment.problem import (
     check_stable_assignment,
     effective_load,
 )
+from repro.core.tie_break import check_tie_break
 from repro.core.token_dropping.hypergraph_game import (
     HypergraphTokenDroppingInstance,
     run_hypergraph_proposal,
@@ -163,6 +164,7 @@ def run_stable_assignment(
     """
     if k is not None and k < 2:
         raise ValueError(f"k must be None or an integer >= 2, got {k}")
+    check_tie_break(tie_break)
     assignment = Assignment(graph)
     if max_phases is None:
         max_phases = theoretical_phase_bound(graph)

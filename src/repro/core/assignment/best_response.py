@@ -10,10 +10,10 @@ Section 1.1), so the dynamics terminate in at most Σ load²/2 moves, at a
 stable assignment by definition of the stopping condition.
 
 Like :func:`~repro.core.orientation.sequential.sequential_flip_algorithm`,
-the entry point has two implementations producing identical results: the
-dict reference path below and an int-array fast path
-(:mod:`repro.core.assignment._kernels`) dispatched per
-:mod:`repro.dispatch`.
+the entry point runs an int-array kernel
+(:mod:`repro.core.assignment._kernels`); its dict twin,
+:func:`best_response_dynamics_reference`, is the readable oracle and
+produces identical results.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from repro.core.assignment.problem import Assignment
-from repro.dispatch import resolve_backend
+from repro.core.assignment.semi_matching import greedy_assignment_reference
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.compact import CompactBipartite
 
@@ -56,7 +56,6 @@ def best_response_dynamics(
     policy: str = "first",
     seed: int = 0,
     max_moves: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Assignment, BestResponseStats]:
     """Run best-response dynamics until no customer wants to switch.
 
@@ -75,91 +74,18 @@ def best_response_dynamics(
     max_moves:
         Safety valve; defaults to the potential-argument bound
         ``Σ load² // 2 + 1`` of the initial assignment.
-    backend:
-        ``"compact"`` / ``"dict"`` / ``"auto"`` (see :mod:`repro.dispatch`).
+
+    Interns the instance once and runs the int-array kernel; the result
+    is identical to :func:`best_response_dynamics_reference`.
 
     Returns
     -------
     (assignment, stats)
         The final (stable) assignment and run statistics.
     """
-    if policy not in BEST_RESPONSE_POLICIES:
-        raise ValueError(
-            f"unknown policy {policy!r}; expected one of {BEST_RESPONSE_POLICIES}"
-        )
-    if isinstance(initial, Assignment) and not initial.is_complete():
-        raise ValueError("best-response dynamics needs a complete initial assignment")
-
-    if resolve_backend(backend) == "compact":
-        return _best_response_compact(
-            graph, initial=initial, policy=policy, seed=seed, max_moves=max_moves
-        )
-    if isinstance(graph, CompactBipartite):
-        graph = graph.to_customer_server_graph()
-    return _best_response_reference(
-        graph, initial=initial, policy=policy, seed=seed, max_moves=max_moves
-    )
-
-
-def _best_response_reference(
-    graph: CustomerServerGraph,
-    *,
-    initial: Union[str, Assignment],
-    policy: str,
-    seed: int,
-    max_moves: Optional[int],
-) -> Tuple[Assignment, BestResponseStats]:
-    """The dict reference path (kept as the readable correctness oracle)."""
-    from repro.core.assignment.semi_matching import greedy_assignment
-
-    rng = random.Random(seed)
-    if isinstance(initial, Assignment):
-        assignment = initial.copy()
-    else:
-        assignment = greedy_assignment(graph, order="sorted", backend="dict")
-
-    stats = BestResponseStats(
-        initial_potential=assignment.sum_squared_loads(),
-        final_potential=assignment.sum_squared_loads(),
-    )
-    if max_moves is None:
-        max_moves = stats.initial_potential // 2 + 1
-
-    while True:
-        unhappy = assignment.unhappy_customers()
-        if not unhappy:
-            break
-        if stats.moves >= max_moves:
-            raise RuntimeError(
-                f"best-response dynamics exceeded {max_moves} moves; "
-                "the potential argument guarantees this cannot happen"
-            )
-        if policy == "first":
-            customer = unhappy[0]
-        else:  # random
-            customer = unhappy[rng.randrange(len(unhappy))]
-        target = min(
-            sorted(graph.servers_of(customer), key=repr),
-            key=lambda s: (assignment.load(s), repr(s)),
-        )
-        assignment.assign(customer, target)
-        stats.moves += 1
-        stats.final_potential = assignment.sum_squared_loads()
-
-    return assignment, stats
-
-
-def _best_response_compact(
-    graph: Union[CustomerServerGraph, CompactBipartite],
-    *,
-    initial: Union[str, Assignment],
-    policy: str,
-    seed: int,
-    max_moves: Optional[int],
-) -> Tuple[Assignment, BestResponseStats]:
-    """Fast path: intern once, run the int-array kernel, wrap the result."""
     from repro.core.assignment._kernels import best_response_kernel, greedy_kernel
 
+    _check_args(initial, policy)
     if isinstance(graph, CompactBipartite):
         compact = graph
         ref_graph = None  # resolved lazily below
@@ -200,3 +126,61 @@ def _best_response_compact(
         final_potential=final_potential,
     )
     return assignment, stats
+
+
+def best_response_dynamics_reference(
+    graph: Union[CustomerServerGraph, CompactBipartite],
+    *,
+    initial: Union[str, Assignment] = "greedy",
+    policy: str = "first",
+    seed: int = 0,
+    max_moves: Optional[int] = None,
+) -> Tuple[Assignment, BestResponseStats]:
+    """:func:`best_response_dynamics` over dict structures (the oracle)."""
+    _check_args(initial, policy)
+    if isinstance(graph, CompactBipartite):
+        graph = graph.to_customer_server_graph()
+    rng = random.Random(seed)
+    if isinstance(initial, Assignment):
+        assignment = initial.copy()
+    else:
+        assignment = greedy_assignment_reference(graph, order="sorted")
+
+    stats = BestResponseStats(
+        initial_potential=assignment.sum_squared_loads(),
+        final_potential=assignment.sum_squared_loads(),
+    )
+    if max_moves is None:
+        max_moves = stats.initial_potential // 2 + 1
+
+    while True:
+        unhappy = assignment.unhappy_customers()
+        if not unhappy:
+            break
+        if stats.moves >= max_moves:
+            raise RuntimeError(
+                f"best-response dynamics exceeded {max_moves} moves; "
+                "the potential argument guarantees this cannot happen"
+            )
+        if policy == "first":
+            customer = unhappy[0]
+        else:  # random
+            customer = unhappy[rng.randrange(len(unhappy))]
+        target = min(
+            sorted(graph.servers_of(customer), key=repr),
+            key=lambda s: (assignment.load(s), repr(s)),
+        )
+        assignment.assign(customer, target)
+        stats.moves += 1
+        stats.final_potential = assignment.sum_squared_loads()
+
+    return assignment, stats
+
+
+def _check_args(initial: Union[str, Assignment], policy: str) -> None:
+    if policy not in BEST_RESPONSE_POLICIES:
+        raise ValueError(
+            f"unknown policy {policy!r}; expected one of {BEST_RESPONSE_POLICIES}"
+        )
+    if isinstance(initial, Assignment) and not initial.is_complete():
+        raise ValueError("best-response dynamics needs a complete initial assignment")

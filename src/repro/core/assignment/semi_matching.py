@@ -23,11 +23,10 @@ This module provides
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Union
+from typing import Dict, Hashable, Iterable, Mapping, Union
 
 
 from repro.core.assignment.problem import Assignment
-from repro.dispatch import resolve_backend
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.compact import CompactBipartite
 
@@ -56,7 +55,6 @@ def greedy_assignment(
     *,
     order: str = "sorted",
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> Assignment:
     """Assign each customer, one at a time, to a currently least-loaded server.
 
@@ -65,17 +63,25 @@ def greedy_assignment(
     centralized heuristic; it is *not* guaranteed to be stable, which the
     benchmarks use to show what stability buys.
 
-    ``backend`` selects the compact fast path or the dict reference path
-    (identical results; see :mod:`repro.dispatch`).
+    Greedy is a single pass, so interning a dict graph first would cost
+    more than the pass saves: a :class:`CompactBipartite` runs the
+    int-array kernel, any other graph :func:`greedy_assignment_reference`.
+    Both give identical results.
     """
-    if order not in ("sorted", "random"):
-        raise ValueError(f"unknown order {order!r}; expected 'sorted' or 'random'")
-    # Greedy is a single pass, so interning a dict graph first would cost
-    # more than the pass saves; `auto` takes the fast path only when the
-    # instance is already compact.
-    auto = "compact" if isinstance(graph, CompactBipartite) else "dict"
-    if resolve_backend(backend, auto=auto) == "compact":
-        return _greedy_assignment_compact(graph, order=order, seed=seed)
+    if not isinstance(graph, CompactBipartite):
+        return greedy_assignment_reference(graph, order=order, seed=seed)
+    _check_order(order)
+    return _greedy_assignment_compact(graph, order=order, seed=seed)
+
+
+def greedy_assignment_reference(
+    graph: Union[CustomerServerGraph, CompactBipartite],
+    *,
+    order: str = "sorted",
+    seed: int = 0,
+) -> Assignment:
+    """:func:`greedy_assignment` over dict structures (the oracle)."""
+    _check_order(order)
     if isinstance(graph, CompactBipartite):
         graph = graph.to_customer_server_graph()
     customers = list(graph.customers)
@@ -89,10 +95,19 @@ def greedy_assignment(
     return assignment
 
 
+def _check_order(order: str) -> None:
+    if order not in ("sorted", "random"):
+        raise ValueError(f"unknown order {order!r}; expected 'sorted' or 'random'")
+
+
 def _greedy_assignment_compact(
     graph: Union[CustomerServerGraph, CompactBipartite], *, order: str, seed: int
 ) -> Assignment:
-    """Fast path: run the int-array greedy kernel and wrap the result."""
+    """The int-array greedy kernel, wrapped as an :class:`Assignment`.
+
+    Also interns a dict graph, so the cross-validation suite can run the
+    kernel on the very instances the reference sees.
+    """
     from repro.core.assignment._kernels import greedy_kernel
 
     if isinstance(graph, CompactBipartite):

@@ -25,9 +25,11 @@ Incremental re-stabilization
     :mod:`repro.core.orientation.incremental` for the locality argument.
 
 Every entry point above (and the k-bounded relaxation,
-:func:`run_bounded_stable_orientation`) carries a compact int-array fast
-path dispatched per :mod:`repro.dispatch` — identical results, verified
-on hundreds of seeded instances by the cross-validation suite.
+:func:`run_bounded_stable_orientation`) runs a compact int-array
+implementation.  Its dict twin, the readable oracle, sits beside it
+under a ``*_reference`` name (:class:`ScratchDynamicOrientation` for the
+engine); the cross-validation suite checks that the two agree bit for
+bit on hundreds of seeded instances.
 """
 
 from repro._lazy import lazy_attributes
@@ -39,6 +41,7 @@ from repro.core.orientation.incremental import (
     EdgeInsert,
     NodeJoin,
     NodeLeave,
+    ScratchDynamicOrientation,
     UpdateStats,
 )
 from repro.core.orientation.problem import (
@@ -53,6 +56,7 @@ from repro.core.orientation.repair import (
     ROUNDS_PER_REPAIR_ITERATION,
     RepairRunStats,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
 
 # The phase algorithm, its k-bounded relaxation (which pulls in the
@@ -65,6 +69,7 @@ __getattr__ = lazy_attributes(
             "BoundedOrientationResult",
             "bounded_unhappy_edges",
             "run_bounded_stable_orientation",
+            "run_bounded_stable_orientation_reference",
             "theoretical_bounded_orientation_round_bound",
         ),
         "repro.core.orientation.phases": (
@@ -72,6 +77,7 @@ __getattr__ = lazy_attributes(
             "PhaseStats",
             "StableOrientationResult",
             "run_stable_orientation",
+            "run_stable_orientation_reference",
             "theoretical_phase_bound",
             "theoretical_round_bound",
         ),
@@ -80,6 +86,7 @@ __getattr__ = lazy_attributes(
             "SequentialRunStats",
             "flip_chain_length",
             "sequential_flip_algorithm",
+            "sequential_flip_algorithm_reference",
         ),
     },
 )
@@ -95,9 +102,11 @@ __all__ = [
     "NodeJoin",
     "NodeLeave",
     "Orientation",
+    "ScratchDynamicOrientation",
     "UpdateStats",
     "bounded_unhappy_edges",
     "run_bounded_stable_orientation",
+    "run_bounded_stable_orientation_reference",
     "theoretical_bounded_orientation_round_bound",
     "OrientationError",
     "OrientationProblem",
@@ -112,8 +121,11 @@ __all__ = [
     "edge_key",
     "flip_chain_length",
     "run_stable_orientation",
+    "run_stable_orientation_reference",
     "sequential_flip_algorithm",
+    "sequential_flip_algorithm_reference",
     "synchronous_repair_orientation",
+    "synchronous_repair_orientation_reference",
     "theoretical_phase_bound",
     "theoretical_round_bound",
 ]

@@ -522,7 +522,7 @@ def stable_orientation_kernel(
     """Run the phase-based stable orientation algorithm on int arrays.
 
     The compact counterpart of
-    :func:`~repro.core.orientation.phases.run_stable_orientation`:
+    :func:`~repro.core.orientation.phases.run_stable_orientation_reference`:
     :func:`_run_phases` with levels equal to loads and edges proposing in
     index order.  Its ``play`` classifies each phase's token dropping
     game in NumPy: tails, game degrees and the round budget, then the
@@ -558,7 +558,7 @@ def stable_orientation_kernel(
         game_from_arrays,
         proposal_game_kernel,
     )
-    from repro.core.token_dropping.proposal import TIE_BREAK_POLICIES
+    from repro.core.tie_break import check_tie_break
     from repro.core.token_dropping.traversal import InvalidSolutionError
 
     m = graph.num_edges
@@ -566,13 +566,7 @@ def stable_orientation_kernel(
     if max_phases is None:
         # Lemma 5.5: the explicit O(Δ) phase budget of the reference path.
         max_phases = 4 * (delta + 1) + 4
-    if m and tie_break not in TIE_BREAK_POLICIES:
-        # The reference raises when the first phase builds its factory; an
-        # edgeless problem never runs a phase and never validates.
-        raise ValueError(
-            f"unknown tie-break policy {tie_break!r}; "
-            f"expected one of {TIE_BREAK_POLICIES}"
-        )
+    check_tie_break(tie_break)
     import numpy as np
 
     eu = np.asarray(graph.edge_u, dtype=np.int64)
@@ -747,7 +741,7 @@ def repair_kernel(
     """Run the synchronous repair baseline on int arrays.
 
     The compact counterpart of :func:`~repro.core.orientation.repair.
-    synchronous_repair_orientation`.  The reference's only randomness is
+    synchronous_repair_orientation_reference`.  The reference's only randomness is
     one ``random.Random(seed)`` consumed first by the coin-per-edge
     initial orientation (edges in canonical-key ``repr`` order, which is
     edge-index order) and then by ``rng.shuffle`` over the repr-sorted
@@ -898,7 +892,7 @@ def bounded_orientation_kernel(
     """Run the k-bounded stable orientation algorithm on int arrays.
 
     The compact counterpart of :func:`~repro.core.orientation.bounded.
-    run_bounded_stable_orientation`, which the reference path solves by
+    run_bounded_stable_orientation_reference`, which solves it by
     translating every edge ``{u, v}`` into a degree-2 customer
     ``("edge", u, v)`` and running the Section 7 assignment phases with
     effective loads ``min(load, k)``.  This kernel runs that edge-customer
@@ -926,7 +920,9 @@ def bounded_orientation_kernel(
         PHASE_OVERHEAD_ROUNDS,
         AssignmentPhaseStats,
     )
+    from repro.core.tie_break import check_tie_break
 
+    check_tie_break(tie_break)
     indptr = np.asarray(graph.indptr, dtype=np.int64)
     slot_edge = np.asarray(graph.slot_edge, dtype=np.int64)
     lo, hi, cust_order, pair_rank = _edge_customer_ranks(graph)

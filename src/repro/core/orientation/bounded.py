@@ -15,11 +15,12 @@ results about this relaxation:
 Because the stable orientation problem is exactly the stable assignment
 problem with degree-2 customers (Section 1.3), the reproduction implements
 the relaxed orientation by translating the graph to edge-customers and
-running the k-bounded assignment algorithm.  The dict reference
-translates the result back to an
-:class:`~repro.core.orientation.problem.Orientation`; the compact backend
-keeps the kernel's flat arrays in a
-:class:`~repro.core.orientation.problem.DenseOrientation` and builds the
+running the k-bounded assignment algorithm.
+:func:`run_bounded_stable_orientation_reference` translates the result
+back to an :class:`~repro.core.orientation.problem.Orientation`;
+:func:`run_bounded_stable_orientation` runs the edge-customer kernel,
+keeps its flat arrays in a
+:class:`~repro.core.orientation.problem.DenseOrientation`, and builds the
 dict orientation and the assignment run only when a caller reads them.
 """
 
@@ -39,7 +40,7 @@ from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
 )
-from repro.dispatch import resolve_backend
+from repro.core.tie_break import check_tie_break
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.compact import CompactGraph
 
@@ -50,7 +51,7 @@ NodeId = Hashable
 class BoundedOrientationResult:
     """Outcome of the k-bounded stable orientation algorithm.
 
-    On the compact backend ``orientation`` is a
+    From :func:`run_bounded_stable_orientation`, ``orientation`` is a
     :class:`~repro.core.orientation.problem.DenseOrientation` over the
     kernel's flat arrays, and :attr:`assignment_result` is built from them
     on first access.
@@ -113,7 +114,7 @@ def run_bounded_stable_orientation(
     tie_break: str = "min",
     seed: int = 0,
     check_invariants: bool = True,
-    backend: Optional[str] = None,
+    backend: str = "compact",
 ) -> BoundedOrientationResult:
     """Solve the 0–1–many (k-bounded) stable orientation problem.
 
@@ -129,22 +130,52 @@ def run_bounded_stable_orientation(
     tie_break, seed, check_invariants:
         Passed through to the underlying k-bounded assignment algorithm.
     backend:
-        ``"compact"`` / ``"dict"`` / ``"auto"`` (default; see
-        :mod:`repro.dispatch`).  The compact fast path runs the
-        edge-customer specialisation of the assignment phases on flat int
-        arrays and produces identical results, including the embedded
-        :class:`StableAssignmentResult`.
+        Must be ``"compact"``.
+
+    Runs the edge-customer specialisation of the assignment phases on flat
+    int arrays; the result, including the embedded
+    :class:`StableAssignmentResult`, is identical to
+    :func:`run_bounded_stable_orientation_reference`.
     """
-    if k < 2:
-        raise ValueError(f"the k-bounded relaxation requires k >= 2, got {k}")
-    if resolve_backend(backend) == "compact":
-        return _run_bounded_compact(
-            problem,
-            k=k,
-            tie_break=tie_break,
-            seed=seed,
-            check_invariants=check_invariants,
-        )
+    from repro.core.orientation._kernels import bounded_orientation_kernel
+
+    # Compatibility shim for perfbench/layers.py; delete with the next benchmark change.
+    if backend != "compact":
+        raise ValueError(f"backend must be 'compact', got {backend!r}")
+    _check_k(k)
+    if isinstance(problem, CompactGraph):
+        compact = problem
+    else:
+        compact = CompactGraph.from_orientation_problem(problem)
+
+    # An edgeless graph runs no phase and yields the trivially stable result.
+    choice, loads, phases, game_rounds, per_phase = bounded_orientation_kernel(
+        compact,
+        k=k,
+        tie_break=tie_break,
+        seed=seed,
+        check_invariants=check_invariants,
+    )
+    return BoundedOrientationResult(
+        orientation=DenseOrientation(compact, choice, loads),
+        k=k,
+        phases=phases,
+        game_rounds=game_rounds,
+        per_phase=per_phase,
+    )
+
+
+def run_bounded_stable_orientation_reference(
+    problem: Union[OrientationProblem, CompactGraph],
+    *,
+    k: int = 2,
+    tie_break: str = "min",
+    seed: int = 0,
+    check_invariants: bool = True,
+) -> BoundedOrientationResult:
+    """:func:`run_bounded_stable_orientation` via the dict assignment (oracle)."""
+    _check_k(k)
+    check_tie_break(tie_break)
     if isinstance(problem, CompactGraph):
         problem = problem.to_orientation_problem()
     graph = CustomerServerGraph.from_orientation_graph(problem.edges)
@@ -174,37 +205,9 @@ def run_bounded_stable_orientation(
     )
 
 
-def _run_bounded_compact(
-    problem: Union[OrientationProblem, CompactGraph],
-    *,
-    k: int,
-    tie_break: str,
-    seed: int,
-    check_invariants: bool,
-) -> BoundedOrientationResult:
-    """Fast path: intern once, run the phase kernel, keep its arrays."""
-    from repro.core.orientation._kernels import bounded_orientation_kernel
-
-    if isinstance(problem, CompactGraph):
-        compact = problem
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-
-    # An edgeless graph runs no phase and yields the trivially stable result.
-    choice, loads, phases, game_rounds, per_phase = bounded_orientation_kernel(
-        compact,
-        k=k,
-        tie_break=tie_break,
-        seed=seed,
-        check_invariants=check_invariants,
-    )
-    return BoundedOrientationResult(
-        orientation=DenseOrientation(compact, choice, loads),
-        k=k,
-        phases=phases,
-        game_rounds=game_rounds,
-        per_phase=per_phase,
-    )
+def _check_k(k: int) -> None:
+    if k < 2:
+        raise ValueError(f"the k-bounded relaxation requires k >= 2, got {k}")
 
 
 def _assignment_view(result: BoundedOrientationResult) -> StableAssignmentResult:

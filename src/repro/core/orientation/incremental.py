@@ -37,19 +37,19 @@ rescan would, and from there each conflict-free flip refreshes only the
 O(Δ) edges around its two endpoints.  Per-update work is proportional
 to the size of the affected region, not to the size of the graph.
 
-Backends (and the correctness bar)
-----------------------------------
-Per :mod:`repro.dispatch` the engine has two implementations:
+The engine and its oracle
+-------------------------
+:class:`DynamicOrientation` is the incremental engine: a
+:class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node views
+without rebuilding CSR arrays, and the shared repair loop runs over the
+frontier-seeded tracker.
 
-* ``backend="dict"`` — the reference: after each delta it rebuilds the
-  mutated :class:`~repro.core.orientation.problem.OrientationProblem`
-  from scratch and runs the reference
-  :func:`~repro.core.orientation.repair.synchronous_repair_orientation`
-  (full-rescan unhappy sets) from the carried-over orientation;
-* ``backend="compact"`` (auto) — the incremental fast path: a
-  :class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node
-  views without rebuilding CSR arrays, and the shared repair loop runs
-  over the frontier-seeded tracker.
+:class:`ScratchDynamicOrientation` is its oracle: after each delta it
+rebuilds the mutated
+:class:`~repro.core.orientation.problem.OrientationProblem` from scratch
+and runs
+:func:`~repro.core.orientation.repair.synchronous_repair_orientation_reference`
+(full-rescan unhappy sets) from the carried-over orientation.
 
 Both produce bit-for-bit identical results after every update — same
 orientation, same unhappy-edge sets, same per-update
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
+from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import obs
 from repro.core.orientation._unhappy import (
@@ -78,9 +78,8 @@ from repro.core.orientation.problem import (
 from repro.core.orientation.repair import (
     ROUNDS_PER_REPAIR_ITERATION,
     RepairRunStats,
-    synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
-from repro.dispatch import resolve_backend
 from repro.graphs.compact import CompactGraph, DeltaError, DeltaOverlayGraph
 
 NodeId = Hashable
@@ -94,6 +93,7 @@ __all__ = [
     "EdgeInsert",
     "NodeJoin",
     "NodeLeave",
+    "ScratchDynamicOrientation",
     "UpdateStats",
 ]
 
@@ -140,7 +140,7 @@ class UpdateStats:
     """What one :meth:`DynamicOrientation.apply` call did.
 
     Equality compares every field, so the cross-validation suite can
-    assert the compact and dict backends agree update by update.
+    assert the engine and its scratch oracle agree update by update.
     """
 
     delta: Delta
@@ -212,63 +212,327 @@ def _tails_of(heads: List[int], eu, ev) -> List[int]:
 
 
 # ----------------------------------------------------------------------
-# The compact fast path
+# The seed stream both engines share
 # ----------------------------------------------------------------------
-class _CompactDynamic:
-    """Frontier-seeded local re-stabilization over a delta overlay.
+class _SeededEngine:
+    """Per-update seeds, the update counter and the churn spans.
 
-    Takes ownership of the ``heads``, ``tails`` and ``load`` lists.
+    :class:`DynamicOrientation` and :class:`ScratchDynamicOrientation`
+    share this wrapper, so replaying a trace on either draws the same
+    repair seeds and a rejected batch advances the counter by the same
+    :attr:`DeltaError.index`.  Subclasses implement ``_mutate`` (the
+    structural change of one delta), ``_restabilize`` (one repair run
+    seeded from a frontier), ``_head_of`` and the read-only queries.
+    """
+
+    _seed: int
+    _updates: int
+
+    def apply(self, delta: Delta, *, seed: Optional[int] = None) -> UpdateStats:
+        """Apply one delta and re-stabilize; returns the update's stats.
+
+        ``seed`` overrides the per-update repair seed (default: a
+        deterministic stream derived from the constructor seed and the
+        update counter, so replaying a trace is reproducible).  A rejected
+        delta (:class:`DeltaError`) changes nothing, the counter included.
+        """
+        update_seed = (
+            seed if seed is not None else self._seed * 1_000_003 + self._updates
+        )
+        with obs.span("churn.apply", kind=type(delta).__name__) as sp:
+            frontier, inserted, removed = self._mutate(delta)
+            frontier_nodes, repair = self._restabilize(frontier, update_seed)
+            stats = UpdateStats(
+                delta=delta,
+                update_seed=update_seed,
+                edges_inserted=inserted,
+                edges_removed=removed,
+                frontier_nodes=frontier_nodes,
+                repair=repair,
+            )
+            self._updates += 1
+            sp.set(**_span_attrs(stats))
+        return stats
+
+    def apply_batch(self, deltas, *, seed: Optional[int] = None) -> BatchStats:
+        """Apply a batch of deltas with ONE re-stabilization at the end.
+
+        The coalescing entry point of the serving layer: every delta's
+        structural mutation is applied in order (the ``EdgeInsert`` head
+        rule sees the evolving loads, exactly as a sequential replay
+        would between repairs), the union of their frontiers seeds a
+        single repair run, and the update counter advances by
+        ``len(deltas)``.  The batch repair runs under the seed-stream
+        seed of the *last* delta, so whenever the intermediate repairs of
+        a sequential replay are no-ops the coalesced result is
+        bit-for-bit identical to replaying the trace delta by delta.
+
+        An empty batch is a strict no-op: no seed-stream advance, no
+        repair, and the returned stats carry ``update_seed=None``.  If the
+        delta at ``index`` is invalid, the prefix before it stays applied
+        and the engine ends exactly as ``apply_batch(deltas[:index])``
+        would have left it — re-stabilized under that call's seed (or the
+        explicit ``seed``), with the counter advanced by ``index`` — before
+        the :class:`DeltaError` propagates carrying ``index``.
+        """
+        deltas = tuple(deltas)
+        if not deltas:
+            return BatchStats(
+                num_deltas=0,
+                update_seed=None,
+                edges_inserted=0,
+                edges_removed=0,
+                frontier_nodes=0,
+            )
+
+        def seed_for(count: int) -> int:
+            """The batch seed of the first ``count`` deltas."""
+            if seed is not None:
+                return seed
+            return self._seed * 1_000_003 + self._updates + count - 1
+
+        with obs.span("churn.apply_batch", num_deltas=len(deltas)) as sp:
+            frontier: set = set()
+            inserted = removed = 0
+            try:
+                for i, delta in enumerate(deltas):
+                    f, ins, rem = self._mutate(delta)
+                    frontier |= f
+                    inserted += ins
+                    removed += rem
+            except DeltaError as exc:
+                # Re-stabilize the already-applied prefix so the stability
+                # invariant survives a rejected delta, then propagate.
+                exc.index = i
+                if i:
+                    self._restabilize(frontier, seed_for(i))
+                self._updates += i
+                raise
+            update_seed = seed_for(len(deltas))
+            frontier_nodes, repair = self._restabilize(frontier, update_seed)
+            stats = BatchStats(
+                num_deltas=len(deltas),
+                update_seed=update_seed,
+                edges_inserted=inserted,
+                edges_removed=removed,
+                frontier_nodes=frontier_nodes,
+                repair=repair,
+            )
+            self._updates += len(deltas)
+            sp.set(**_span_attrs(stats))
+        return stats
+
+    @property
+    def updates_applied(self) -> int:
+        return self._updates
+
+    @property
+    def seed(self) -> int:
+        """Root seed of the per-update seed stream."""
+        return self._seed
+
+    def head_of(self, u: NodeId, v: NodeId) -> NodeId:
+        """Current head of the live edge {u, v}."""
+        _reject_self_loop(u, v)
+        return self._head_of(u, v)
+
+    def is_stable(self) -> bool:
+        """Full O(m) stability check (the engine's invariant; for tests)."""
+        return not self.unhappy_edges()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"{type(self).__name__}(nodes={self.num_nodes}, "
+            f"edges={self.num_edges}, updates={self._updates})"
+        )
+
+
+def _span_attrs(stats: Union[UpdateStats, BatchStats]) -> dict:
+    """The churn span attributes of one update or batch."""
+    return dict(
+        frontier_nodes=stats.frontier_nodes,
+        edges_inserted=stats.edges_inserted,
+        edges_removed=stats.edges_removed,
+        initial_unhappy=stats.repair.initial_unhappy,
+        repair_iterations=stats.repair.iterations,
+        repair_flips=stats.repair.total_flips,
+    )
+
+
+def _check_initial(initial: Optional[Orientation]) -> None:
+    """A wrapped initial orientation must be complete and stable."""
+    if initial is None:
+        return
+    if not initial.is_complete():
+        raise ValueError("DynamicOrientation needs a complete initial orientation")
+    if initial.unhappy_edges():
+        raise ValueError("DynamicOrientation needs a stable initial orientation")
+
+
+# ----------------------------------------------------------------------
+# The incremental engine
+# ----------------------------------------------------------------------
+class DynamicOrientation(_SeededEngine):
+    """A stable orientation that absorbs edge/node churn locally.
+
+    A :class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node
+    views without rebuilding CSR arrays, and the shared repair loop runs
+    over the frontier-seeded unhappy-edge tracker.
+
+    Parameters
+    ----------
+    problem:
+        The initial instance — an
+        :class:`~repro.core.orientation.problem.OrientationProblem` or a
+        pre-interned :class:`~repro.graphs.compact.CompactGraph`.
+    seed:
+        Seed of the initial solve (the seeded repair baseline) and the
+        root of the per-update seed stream.
+    initial:
+        A pre-solved **stable, complete**
+        :class:`~repro.core.orientation.problem.Orientation` to wrap
+        instead of solving; raises ``ValueError`` otherwise (the
+        locality guarantee needs a stable starting point).
+
+    After construction — and after every :meth:`apply` — the wrapped
+    orientation is stable; :meth:`apply` returns the
+    :class:`UpdateStats` of the local re-stabilization it ran.
     """
 
     def __init__(
+        self,
+        problem,
+        *,
+        seed: int = 0,
+        initial: Optional[Orientation] = None,
+    ) -> None:
+        _check_initial(initial)
+        base = (
+            problem
+            if isinstance(problem, CompactGraph)
+            else CompactGraph.from_orientation_problem(problem)
+        )
+        if initial is not None:
+            index_of = base.index_of
+            heads = [index_of[initial.head_of(u, v)] for u, v in base.edge_keys()]
+            load = [0] * base.num_nodes
+            for h in heads:
+                load[h] += 1
+        else:
+            from repro.core.orientation._kernels import repair_kernel
+
+            heads, load, _ = repair_kernel(base, seed=seed)
+        tails = _tails_of(heads, base.edge_u, base.edge_v)
+        self._start(base, heads, tails, load, seed=seed, updates_applied=0)
+
+    def _start(
         self,
         base: CompactGraph,
         heads: List[int],
         tails: List[int],
         load: List[int],
-    ):
-        self.overlay = DeltaOverlayGraph(base)
-        ev = self.overlay.edge_v
-        eu = self.overlay.edge_u
-        self.heads = heads
-        self.tails = tails
-        self.load = load
+        *,
+        seed: int,
+        updates_applied: int,
+    ) -> None:
+        """Take ownership of the ``heads``, ``tails`` and ``load`` lists."""
+        self._seed = seed
+        self._updates = updates_applied
+        self._overlay = DeltaOverlayGraph(base)
+        self._heads = heads
+        self._tails = tails
+        self._load = load
         # Per-edge repr sort keys for the two directions (the reference's
         # unhappy-edge order), built only when an unhappy edge is read.
         # Strings rather than global ranks: ranks shift when edges are
         # inserted, the per-edge strings never do.
-        ids = self.overlay.node_ids
-        self.tracker = UnhappyEdgeTracker(
-            self.heads,
-            self.tails,
-            self.load,
-            ev,
-            ReprKeys(ids, eu, ev),
-            ReprKeys(ids, ev, eu),
+        ids = self._overlay.node_ids
+        eu, ev = self._overlay.edge_u, self._overlay.edge_v
+        self._tracker = UnhappyEdgeTracker(
+            heads, tails, load, ev, ReprKeys(ids, eu, ev), ReprKeys(ids, ev, eu)
         )
+
+    # -- trusted construction ------------------------------------------
+    @classmethod
+    def from_solved_arrays(
+        cls,
+        graph: CompactGraph,
+        heads,
+        load=None,
+        *,
+        seed: int = 0,
+        updates_applied: int = 0,
+        validate: bool = True,
+    ) -> "DynamicOrientation":
+        """Wrap already-solved flat arrays without re-solving — O(m).
+
+        The trusted-constructor entry point for the serving layer and
+        snapshot restore: ``heads[e]`` is the dense head of edge ``e`` of
+        ``graph``, ``load`` (optional, derived when omitted) the per-node
+        indegree.  ``seed``/``updates_applied`` restore the per-update
+        seed stream, so a restored engine replays future deltas exactly
+        like the engine it was saved from.
+
+        Endpoint/load consistency is always checked; ``validate=True``
+        additionally runs the O(m) stability check the locality guarantee
+        depends on.  No dict round-trip is ever taken.
+        """
+        with obs.span(
+            "engine.start",
+            num_nodes=graph.num_nodes,
+            num_edges=graph.num_edges,
+            validate=validate,
+        ):
+            self = cls.__new__(cls)
+            heads = list(heads)
+            if len(heads) != graph.num_edges:
+                raise ValueError(
+                    f"heads has {len(heads)} entries for {graph.num_edges} edges"
+                )
+            tails = _tails_of(heads, graph.edge_u, graph.edge_v)
+            derived = [0] * graph.num_nodes
+            for h in heads:
+                derived[h] += 1
+            if load is None:
+                load = derived
+            else:
+                load = list(load)
+                if load != derived:
+                    raise ValueError("load array disagrees with the heads array")
+            if validate:
+                for e, (h, t) in enumerate(zip(heads, tails)):
+                    if load[h] - load[t] > 1:
+                        raise ValueError(
+                            "orientation is not stable: edge "
+                            f"{e} has badness {load[h] - load[t]}"
+                        )
+            self._start(
+                graph, heads, tails, load, seed=seed, updates_applied=updates_applied
+            )
+        return self
 
     # -- structural mutation -------------------------------------------
     def _insert_edge(self, u: NodeId, v: NodeId) -> int:
-        overlay = self.overlay
+        overlay = self._overlay
         e = overlay.add_edge(u, v)
         ui, vi = overlay.edge_u[e], overlay.edge_v[e]
         ids = overlay.node_ids
         key = (ids[ui], ids[vi])
-        head_id = _choose_head(key, self.load[ui], self.load[vi])
+        head_id = _choose_head(key, self._load[ui], self._load[vi])
         head = ui if head_id == ids[ui] else vi
         tail = vi if head == ui else ui
-        self.heads.append(head)
-        self.tails.append(tail)
-        self.load[head] += 1
+        self._heads.append(head)
+        self._tails.append(tail)
+        self._load[head] += 1
         return e
 
     def _remove_edge_slot(self, e: int) -> None:
-        self.load[self.heads[e]] -= 1
-        self.tracker.discard(e)
+        self._load[self._heads[e]] -= 1
+        self._tracker.discard(e)
 
-    def mutate(self, delta: Delta) -> Tuple[set, int, int]:
+    def _mutate(self, delta: Delta) -> Tuple[set, int, int]:
         """Apply the structural change; returns (frontier, inserted, removed)."""
-        overlay = self.overlay
+        overlay = self._overlay
         if isinstance(delta, EdgeInsert):
             _reject_self_loop(delta.u, delta.v)
             e = self._insert_edge(delta.u, delta.v)
@@ -290,8 +554,8 @@ class _CompactDynamic:
             if len(set(delta.attach)) != len(delta.attach):
                 raise DeltaError(f"duplicate attach endpoints in {delta!r}")
             i = overlay.add_node(delta.node)
-            if i == len(self.load):
-                self.load.append(0)
+            if i == len(self._load):
+                self._load.append(0)
             frontier = set()
             for other in delta.attach:
                 e = self._insert_edge(delta.node, other)
@@ -311,57 +575,27 @@ class _CompactDynamic:
         raise TypeError(f"not a delta: {delta!r}")
 
     # -- re-stabilization ----------------------------------------------
-    def apply(self, delta: Delta, update_seed: int) -> UpdateStats:
-        frontier, inserted, removed = self.mutate(delta)
-        tracker = self.tracker
-        overlay = self.overlay
-        for x in frontier:
-            tracker.refresh(overlay.incident_edges(x))
-
-        stats = UpdateStats(
-            delta=delta,
-            update_seed=update_seed,
-            edges_inserted=inserted,
-            edges_removed=removed,
-            frontier_nodes=len(frontier),
-            repair=RepairRunStats(initial_unhappy=len(tracker)),
-        )
-        run_repair_loop(
-            tracker,
-            num_nodes=len(self.load),
-            refresh_incident=lambda x: tracker.refresh(
-                overlay.incident_edges(x)
-            ),
-            rng=random.Random(update_seed),
-            stats=stats.repair,
-            max_iterations=overlay.sum_sq_degree + 1,
-            rounds_per_iteration=ROUNDS_PER_REPAIR_ITERATION,
-        )
-        return stats
-
-    def _restabilize_batch(
+    def _restabilize(
         self, frontier: set, update_seed: int
     ) -> Tuple[int, RepairRunStats]:
-        """One repair run seeded from the union frontier of a batch.
+        """One repair run seeded from the frontier of a delta or a batch.
 
         Nodes that departed mid-batch are filtered out (their incident
         edges are all dead); the locality argument of the module
         docstring extends to batches because any edge whose endpoint
         loads changed is incident to some frontier node.
         """
-        overlay = self.overlay
+        overlay = self._overlay
         alive = overlay.node_alive
-        tracker = self.tracker
+        tracker = self._tracker
         live = [x for x in frontier if alive[x]]
         for x in live:
             tracker.refresh(overlay.incident_edges(x))
         repair = RepairRunStats(initial_unhappy=len(tracker))
         run_repair_loop(
             tracker,
-            num_nodes=len(self.load),
-            refresh_incident=lambda x: tracker.refresh(
-                overlay.incident_edges(x)
-            ),
+            num_nodes=len(self._load),
+            refresh_incident=lambda x: tracker.refresh(overlay.incident_edges(x)),
             rng=random.Random(update_seed),
             stats=repair,
             max_iterations=overlay.sum_sq_degree + 1,
@@ -369,49 +603,44 @@ class _CompactDynamic:
         )
         return len(live), repair
 
-    def apply_batch(self, deltas, seed_for: Callable[[int], int]) -> BatchStats:
-        frontier: set = set()
-        inserted = removed = 0
-        try:
-            for i, delta in enumerate(deltas):
-                f, ins, rem = self.mutate(delta)
-                frontier |= f
-                inserted += ins
-                removed += rem
-        except DeltaError as exc:
-            # Re-stabilize the already-applied prefix so the stability
-            # invariant survives a rejected delta, then propagate.
-            exc.index = i
-            if i:
-                self._restabilize_batch(frontier, seed_for(i))
-            raise
-        update_seed = seed_for(len(deltas))
-        frontier_nodes, repair = self._restabilize_batch(frontier, update_seed)
-        return BatchStats(
-            num_deltas=len(deltas),
-            update_seed=update_seed,
-            edges_inserted=inserted,
-            edges_removed=removed,
-            frontier_nodes=frontier_nodes,
-            repair=repair,
-        )
+    # -- queries --------------------------------------------------------
+    @property
+    def num_nodes(self) -> int:
+        """Live node count."""
+        return self._overlay.num_live_nodes
 
-    # -- exports --------------------------------------------------------
+    @property
+    def num_edges(self) -> int:
+        """Live edge count."""
+        return self._overlay.num_live_edges
+
     def loads(self) -> Dict[NodeId, int]:
-        ids = self.overlay.node_ids
-        return {
-            ids[i]: self.load[i] for i in self.overlay.live_node_indices()
-        }
+        """Load (indegree) per live node."""
+        ids = self._overlay.node_ids
+        return {ids[i]: self._load[i] for i in self._overlay.live_node_indices()}
 
     def load_of(self, node: NodeId) -> int:
-        overlay = self.overlay
+        """Load of one live node — O(1), the serving-layer point query."""
+        overlay = self._overlay
         i = overlay.index_of.get(node)
         if i is None or not overlay.node_alive[i]:
             raise DeltaError(f"node {node!r} does not exist")
-        return self.load[i]
+        return self._load[i]
+
+    def _head_of(self, u: NodeId, v: NodeId) -> NodeId:
+        e = self._overlay.edge_index(u, v)
+        return self._overlay.node_ids[self._heads[e]]
 
     def solved_arrays(self) -> Tuple[CompactGraph, List[int], List[int]]:
-        overlay = self.overlay
+        """Materialize the current state as ``(graph, heads, load)`` arrays.
+
+        The snapshot export: a canonical (repr-sorted) ``CompactGraph``
+        of the live nodes/edges plus dense heads and loads, suitable for
+        :meth:`from_solved_arrays`.  When no update has structurally
+        changed the instance the base graph is returned as-is (no
+        rebuild).
+        """
+        overlay = self._overlay
         base = overlay.base
         pristine = (
             len(overlay.node_ids) == base.num_nodes
@@ -420,7 +649,7 @@ class _CompactDynamic:
             and overlay.num_live_edges == base.num_edges
         )
         if pristine:
-            return base, list(self.heads), list(self.load)
+            return base, list(self._heads), list(self._load)
         graph = overlay.to_compact()
         ids = overlay.node_ids
         index_of = graph.index_of
@@ -428,64 +657,76 @@ class _CompactDynamic:
         for e in overlay.live_edge_indices():
             u_id = ids[overlay.edge_u[e]]
             v_id = ids[overlay.edge_v[e]]
-            heads[graph.edge_index(u_id, v_id)] = index_of[ids[self.heads[e]]]
+            heads[graph.edge_index(u_id, v_id)] = index_of[ids[self._heads[e]]]
         load = [0] * graph.num_nodes
         for h in heads:
             load[h] += 1
         return graph, heads, load
 
-    def head_of(self, u: NodeId, v: NodeId) -> NodeId:
-        e = self.overlay.edge_index(u, v)
-        return self.overlay.node_ids[self.heads[e]]
-
     def orientation(self) -> Orientation:
-        problem = self.overlay.to_orientation_problem()
-        ids = self.overlay.node_ids
+        """Export the current state as a reference Orientation (O(n + m))."""
+        problem = self._overlay.to_orientation_problem()
+        ids = self._overlay.node_ids
         orientation = Orientation.__new__(Orientation)
         orientation.problem = problem
         orientation._heads = {
-            key: ids[self.heads[e]]
+            key: ids[self._heads[e]]
             for e, key in zip(
-                self.overlay.live_edge_indices(), self.overlay.edge_keys()
+                self._overlay.live_edge_indices(), self._overlay.edge_keys()
             )
         }
         orientation._load = {
-            ids[i]: self.load[i] for i in self.overlay.live_node_indices()
+            ids[i]: self._load[i] for i in self._overlay.live_node_indices()
         }
         return orientation
 
     def unhappy_edges(self) -> List[Tuple[NodeId, NodeId]]:
-        ids = self.overlay.node_ids
+        """Unhappy (tail, head) pairs — empty after every apply()."""
+        ids = self._overlay.node_ids
         out = []
-        for e in self.overlay.live_edge_indices():
-            h, t = self.heads[e], self.tails[e]
-            if self.load[h] - self.load[t] > 1:
+        for e in self._overlay.live_edge_indices():
+            h, t = self._heads[e], self._tails[e]
+            if self._load[h] - self._load[t] > 1:
                 out.append((ids[t], ids[h]))
         return sorted(out, key=repr)
 
-    @property
-    def num_nodes(self) -> int:
-        return self.overlay.num_live_nodes
-
-    @property
-    def num_edges(self) -> int:
-        return self.overlay.num_live_edges
-
 
 # ----------------------------------------------------------------------
-# The dict reference path
+# The scratch-recompute oracle
 # ----------------------------------------------------------------------
-class _DictDynamic:
-    """Scratch reference: rebuild the mutated problem, full-rescan repair."""
+class ScratchDynamicOrientation(_SeededEngine):
+    """:class:`DynamicOrientation` by re-solving from scratch (the oracle).
 
-    def __init__(self, heads: Dict[Tuple[NodeId, NodeId], NodeId], nodes):
-        self._heads = dict(heads)
-        self._nodes = set(nodes)
+    After each delta it rebuilds the mutated
+    :class:`~repro.core.orientation.problem.OrientationProblem` and runs
+    :func:`~repro.core.orientation.repair.synchronous_repair_orientation_reference`
+    (full-rescan unhappy sets) from the carried-over orientation.  Same
+    constructor, seed stream, deltas, stats and queries as the
+    incremental engine, which must match it bit for bit after every
+    update; it is also the same-machine baseline of the churn ratio gate.
+    """
+
+    def __init__(
+        self,
+        problem,
+        *,
+        seed: int = 0,
+        initial: Optional[Orientation] = None,
+    ) -> None:
+        _check_initial(initial)
+        self._seed = seed
+        self._updates = 0
+        if isinstance(problem, CompactGraph):
+            problem = problem.to_orientation_problem()
+        if initial is None:
+            initial, _ = synchronous_repair_orientation_reference(problem, seed=seed)
+        self._heads = {key: initial.head_of(*key) for key in problem.edges}
+        self._nodes = set(problem.nodes)
         self._load: Dict[NodeId, int] = {node: 0 for node in self._nodes}
         for head in self._heads.values():
             self._load[head] += 1
 
-    def mutate(self, delta: Delta) -> Tuple[set, int, int]:
+    def _mutate(self, delta: Delta) -> Tuple[set, int, int]:
         if isinstance(delta, EdgeInsert):
             _reject_self_loop(delta.u, delta.v)
             key = edge_key(delta.u, delta.v)
@@ -546,54 +787,28 @@ class _DictDynamic:
         # repair with full-rescan unhappy sets.
         problem = OrientationProblem(edges=self._heads.keys(), nodes=self._nodes)
         initial = Orientation(problem, heads=self._heads)
-        orientation, repair_stats = synchronous_repair_orientation(
-            problem, initial=initial, seed=update_seed, backend="dict"
+        orientation, repair_stats = synchronous_repair_orientation_reference(
+            problem, initial=initial, seed=update_seed
         )
-        self._heads = {
-            key: orientation.head_of(*key) for key in problem.edges
-        }
+        self._heads = {key: orientation.head_of(*key) for key in problem.edges}
         self._load = orientation.loads()
         return repair_stats
 
-    def apply(self, delta: Delta, update_seed: int) -> UpdateStats:
-        frontier, inserted, removed = self.mutate(delta)
-        repair_stats = self._repair_from_carried(update_seed)
-        return UpdateStats(
-            delta=delta,
-            update_seed=update_seed,
-            edges_inserted=inserted,
-            edges_removed=removed,
-            frontier_nodes=len(frontier),
-            repair=repair_stats,
-        )
-
-    def apply_batch(self, deltas, seed_for: Callable[[int], int]) -> BatchStats:
-        frontier: set = set()
-        inserted = removed = 0
-        try:
-            for i, delta in enumerate(deltas):
-                f, ins, rem = self.mutate(delta)
-                frontier |= f
-                inserted += ins
-                removed += rem
-        except DeltaError as exc:
-            exc.index = i
-            if i:
-                self._repair_from_carried(seed_for(i))
-            raise
-        update_seed = seed_for(len(deltas))
+    def _restabilize(
+        self, frontier: set, update_seed: int
+    ) -> Tuple[int, RepairRunStats]:
         live = [x for x in frontier if x in self._nodes]
-        repair_stats = self._repair_from_carried(update_seed)
-        return BatchStats(
-            num_deltas=len(deltas),
-            update_seed=update_seed,
-            edges_inserted=inserted,
-            edges_removed=removed,
-            frontier_nodes=len(live),
-            repair=repair_stats,
-        )
+        return len(live), self._repair_from_carried(update_seed)
 
-    # -- exports --------------------------------------------------------
+    # -- queries --------------------------------------------------------
+    @property
+    def num_nodes(self) -> int:
+        return len(self._nodes)
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._heads)
+
     def loads(self) -> Dict[NodeId, int]:
         return dict(self._load)
 
@@ -601,6 +816,13 @@ class _DictDynamic:
         if node not in self._nodes:
             raise DeltaError(f"node {node!r} does not exist")
         return self._load[node]
+
+    def _head_of(self, u: NodeId, v: NodeId) -> NodeId:
+        key = edge_key(u, v)
+        head = self._heads.get(key)
+        if head is None:
+            raise DeltaError(f"no live edge {key!r}")
+        return head
 
     def solved_arrays(self) -> Tuple[CompactGraph, List[int], List[int]]:
         graph = CompactGraph.from_edges(self._heads.keys(), nodes=self._nodes)
@@ -611,317 +833,9 @@ class _DictDynamic:
             load[h] += 1
         return graph, heads, load
 
-    def head_of(self, u: NodeId, v: NodeId) -> NodeId:
-        key = edge_key(u, v)
-        head = self._heads.get(key)
-        if head is None:
-            raise DeltaError(f"no live edge {key!r}")
-        return head
-
     def orientation(self) -> Orientation:
-        problem = OrientationProblem(
-            edges=self._heads.keys(), nodes=self._nodes
-        )
+        problem = OrientationProblem(edges=self._heads.keys(), nodes=self._nodes)
         return Orientation(problem, heads=self._heads)
 
     def unhappy_edges(self) -> List[Tuple[NodeId, NodeId]]:
         return self.orientation().unhappy_edges()
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._nodes)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._heads)
-
-
-# ----------------------------------------------------------------------
-# The public API
-# ----------------------------------------------------------------------
-class DynamicOrientation:
-    """A stable orientation that absorbs edge/node churn locally.
-
-    Parameters
-    ----------
-    problem:
-        The initial instance — an
-        :class:`~repro.core.orientation.problem.OrientationProblem` or a
-        pre-interned :class:`~repro.graphs.compact.CompactGraph`.
-    seed:
-        Seed of the initial solve (the seeded repair baseline) and the
-        root of the per-update seed stream.
-    initial:
-        A pre-solved **stable, complete**
-        :class:`~repro.core.orientation.problem.Orientation` to wrap
-        instead of solving; raises ``ValueError`` otherwise (the
-        locality guarantee needs a stable starting point).
-    backend:
-        ``"compact"`` (auto) for the incremental fast path, ``"dict"``
-        for the rebuild-from-scratch reference; see module docstring.
-
-    After construction — and after every :meth:`apply` — the wrapped
-    orientation is stable; :meth:`apply` returns the
-    :class:`UpdateStats` of the local re-stabilization it ran.
-    """
-
-    def __init__(
-        self,
-        problem,
-        *,
-        seed: int = 0,
-        backend: Optional[str] = None,
-        initial: Optional[Orientation] = None,
-    ) -> None:
-        self.backend = resolve_backend(backend)
-        self._seed = seed
-        self._updates = 0
-        if initial is not None:
-            if not initial.is_complete():
-                raise ValueError(
-                    "DynamicOrientation needs a complete initial orientation"
-                )
-            if initial.unhappy_edges():
-                raise ValueError(
-                    "DynamicOrientation needs a stable initial orientation"
-                )
-        if self.backend == "compact":
-            base = (
-                problem
-                if isinstance(problem, CompactGraph)
-                else CompactGraph.from_orientation_problem(problem)
-            )
-            if initial is not None:
-                index_of = base.index_of
-                heads = [
-                    index_of[initial.head_of(u, v)]
-                    for u, v in base.edge_keys()
-                ]
-                load = [0] * base.num_nodes
-                for h in heads:
-                    load[h] += 1
-            else:
-                from repro.core.orientation._kernels import repair_kernel
-
-                heads, load, _ = repair_kernel(base, seed=seed)
-            tails = _tails_of(heads, base.edge_u, base.edge_v)
-            self._impl = _CompactDynamic(base, heads, tails, load)
-        else:
-            if isinstance(problem, CompactGraph):
-                problem = problem.to_orientation_problem()
-            if initial is None:
-                initial, _ = synchronous_repair_orientation(
-                    problem, seed=seed, backend="dict"
-                )
-            self._impl = _DictDynamic(
-                {key: initial.head_of(*key) for key in problem.edges},
-                problem.nodes,
-            )
-
-    # -- trusted construction ------------------------------------------
-    @classmethod
-    def from_solved_arrays(
-        cls,
-        graph: CompactGraph,
-        heads,
-        load=None,
-        *,
-        seed: int = 0,
-        updates_applied: int = 0,
-        validate: bool = True,
-    ) -> "DynamicOrientation":
-        """Wrap already-solved flat arrays without re-solving — O(m).
-
-        The trusted-constructor entry point for the serving layer and
-        snapshot restore: ``heads[e]`` is the dense head of edge ``e`` of
-        ``graph``, ``load`` (optional, derived when omitted) the per-node
-        indegree.  ``seed``/``updates_applied`` restore the per-update
-        seed stream, so a restored engine replays future deltas exactly
-        like the engine it was saved from.
-
-        Endpoint/load consistency is always checked; ``validate=True``
-        additionally runs the O(m) stability check the locality guarantee
-        depends on.  Compact backend only — no dict round-trip is ever
-        taken.
-        """
-        with obs.span(
-            "engine.start",
-            num_nodes=graph.num_nodes,
-            num_edges=graph.num_edges,
-            validate=validate,
-        ):
-            self = cls.__new__(cls)
-            self.backend = "compact"
-            self._seed = seed
-            self._updates = updates_applied
-            heads = list(heads)
-            if len(heads) != graph.num_edges:
-                raise ValueError(
-                    f"heads has {len(heads)} entries for {graph.num_edges} edges"
-                )
-            tails = _tails_of(heads, graph.edge_u, graph.edge_v)
-            derived = [0] * graph.num_nodes
-            for h in heads:
-                derived[h] += 1
-            if load is None:
-                load = derived
-            else:
-                load = list(load)
-                if load != derived:
-                    raise ValueError("load array disagrees with the heads array")
-            if validate:
-                for e, (h, t) in enumerate(zip(heads, tails)):
-                    if load[h] - load[t] > 1:
-                        raise ValueError(
-                            "orientation is not stable: edge "
-                            f"{e} has badness {load[h] - load[t]}"
-                        )
-            self._impl = _CompactDynamic(graph, heads, tails, load)
-        return self
-
-    # -- updates --------------------------------------------------------
-    def apply(self, delta: Delta, *, seed: Optional[int] = None) -> UpdateStats:
-        """Apply one delta and re-stabilize; returns the update's stats.
-
-        ``seed`` overrides the per-update repair seed (default: a
-        deterministic stream derived from the constructor seed and the
-        update counter, so replaying a trace is reproducible on either
-        backend).  A rejected delta (:class:`DeltaError`) changes nothing,
-        the counter included.
-        """
-        update_seed = (
-            seed if seed is not None else self._seed * 1_000_003 + self._updates
-        )
-        with obs.span(
-            "churn.apply", kind=type(delta).__name__, backend=self.backend
-        ) as sp:
-            stats = self._impl.apply(delta, update_seed)
-            self._updates += 1
-            sp.set(
-                frontier_nodes=stats.frontier_nodes,
-                edges_inserted=stats.edges_inserted,
-                edges_removed=stats.edges_removed,
-                initial_unhappy=stats.repair.initial_unhappy,
-                repair_iterations=stats.repair.iterations,
-                repair_flips=stats.repair.total_flips,
-            )
-        return stats
-
-    def apply_batch(self, deltas, *, seed: Optional[int] = None) -> BatchStats:
-        """Apply a batch of deltas with ONE re-stabilization at the end.
-
-        The coalescing entry point of the serving layer: every delta's
-        structural mutation is applied in order (the ``EdgeInsert`` head
-        rule sees the evolving loads, exactly as a sequential replay
-        would between repairs), the union of their frontiers seeds a
-        single repair run, and the update counter advances by
-        ``len(deltas)``.  The batch repair runs under the seed-stream
-        seed of the *last* delta, so whenever the intermediate repairs of
-        a sequential replay are no-ops the coalesced result is
-        bit-for-bit identical to replaying the trace delta by delta.
-
-        An empty batch is a strict no-op: no seed-stream advance, no
-        repair, and the returned stats carry ``update_seed=None``.  If the
-        delta at ``index`` is invalid, the prefix before it stays applied
-        and the engine ends exactly as ``apply_batch(deltas[:index])``
-        would have left it — re-stabilized under that call's seed (or the
-        explicit ``seed``), with the counter advanced by ``index`` — before
-        the :class:`DeltaError` propagates carrying ``index``.
-        """
-        deltas = tuple(deltas)
-        if not deltas:
-            return BatchStats(
-                num_deltas=0,
-                update_seed=None,
-                edges_inserted=0,
-                edges_removed=0,
-                frontier_nodes=0,
-            )
-
-        def seed_for(count: int) -> int:
-            """The batch seed of the first ``count`` deltas."""
-            if seed is not None:
-                return seed
-            return self._seed * 1_000_003 + self._updates + count - 1
-
-        with obs.span(
-            "churn.apply_batch", num_deltas=len(deltas), backend=self.backend
-        ) as sp:
-            try:
-                stats = self._impl.apply_batch(deltas, seed_for)
-            except DeltaError as exc:
-                self._updates += exc.index
-                raise
-            self._updates += len(deltas)
-            sp.set(
-                frontier_nodes=stats.frontier_nodes,
-                edges_inserted=stats.edges_inserted,
-                edges_removed=stats.edges_removed,
-                initial_unhappy=stats.repair.initial_unhappy,
-                repair_iterations=stats.repair.iterations,
-                repair_flips=stats.repair.total_flips,
-            )
-        return stats
-
-    # -- queries --------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        """Live node count."""
-        return self._impl.num_nodes
-
-    @property
-    def num_edges(self) -> int:
-        """Live edge count."""
-        return self._impl.num_edges
-
-    @property
-    def updates_applied(self) -> int:
-        return self._updates
-
-    @property
-    def seed(self) -> int:
-        """Root seed of the per-update seed stream."""
-        return self._seed
-
-    def loads(self) -> Dict[NodeId, int]:
-        """Load (indegree) per live node."""
-        return self._impl.loads()
-
-    def load_of(self, node: NodeId) -> int:
-        """Load of one live node — O(1), the serving-layer point query."""
-        return self._impl.load_of(node)
-
-    def head_of(self, u: NodeId, v: NodeId) -> NodeId:
-        """Current head of the live edge {u, v}."""
-        _reject_self_loop(u, v)
-        return self._impl.head_of(u, v)
-
-    def solved_arrays(self) -> Tuple[CompactGraph, List[int], List[int]]:
-        """Materialize the current state as ``(graph, heads, load)`` arrays.
-
-        The snapshot export: a canonical (repr-sorted) ``CompactGraph``
-        of the live nodes/edges plus dense heads and loads, suitable for
-        :meth:`from_solved_arrays`.  When no update has structurally
-        changed the instance the base graph is returned as-is (no
-        rebuild).
-        """
-        return self._impl.solved_arrays()
-
-    def orientation(self) -> Orientation:
-        """Export the current state as a reference Orientation (O(n + m))."""
-        return self._impl.orientation()
-
-    def unhappy_edges(self) -> List[Tuple[NodeId, NodeId]]:
-        """Unhappy (tail, head) pairs — empty after every apply()."""
-        return self._impl.unhappy_edges()
-
-    def is_stable(self) -> bool:
-        """Full O(m) stability check (the engine's invariant; for tests)."""
-        return not self._impl.unhappy_edges()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"DynamicOrientation(backend={self.backend!r}, "
-            f"nodes={self.num_nodes}, edges={self.num_edges}, "
-            f"updates={self._updates})"
-        )

@@ -43,9 +43,9 @@ from repro.core.orientation.problem import (
     check_stable,
     edge_key,
 )
+from repro.core.tie_break import check_tie_break
 from repro.core.token_dropping.game import TokenDroppingInstance
-from repro.core.token_dropping.proposal import run_proposal_algorithm
-from repro.dispatch import resolve_backend
+from repro.core.token_dropping.proposal import run_proposal_algorithm_reference
 from repro.graphs.compact import CompactGraph
 from repro.graphs.layered import LayeredGraph
 from repro.local_model.errors import AlgorithmError
@@ -76,7 +76,7 @@ class PhaseStats:
 class StableOrientationResult:
     """Outcome of the phase-based stable orientation algorithm.
 
-    On the compact backends ``orientation`` is a
+    From :func:`run_stable_orientation`, ``orientation`` is a
     :class:`~repro.core.orientation.problem.DenseOrientation` over the
     kernel's flat arrays (``orientation.to_arrays(graph)`` returns them
     without copying).
@@ -133,7 +133,7 @@ def run_stable_orientation(
     seed: int = 0,
     check_invariants: bool = True,
     max_phases: Optional[int] = None,
-    backend: Optional[str] = None,
+    backend: str = "compact",
 ) -> StableOrientationResult:
     """Find a stable orientation with the token-dropping-based algorithm.
 
@@ -153,25 +153,58 @@ def run_stable_orientation(
         Budget on the number of phases; defaults to the Lemma 5.5 bound,
         so exceeding it fails loudly.
     backend:
-        ``"compact"`` / ``"dict"`` / ``"auto"`` (default; see
-        :mod:`repro.dispatch`).  The compact fast path runs every phase —
-        propose/accept, the embedded token dropping game, flips — on flat
-        int arrays and produces identical results; ``"dict"`` forces the
-        full reference chain including the per-node token dropping
-        scheduler.
+        Must be ``"compact"``.
+
+    Every phase — propose/accept, the embedded token dropping game, flips —
+    runs on flat int arrays, and the result is identical to
+    :func:`run_stable_orientation_reference`.  The result's orientation is
+    a :class:`DenseOrientation` over the kernel's ``heads``/``load``
+    arrays; its dict view is built only if a caller asks for it.
 
     Returns
     -------
     StableOrientationResult
     """
-    if resolve_backend(backend) == "compact":
-        return _run_stable_orientation_compact(
-            problem,
-            tie_break=tie_break,
-            seed=seed,
-            check_invariants=check_invariants,
-            max_phases=max_phases,
-        )
+    from repro.core.orientation._kernels import stable_orientation_kernel as kernel
+
+    # Compatibility shim for perfbench/layers.py; delete with the next benchmark change.
+    if backend != "compact":
+        raise ValueError(f"backend must be 'compact', got {backend!r}")
+    if isinstance(problem, CompactGraph):
+        compact = problem
+    else:
+        compact = CompactGraph.from_orientation_problem(problem)
+
+    heads, loads, phases, game_rounds, communication_rounds, per_phase = kernel(
+        compact,
+        tie_break=tie_break,
+        seed=seed,
+        check_invariants=check_invariants,
+        max_phases=max_phases,
+    )
+    return StableOrientationResult(
+        orientation=DenseOrientation(compact, heads, loads),
+        phases=phases,
+        game_rounds=game_rounds,
+        communication_rounds=communication_rounds,
+        per_phase=per_phase,
+    )
+
+
+def run_stable_orientation_reference(
+    problem: Union[OrientationProblem, CompactGraph],
+    *,
+    tie_break: str = "min",
+    seed: int = 0,
+    check_invariants: bool = True,
+    max_phases: Optional[int] = None,
+) -> StableOrientationResult:
+    """:func:`run_stable_orientation` over dict structures (the oracle).
+
+    The full reference chain, including the per-node token dropping
+    scheduler inside every phase.
+    """
+    check_tie_break(tie_break)
     if isinstance(problem, CompactGraph):
         problem = problem.to_orientation_problem()
     orientation = Orientation(problem)
@@ -209,11 +242,11 @@ def run_stable_orientation(
         for node, edges in proposals_by_node.items():
             accepted_nodes[node] = sorted(edges, key=repr)[0]
 
-        # Step 3: build and solve the token dropping instance (forcing the
-        # reference scheduler, so backend="dict" is the full dict chain).
+        # Step 3: build and solve the token dropping instance on the
+        # reference scheduler, so the whole oracle chain is dict code.
         instance = _build_token_dropping_instance(problem, orientation, accepted_nodes)
-        solution = run_proposal_algorithm(
-            instance, tie_break=tie_break, seed=seed, backend="dict"
+        solution = run_proposal_algorithm_reference(
+            instance, tie_break=tie_break, seed=seed
         )
         if check_invariants:
             solution.validate(instance).raise_if_invalid()
@@ -265,43 +298,6 @@ def run_stable_orientation(
     return StableOrientationResult(
         orientation=orientation,
         phases=phase_index,
-        game_rounds=game_rounds,
-        communication_rounds=communication_rounds,
-        per_phase=per_phase,
-    )
-
-
-def _run_stable_orientation_compact(
-    problem: Union[OrientationProblem, CompactGraph],
-    *,
-    tie_break: str,
-    seed: int,
-    check_invariants: bool,
-    max_phases: Optional[int],
-) -> StableOrientationResult:
-    """Fast path: intern once, run the phase kernel, keep its arrays.
-
-    The result's orientation is a :class:`DenseOrientation` over the
-    kernel's ``heads``/``load`` arrays; its dict view is built only if a
-    caller asks for it.
-    """
-    from repro.core.orientation._kernels import stable_orientation_kernel as kernel
-
-    if isinstance(problem, CompactGraph):
-        compact = problem
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-
-    heads, loads, phases, game_rounds, communication_rounds, per_phase = kernel(
-        compact,
-        tie_break=tie_break,
-        seed=seed,
-        check_invariants=check_invariants,
-        max_phases=max_phases,
-    )
-    return StableOrientationResult(
-        orientation=DenseOrientation(compact, heads, loads),
-        phases=phases,
         game_rounds=game_rounds,
         communication_rounds=communication_rounds,
         per_phase=per_phase,

@@ -36,7 +36,6 @@ from repro.core.orientation.problem import (
     OrientationProblem,
     arbitrary_complete_orientation,
 )
-from repro.dispatch import resolve_backend
 from repro.graphs.compact import CompactGraph
 
 NodeId = Hashable
@@ -63,7 +62,6 @@ def synchronous_repair_orientation(
     initial: Optional[Orientation] = None,
     seed: int = 0,
     max_iterations: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Orientation, RepairRunStats]:
     """Repair an arbitrary complete orientation into a stable one.
 
@@ -83,20 +81,64 @@ def synchronous_repair_orientation(
     max_iterations:
         Safety valve; defaults to ``Σ deg(v)² + 1`` which bounds the total
         number of flips and hence iterations.
-    backend:
-        ``"compact"`` / ``"dict"`` / ``"auto"`` (default; see
-        :mod:`repro.dispatch`).  Both backends produce identical
-        orientations and statistics; the compact fast path replays the
-        seeded shuffle on flat int arrays.
+
+    Runs the int-array kernel, which replays the seeded shuffle of
+    :func:`synchronous_repair_orientation_reference` on flat arrays and
+    produces identical orientations and statistics.
 
     Returns
     -------
     (orientation, stats)
     """
-    if resolve_backend(backend) == "compact":
-        return _synchronous_repair_compact(
-            problem, initial=initial, seed=seed, max_iterations=max_iterations
-        )
+    from repro.core.orientation._kernels import repair_kernel
+
+    if initial is not None:
+        if not initial.is_complete():
+            raise ValueError(
+                "the repair baseline needs a complete initial orientation"
+            )
+        compact = CompactGraph.from_orientation_problem(initial.problem)
+        initial_heads = initial.to_arrays(compact)[0]
+    elif isinstance(problem, CompactGraph):
+        compact = problem
+        initial_heads = None
+    else:
+        compact = CompactGraph.from_orientation_problem(problem)
+        initial_heads = None
+
+    if max_iterations is None and initial is not None:
+        # The reference sizes the safety valve from `problem` even when
+        # `initial` brings its own graph; mirror that.
+        if isinstance(problem, CompactGraph):
+            ptr = problem.indptr
+            max_iterations = (
+                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
+            )
+        else:
+            max_iterations = sum(problem.degree(x) ** 2 for x in problem.nodes) + 1
+
+    heads, loads, stats = repair_kernel(
+        compact,
+        seed=seed,
+        max_iterations=max_iterations,
+        initial_heads=initial_heads,
+    )
+
+    return DenseOrientation(compact, heads, loads), stats
+
+
+def synchronous_repair_orientation_reference(
+    problem: Union[OrientationProblem, CompactGraph],
+    *,
+    initial: Optional[Orientation] = None,
+    seed: int = 0,
+    max_iterations: Optional[int] = None,
+) -> Tuple[Orientation, RepairRunStats]:
+    """:func:`synchronous_repair_orientation` over dict structures.
+
+    The readable oracle: full-rescan unhappy sets on a reference
+    :class:`Orientation`.
+    """
     if isinstance(problem, CompactGraph):
         problem = problem.to_orientation_problem()
     rng = random.Random(seed)
@@ -143,48 +185,3 @@ def synchronous_repair_orientation(
         stats.flips_per_iteration.append(len(selected))
 
     return orientation, stats
-
-
-def _synchronous_repair_compact(
-    problem: Union[OrientationProblem, CompactGraph],
-    *,
-    initial: Optional[Orientation],
-    seed: int,
-    max_iterations: Optional[int],
-) -> Tuple[Orientation, RepairRunStats]:
-    """Fast path: intern once, run the int-array kernel, keep its arrays."""
-    from repro.core.orientation._kernels import repair_kernel
-
-    if initial is not None:
-        if not initial.is_complete():
-            raise ValueError(
-                "the repair baseline needs a complete initial orientation"
-            )
-        compact = CompactGraph.from_orientation_problem(initial.problem)
-        initial_heads = initial.to_arrays(compact)[0]
-    elif isinstance(problem, CompactGraph):
-        compact = problem
-        initial_heads = None
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-        initial_heads = None
-
-    if max_iterations is None and initial is not None:
-        # The reference sizes the safety valve from `problem` even when
-        # `initial` brings its own graph; mirror that.
-        if isinstance(problem, CompactGraph):
-            ptr = problem.indptr
-            max_iterations = (
-                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
-            )
-        else:
-            max_iterations = sum(problem.degree(x) ** 2 for x in problem.nodes) + 1
-
-    heads, loads, stats = repair_kernel(
-        compact,
-        seed=seed,
-        max_iterations=max_iterations,
-        initial_heads=initial_heads,
-    )
-
-    return DenseOrientation(compact, heads, loads), stats

@@ -28,7 +28,6 @@ from repro.core.orientation.problem import (
     OrientationProblem,
     arbitrary_complete_orientation,
 )
-from repro.dispatch import resolve_backend
 from repro.graphs.compact import CompactGraph
 
 NodeId = Hashable
@@ -67,7 +66,6 @@ def sequential_flip_algorithm(
     seed: int = 0,
     record_trace: bool = False,
     max_flips: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[Orientation, SequentialRunStats]:
     """Run the centralized flip algorithm until the orientation is stable.
 
@@ -91,27 +89,80 @@ def sequential_flip_algorithm(
         Safety valve; defaults to ``Σ deg(v)²`` which upper-bounds the
         number of flips (each flip decreases the potential by ≥ 2 and the
         potential is at most ``Σ deg(v)² ``).
-    backend:
-        ``"compact"`` / ``"dict"`` / ``"auto"`` (default; see
-        :mod:`repro.dispatch`).  Both backends produce identical results;
-        the compact fast path runs the flip loop on flat int arrays.
+
+    Runs the flip loop on flat int arrays; the results are identical to
+    :func:`sequential_flip_algorithm_reference`.
 
     Returns
     -------
     (orientation, stats)
         The final (stable) orientation and run statistics.
     """
-    if policy not in FLIP_POLICIES:
-        raise ValueError(f"unknown policy {policy!r}; expected one of {FLIP_POLICIES}")
-    if resolve_backend(backend) == "compact":
-        return _sequential_flip_compact(
-            problem,
-            initial=initial,
+    from repro.core.orientation._kernels import sequential_flip_kernel
+
+    _check_policy(policy)
+    if initial is not None:
+        if not initial.is_complete():
+            raise ValueError(
+                "the sequential flip algorithm needs a complete initial orientation"
+            )
+        compact = CompactGraph.from_orientation_problem(initial.problem)
+        initial_heads = initial.to_arrays(compact)[0]
+    elif isinstance(problem, CompactGraph):
+        compact = problem
+        initial_heads = None
+    else:
+        compact = CompactGraph.from_orientation_problem(problem)
+        initial_heads = None
+
+    if max_flips is None:
+        # The reference path sizes the safety valve from the `problem`
+        # argument, so mirror that even when `initial` brings its own graph.
+        if isinstance(problem, CompactGraph):
+            ptr = problem.indptr
+            max_flips = (
+                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
+            )
+        else:
+            max_flips = sum(problem.degree(n) ** 2 for n in problem.nodes) + 1
+
+    heads, loads, flips, initial_potential, final_potential, trace = (
+        sequential_flip_kernel(
+            compact,
             policy=policy,
             seed=seed,
             record_trace=record_trace,
             max_flips=max_flips,
+            initial_heads=initial_heads,
         )
+    )
+
+    orientation = DenseOrientation(compact, heads, loads)
+
+    stats = SequentialRunStats(
+        flips=flips,
+        initial_potential=initial_potential,
+        final_potential=final_potential if flips else initial_potential,
+        potential_trace=trace,
+    )
+    return orientation, stats
+
+
+def sequential_flip_algorithm_reference(
+    problem: Union[OrientationProblem, CompactGraph],
+    *,
+    initial: Optional[Orientation] = None,
+    policy: str = "first",
+    seed: int = 0,
+    record_trace: bool = False,
+    max_flips: Optional[int] = None,
+) -> Tuple[Orientation, SequentialRunStats]:
+    """:func:`sequential_flip_algorithm` over dict structures (the oracle).
+
+    Also asserts the potential argument: every flip must strictly
+    decrease Σ load².
+    """
+    _check_policy(policy)
     if isinstance(problem, CompactGraph):
         problem = problem.to_orientation_problem()
     rng = random.Random(seed)
@@ -172,63 +223,9 @@ def sequential_flip_algorithm(
     return orientation, stats
 
 
-def _sequential_flip_compact(
-    problem: Union[OrientationProblem, CompactGraph],
-    *,
-    initial: Optional[Orientation],
-    policy: str,
-    seed: int,
-    record_trace: bool,
-    max_flips: Optional[int],
-) -> Tuple[Orientation, SequentialRunStats]:
-    """Fast path: intern once, run the int-array kernel, keep its arrays."""
-    from repro.core.orientation._kernels import sequential_flip_kernel
-
-    if initial is not None:
-        if not initial.is_complete():
-            raise ValueError(
-                "the sequential flip algorithm needs a complete initial orientation"
-            )
-        compact = CompactGraph.from_orientation_problem(initial.problem)
-        initial_heads = initial.to_arrays(compact)[0]
-    elif isinstance(problem, CompactGraph):
-        compact = problem
-        initial_heads = None
-    else:
-        compact = CompactGraph.from_orientation_problem(problem)
-        initial_heads = None
-
-    if max_flips is None:
-        # The reference path sizes the safety valve from the `problem`
-        # argument, so mirror that even when `initial` brings its own graph.
-        if isinstance(problem, CompactGraph):
-            ptr = problem.indptr
-            max_flips = (
-                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
-            )
-        else:
-            max_flips = sum(problem.degree(n) ** 2 for n in problem.nodes) + 1
-
-    heads, loads, flips, initial_potential, final_potential, trace = (
-        sequential_flip_kernel(
-            compact,
-            policy=policy,
-            seed=seed,
-            record_trace=record_trace,
-            max_flips=max_flips,
-            initial_heads=initial_heads,
-        )
-    )
-
-    orientation = DenseOrientation(compact, heads, loads)
-
-    stats = SequentialRunStats(
-        flips=flips,
-        initial_potential=initial_potential,
-        final_potential=final_potential if flips else initial_potential,
-        potential_trace=trace,
-    )
-    return orientation, stats
+def _check_policy(policy: str) -> None:
+    if policy not in FLIP_POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {FLIP_POLICIES}")
 
 
 def flip_chain_length(
@@ -236,10 +233,7 @@ def flip_chain_length(
     *,
     policy: str = "first",
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> int:
     """Convenience wrapper returning only the number of flips performed."""
-    _, stats = sequential_flip_algorithm(
-        problem, policy=policy, seed=seed, backend=backend
-    )
+    _, stats = sequential_flip_algorithm(problem, policy=policy, seed=seed)
     return stats.flips

@@ -15,11 +15,16 @@ Distributed algorithms (run on the LOCAL simulator)
 Centralized baseline
     :func:`greedy_token_dropping` -- "move any movable token" (Section 4).
 
+Each of the three runs an int-array kernel; the ``*_reference`` twin of
+each is the readable per-node (or dict) implementation the kernel is
+cross-validated against.
+
 Hypergraph generalisation (Theorem 7.1)
     :class:`HypergraphTokenDroppingInstance`,
     :func:`run_hypergraph_proposal`.
 """
 
+from repro.core.tie_break import TIE_BREAK_POLICIES, check_tie_break
 from repro.core.token_dropping.game import (
     InvalidInstanceError,
     TokenDroppingInstance,
@@ -33,6 +38,7 @@ from repro.core.token_dropping.greedy import (
     count_sequential_moves,
     exhaustive_is_stuck,
     greedy_token_dropping,
+    greedy_token_dropping_reference,
 )
 from repro.core.token_dropping.hypergraph_game import (
     HyperTraversal,
@@ -45,16 +51,17 @@ from repro.core.token_dropping.hypergraph_game import (
 )
 from repro.core.token_dropping.proposal import (
     ROUNDS_PER_GAME_ROUND,
-    TIE_BREAK_POLICIES,
     ProposalNode,
     proposal_factory,
     reconstruct_solution,
     run_proposal_algorithm,
+    run_proposal_algorithm_reference,
 )
 from repro.core.token_dropping.three_level import (
     ThreeLevelNode,
     UnsupportedHeightError,
     run_three_level_algorithm,
+    run_three_level_algorithm_reference,
     theoretical_three_level_bound,
     three_level_factory,
 )
@@ -86,19 +93,23 @@ __all__ = [
     "Traversal",
     "UnsupportedHeightError",
     "ValidationReport",
+    "check_tie_break",
     "compare_destinations",
     "count_sequential_moves",
     "exhaustive_is_stuck",
     "figure2_instance",
     "final_occupancy",
     "greedy_token_dropping",
+    "greedy_token_dropping_reference",
     "instance_from_loads",
     "proposal_factory",
     "random_token_placement",
     "reconstruct_solution",
     "run_hypergraph_proposal",
     "run_proposal_algorithm",
+    "run_proposal_algorithm_reference",
     "run_three_level_algorithm",
+    "run_three_level_algorithm_reference",
     "solution_from_paths",
     "theoretical_three_level_bound",
     "three_level_factory",

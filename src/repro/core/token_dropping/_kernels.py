@@ -3,7 +3,7 @@
 These are the compact counterparts of the three token dropping solvers:
 
 * :func:`greedy_kernel` — the centralized sequential baseline
-  (:func:`~repro.core.token_dropping.greedy.greedy_token_dropping`);
+  (:func:`~repro.core.token_dropping.greedy.greedy_token_dropping_reference`);
 * :func:`proposal_kernel` — the distributed proposal algorithm
   (Theorem 4.1, :mod:`repro.core.token_dropping.proposal`);
 * :func:`three_level_kernel` — the O(Δ) height-3 algorithm
@@ -41,8 +41,10 @@ instances (``tests/integration/test_compact_cross_validation.py``).
 
 The distributed kernels run behind the existing
 :class:`~repro.local_model.runner.Runner` API: the algorithm factories
-register them via ``AlgorithmFactory(..., compact_kernel=...)`` and
-:mod:`repro.dispatch` decides per execution which path runs.
+register them via ``AlgorithmFactory(..., compact_kernel=...)``; an
+untraced :meth:`~repro.local_model.runner.Runner.run` takes the kernel and
+:meth:`~repro.local_model.runner.Runner.run_reference` the per-node
+scheduler.
 """
 
 from __future__ import annotations

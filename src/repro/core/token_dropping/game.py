@@ -125,7 +125,7 @@ class TokenDroppingInstance:
         constructor (the layered graph already enforced simplicity), so no
         part of the edge list is re-scanned per node or re-validated.
         The result is memoized: instances are immutable, so repeated
-        executions on the same game (e.g. backend head-to-heads) share
+        executions on the same game (e.g. kernel-vs-reference runs) share
         one network object — and thereby its cached compact form.
         """
         cached = self._networks.get(include_levels)

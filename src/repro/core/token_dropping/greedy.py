@@ -16,11 +16,10 @@ implements that baseline with several pick orders; it is used
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Set, Tuple
 
 from repro.core.token_dropping.game import TokenDroppingInstance
 from repro.core.token_dropping.traversal import TokenDroppingSolution, Traversal
-from repro.dispatch import resolve_backend
 
 NodeId = Hashable
 
@@ -33,7 +32,6 @@ def greedy_token_dropping(
     *,
     order: str = "first",
     seed: int = 0,
-    backend: Optional[str] = None,
 ) -> TokenDroppingSolution:
     """Solve an instance by repeatedly moving one movable token a single step.
 
@@ -52,11 +50,9 @@ def greedy_token_dropping(
         * ``"lowest_level"`` -- prefer tokens near the bottom.
     seed:
         Seed for the ``"random"`` policy.
-    backend:
-        Execution backend per :mod:`repro.dispatch`: ``"compact"`` (the
-        ``auto`` default — this baseline is iterative, so the one-time
-        interning amortizes) runs the int-array kernel, ``"dict"`` the
-        reference loop below.  Both produce identical solutions.
+
+    Runs the int-array kernel, which reproduces
+    :func:`greedy_token_dropping_reference` exactly.
 
     Returns
     -------
@@ -64,12 +60,25 @@ def greedy_token_dropping(
         With ``game_rounds=None`` (the baseline is sequential); the number
         of sequential single-step moves is ``solution.total_moves()``.
     """
+    from repro.core.token_dropping._kernels import greedy_kernel
+
+    _check_order(order)
+    return greedy_kernel(instance, order=order, seed=seed)
+
+
+def _check_order(order: str) -> None:
     if order not in GREEDY_ORDERS:
         raise ValueError(f"unknown order {order!r}; expected one of {GREEDY_ORDERS}")
-    if resolve_backend(backend, auto="compact") == "compact":
-        from repro.core.token_dropping._kernels import greedy_kernel
 
-        return greedy_kernel(instance, order=order, seed=seed)
+
+def greedy_token_dropping_reference(
+    instance: TokenDroppingInstance,
+    *,
+    order: str = "first",
+    seed: int = 0,
+) -> TokenDroppingSolution:
+    """:func:`greedy_token_dropping` as a readable dict-based loop (the oracle)."""
+    _check_order(order)
     rng = random.Random(seed)
     graph = instance.graph
 

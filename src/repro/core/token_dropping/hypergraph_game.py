@@ -44,6 +44,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.tie_break import check_tie_break
 from repro.core.token_dropping.game import TokenDroppingInstance
 from repro.graphs.hypergraph import Hypergraph
 
@@ -370,6 +371,7 @@ def run_hypergraph_proposal(
         If the game is not stuck after ``max_rounds`` rounds (defaults to
         the Theorem 7.1 budget, so the bound is a checked invariant).
     """
+    check_tie_break(tie_break)
     if max_rounds is None:
         max_rounds = instance.theoretical_round_bound()
     rng = random.Random(seed)
@@ -380,9 +382,7 @@ def run_hypergraph_proposal(
             return ordered[0]
         if tie_break == "max":
             return ordered[-1]
-        if tie_break == "random":
-            return ordered[rng.randrange(len(ordered))]
-        raise ValueError(f"unknown tie-break policy {tie_break!r}")
+        return ordered[rng.randrange(len(ordered))]  # "random"
 
     occupant: Dict[NodeId, NodeId] = {v: v for v in instance.tokens}
     live: Set[EdgeId] = set(instance.hypergraph.hyperedges)

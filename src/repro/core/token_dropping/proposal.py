@@ -33,6 +33,7 @@ import random
 from math import ceil
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
+from repro.core.tie_break import check_tie_break
 from repro.core.token_dropping.game import (
     LOCAL_CHILDREN,
     LOCAL_HAS_TOKEN,
@@ -66,10 +67,6 @@ MSG_REQUEST = "REQUEST"
 MSG_GRANT = "GRANT"
 MSG_LEAVE = "LEAVE"
 
-#: Supported tie-breaking policies for choosing among several candidates.
-TIE_BREAK_POLICIES = ("min", "max", "random")
-
-
 def _choose(
     candidates: Sequence[NodeId], policy: str, rng: Optional[random.Random]
 ) -> NodeId:
@@ -79,12 +76,8 @@ def _choose(
         return ordered[0]
     if policy == "max":
         return ordered[-1]
-    if policy == "random":
-        assert rng is not None
-        return ordered[rng.randrange(len(ordered))]
-    raise ValueError(
-        f"unknown tie-break policy {policy!r}; expected one of {TIE_BREAK_POLICIES}"
-    )
+    assert rng is not None  # "random"; the policy was checked up front
+    return ordered[rng.randrange(len(ordered))]
 
 
 class ProposalNode(NodeAlgorithm):
@@ -102,11 +95,7 @@ class ProposalNode(NodeAlgorithm):
     """
 
     def __init__(self, node_id: NodeId, tie_break: str = "min", seed: int = 0) -> None:
-        if tie_break not in TIE_BREAK_POLICIES:
-            raise ValueError(
-                f"unknown tie-break policy {tie_break!r}; "
-                f"expected one of {TIE_BREAK_POLICIES}"
-            )
+        check_tie_break(tie_break)
         self.tie_break = tie_break
         self._rng = (
             random.Random(f"{seed}:{node_id!r}") if tie_break == "random" else None
@@ -210,16 +199,11 @@ def proposal_factory(tie_break: str = "min", seed: int = 0) -> AlgorithmFactory:
     """An :class:`AlgorithmFactory` for :class:`ProposalNode` with fixed policy.
 
     The factory also registers the int-array fast path
-    (:func:`repro.core.token_dropping._kernels.proposal_kernel`), so a
-    :class:`Runner` dispatches this algorithm to the compact round engine
-    per :mod:`repro.dispatch` while reproducing the reference execution
-    exactly.
+    (:func:`repro.core.token_dropping._kernels.proposal_kernel`), so an
+    untraced :meth:`Runner.run` takes the compact round engine, which
+    reproduces the reference execution exactly.
     """
-    if tie_break not in TIE_BREAK_POLICIES:
-        raise ValueError(
-            f"unknown tie-break policy {tie_break!r}; "
-            f"expected one of {TIE_BREAK_POLICIES}"
-        )
+    check_tie_break(tie_break)
     from repro.core.token_dropping._kernels import proposal_kernel
 
     def compact_kernel(compact_network, max_rounds):
@@ -297,7 +281,6 @@ def run_proposal_algorithm(
     seed: int = 0,
     max_rounds: Optional[int] = None,
     trace: Optional[ExecutionTrace] = None,
-    backend: Optional[str] = None,
 ) -> TokenDroppingSolution:
     """Solve a token dropping instance with the distributed proposal algorithm.
 
@@ -313,13 +296,10 @@ def run_proposal_algorithm(
         :meth:`TokenDroppingInstance.theoretical_round_bound`, so exceeding
         the theorem's bound fails loudly.
     trace:
-        Optional execution trace for inspection (always runs on the
-        reference scheduler).
-    backend:
-        Execution backend per :mod:`repro.dispatch`: ``"compact"`` forces
-        the int-array round kernel, ``"dict"`` the reference per-node
-        scheduler, and the default (``None``/``"auto"``) prefers the
-        kernel.  Both produce identical solutions and metrics.
+        Optional execution trace for inspection.  A traced run records
+        every message, so it runs on the reference scheduler; an untraced
+        run takes the int-array round kernel.  Both produce identical
+        solutions and metrics.
 
     Returns
     -------
@@ -327,14 +307,37 @@ def run_proposal_algorithm(
         Validated against the instance is the caller's choice; use
         ``solution.validate(instance)``.
     """
-    network = instance.to_network()
+    return reconstruct_solution(
+        instance, _runner(instance, tie_break, seed, max_rounds, trace).run()
+    )
+
+
+def run_proposal_algorithm_reference(
+    instance: TokenDroppingInstance,
+    *,
+    tie_break: str = "min",
+    seed: int = 0,
+    max_rounds: Optional[int] = None,
+    trace: Optional[ExecutionTrace] = None,
+) -> TokenDroppingSolution:
+    """:func:`run_proposal_algorithm` on the per-node reference scheduler.
+
+    The readable oracle the round kernel is cross-validated against.
+    """
+    return reconstruct_solution(
+        instance,
+        _runner(instance, tie_break, seed, max_rounds, trace).run_reference(),
+    )
+
+
+def _runner(
+    instance: TokenDroppingInstance,
+    tie_break: str,
+    seed: int,
+    max_rounds: Optional[int],
+    trace: Optional[ExecutionTrace],
+) -> Runner:
+    factory = proposal_factory(tie_break=tie_break, seed=seed)
     if max_rounds is None:
         max_rounds = ROUNDS_PER_GAME_ROUND * instance.theoretical_round_bound()
-    result = Runner(
-        network,
-        proposal_factory(tie_break=tie_break, seed=seed),
-        max_rounds=max_rounds,
-        trace=trace,
-        backend=backend,
-    ).run()
-    return reconstruct_solution(instance, result)
+    return Runner(instance.to_network(), factory, max_rounds=max_rounds, trace=trace)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import random
 from typing import Hashable, List, Optional, Tuple
 
+from repro.core.tie_break import check_tie_break
 from repro.core.token_dropping.game import (
     LOCAL_CHILDREN,
     LOCAL_HAS_TOKEN,
@@ -45,7 +46,6 @@ from repro.core.token_dropping.proposal import (
     MSG_LEAVE,
     MSG_REQUEST,
     ROUNDS_PER_GAME_ROUND,
-    TIE_BREAK_POLICIES,
     _choose,
     reconstruct_solution,
 )
@@ -78,11 +78,7 @@ class ThreeLevelNode(NodeAlgorithm):
     """Per-node state machine for the three-level algorithm."""
 
     def __init__(self, node_id: NodeId, tie_break: str = "min", seed: int = 0) -> None:
-        if tie_break not in TIE_BREAK_POLICIES:
-            raise ValueError(
-                f"unknown tie-break policy {tie_break!r}; "
-                f"expected one of {TIE_BREAK_POLICIES}"
-            )
+        check_tie_break(tie_break)
         self.tie_break = tie_break
         self._rng = (
             random.Random(f"{seed}:{node_id!r}") if tie_break == "random" else None
@@ -240,15 +236,10 @@ def three_level_factory(tie_break: str = "min", seed: int = 0) -> AlgorithmFacto
     """An :class:`AlgorithmFactory` for :class:`ThreeLevelNode`.
 
     Registers the int-array fast path
-    (:func:`repro.core.token_dropping._kernels.three_level_kernel`) so the
-    :class:`Runner` can dispatch to the compact round engine per
-    :mod:`repro.dispatch`.
+    (:func:`repro.core.token_dropping._kernels.three_level_kernel`), which
+    an untraced :meth:`Runner.run` takes.
     """
-    if tie_break not in TIE_BREAK_POLICIES:
-        raise ValueError(
-            f"unknown tie-break policy {tie_break!r}; "
-            f"expected one of {TIE_BREAK_POLICIES}"
-        )
+    check_tie_break(tie_break)
     from repro.core.token_dropping._kernels import three_level_kernel
 
     def compact_kernel(compact_network, max_rounds):
@@ -276,12 +267,11 @@ def run_three_level_algorithm(
     seed: int = 0,
     max_rounds: Optional[int] = None,
     trace: Optional[ExecutionTrace] = None,
-    backend: Optional[str] = None,
 ) -> TokenDroppingSolution:
     """Solve a height-≤-2 (three-level) token dropping instance in O(Δ) rounds.
 
-    ``backend`` selects the execution path per :mod:`repro.dispatch`
-    (compact int-array kernel vs. reference scheduler); both produce
+    An untraced run takes the int-array round kernel; a traced run (which
+    records every message) the reference scheduler.  Both produce
     identical solutions and metrics.
 
     Raises
@@ -290,20 +280,47 @@ def run_three_level_algorithm(
         If the instance uses a level above 2; use the generic proposal
         algorithm for taller games.
     """
+    return reconstruct_solution(
+        instance, _runner(instance, tie_break, seed, max_rounds, trace).run()
+    )
+
+
+def run_three_level_algorithm_reference(
+    instance: TokenDroppingInstance,
+    *,
+    tie_break: str = "min",
+    seed: int = 0,
+    max_rounds: Optional[int] = None,
+    trace: Optional[ExecutionTrace] = None,
+) -> TokenDroppingSolution:
+    """:func:`run_three_level_algorithm` on the per-node reference scheduler.
+
+    The readable oracle the round kernel is cross-validated against.
+    """
+    return reconstruct_solution(
+        instance,
+        _runner(instance, tie_break, seed, max_rounds, trace).run_reference(),
+    )
+
+
+def _runner(
+    instance: TokenDroppingInstance,
+    tie_break: str,
+    seed: int,
+    max_rounds: Optional[int],
+    trace: Optional[ExecutionTrace],
+) -> Runner:
+    factory = three_level_factory(tie_break=tie_break, seed=seed)
     if instance.height > MAX_SUPPORTED_LEVEL:
         raise UnsupportedHeightError(
             f"the three-level algorithm supports levels 0..{MAX_SUPPORTED_LEVEL}, "
             f"got an instance of height {instance.height}"
         )
-    network = instance.to_network(include_levels=True)
     if max_rounds is None:
         max_rounds = ROUNDS_PER_GAME_ROUND * theoretical_three_level_bound(instance)
-    result = Runner(
-        network,
-        three_level_factory(tie_break=tie_break, seed=seed),
+    return Runner(
+        instance.to_network(include_levels=True),
+        factory,
         max_rounds=max_rounds,
         trace=trace,
-        backend=backend,
-    ).run()
-    solution = reconstruct_solution(instance, result)
-    return solution
+    )

@@ -11,9 +11,9 @@ These are the shared building blocks of ``scripts/run_experiments.py``,
 ``python -m repro experiments``, and the engine-driven benchmarks — one
 definition of "what E1 measures", three consumers.
 
-Measures whose algorithms have compact fast paths (sequential flips,
-best-response dynamics, greedy assignment) run through them automatically
-via :mod:`repro.dispatch`.
+Measures whose algorithms have int-array kernels (sequential flips,
+best-response dynamics, greedy assignment on compact instances) run them
+through the public entry points.
 """
 
 from __future__ import annotations

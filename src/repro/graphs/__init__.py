@@ -10,8 +10,8 @@ the reproduction operates on:
 * :mod:`repro.graphs.hypergraph` -- hypergraphs in which customers act as
   hyperedges over servers (Section 7.1);
 * :mod:`repro.graphs.compact` -- CSR-style compact cores with dense
-  integer ids, the substrate of the fast-path algorithm kernels (see
-  :mod:`repro.dispatch`);
+  integer ids, the substrate of the int-array algorithm kernels behind
+  the public entry points;
 * :mod:`repro.graphs.generators` -- reproducible generators for the
   instance families used in the paper's arguments and our experiments
   (d-regular graphs, perfect d-ary trees, random bipartite workloads,

@@ -23,8 +23,8 @@ This module re-represents an instance **once**, up front:
 
 The int-array algorithm kernels that run on these structures live next to
 their reference implementations (``repro.core.orientation._kernels``,
-``repro.core.assignment._kernels``) and are dispatched automatically from
-the public entry points; see :mod:`repro.dispatch` for the dispatch rule.
+``repro.core.assignment._kernels``); the public entry points run them,
+and the ``*_reference`` functions keep the dict paths as oracles.
 """
 
 from __future__ import annotations

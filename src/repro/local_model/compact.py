@@ -24,9 +24,11 @@ This module is the compact counterpart, mirroring the design of
   grants, token positions) instead of per-message objects.
 
 Kernels register on :class:`~repro.local_model.node.AlgorithmFactory`
-(``compact_kernel=``) and are dispatched from
-:meth:`~repro.local_model.runner.Runner.run` per :mod:`repro.dispatch`;
-algorithms without a kernel always take the reference scheduler.
+(``compact_kernel=``) and an untraced
+:meth:`~repro.local_model.runner.Runner.run` takes them; algorithms
+without a kernel, traced runs and
+:meth:`~repro.local_model.runner.Runner.run_reference` take the reference
+scheduler.
 """
 
 from __future__ import annotations

@@ -166,9 +166,9 @@ class AlgorithmFactory:
         :class:`~repro.local_model.metrics.ExecutionMetrics`.  A kernel
         promises to reproduce the reference scheduler's execution exactly
         (same outputs, same round count, same message count, same halt
-        rounds); the :class:`~repro.local_model.runner.Runner` dispatches
-        to it per :mod:`repro.dispatch` and falls back to the reference
-        scheduler for algorithms that register no kernel.
+        rounds); an untraced :meth:`~repro.local_model.runner.Runner.run`
+        takes it, and algorithms that register no kernel run on the
+        reference scheduler.
     """
 
     def __init__(self, factory: Any, compact_kernel: Any = None) -> None:

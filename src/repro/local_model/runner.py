@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
 from repro import obs
-from repro.dispatch import BackendError, resolve_backend
 from repro.local_model.compact import CompactNetwork
 from repro.local_model.errors import RoundLimitExceeded
 from repro.local_model.metrics import ExecutionMetrics
@@ -79,17 +78,13 @@ class Runner:
         bound itself into a checked invariant.
     trace:
         Optional :class:`ExecutionTrace` to record messages and halts.
-        Tracing records every individual message, so it always runs on the
-        reference scheduler.
-    backend:
-        Per-execution backend override (see :mod:`repro.dispatch`).  With
-        the default (``None``), the auto rule applies: algorithms whose
-        factory registers a ``compact_kernel`` run the int-array fast
-        path, everything else runs the reference scheduler.
-        ``backend="dict"`` forces the reference scheduler;
-        ``backend="compact"`` forces the kernel and raises
-        :class:`~repro.dispatch.BackendError` when none is registered (or
-        when a trace is requested).
+        Tracing records every individual message, so a traced run always
+        takes the reference scheduler.
+
+    :meth:`run` takes the int-array kernel when the factory registers a
+    ``compact_kernel`` and no trace is requested, and the reference
+    scheduler otherwise; :meth:`run_reference` always takes the reference
+    scheduler, the oracle every kernel is cross-validated against.
     """
 
     def __init__(
@@ -99,7 +94,6 @@ class Runner:
         *,
         max_rounds: int = DEFAULT_MAX_ROUNDS,
         trace: Optional[ExecutionTrace] = None,
-        backend: Optional[str] = None,
     ) -> None:
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be non-negative, got {max_rounds}")
@@ -111,7 +105,6 @@ class Runner:
         )
         self.max_rounds = max_rounds
         self.trace = trace
-        self.backend = backend
 
     def run(self) -> ExecutionResult:
         """Execute the algorithm until every node halts.
@@ -126,27 +119,10 @@ class Runner:
         RoundLimitExceeded
             If some node is still active after ``max_rounds`` rounds.
         """
-        kernel = getattr(self.factory, "compact_kernel", None)
-        fast_possible = kernel is not None and self.trace is None
-        if self.backend is not None:
-            choice = resolve_backend(
-                self.backend, auto="compact" if fast_possible else "dict"
-            )
-            if choice == "compact":
-                if kernel is None:
-                    raise BackendError(
-                        "backend='compact' requested but the algorithm registers "
-                        "no compact kernel"
-                    )
-                if self.trace is not None:
-                    raise BackendError(
-                        "tracing records individual messages and requires the "
-                        "reference scheduler; drop the trace or use backend='dict'"
-                    )
-                return self._run_compact(kernel)
-        elif fast_possible:
+        kernel = self.factory.compact_kernel
+        if kernel is not None and self.trace is None:
             return self._run_compact(kernel)
-        return self._run_reference()
+        return self.run_reference()
 
     def _run_compact(self, kernel: Any) -> ExecutionResult:
         """Fast path: intern the network once and run the int-array kernel."""
@@ -164,8 +140,8 @@ class Runner:
         }
         return ExecutionResult(outputs=outputs, metrics=metrics, trace=None)
 
-    def _run_reference(self) -> ExecutionResult:
-        """Reference path: the per-node state-machine scheduler."""
+    def run_reference(self) -> ExecutionResult:
+        """:meth:`run` on the per-node state-machine scheduler, always."""
         with obs.span("local.run", backend="dict") as sp:
             scheduler = SynchronousScheduler(
                 self.network, self.factory, trace=self.trace

@@ -24,8 +24,6 @@ from repro.serve.protocol import (
     wire_to_node,
 )
 from repro.serve.server import (
-    COALESCE_MS_ENV_VAR,
-    MAX_BATCH_ENV_VAR,
     OrientationServer,
     ServeConfig,
     ServerThread,
@@ -33,8 +31,6 @@ from repro.serve.server import (
 from repro.serve.snapshot import STATE_KIND, load_state, save_state
 
 __all__ = [
-    "COALESCE_MS_ENV_VAR",
-    "MAX_BATCH_ENV_VAR",
     "MAX_FRAME_BYTES",
     "OrientationServer",
     "ProtocolError",

@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro import obs
@@ -44,21 +44,6 @@ from repro.serve.protocol import (
 
 __all__ = ["ServeConfig", "OrientationServer", "ServerThread"]
 
-#: Environment knobs (documented in the README's "Serving" section).
-MAX_BATCH_ENV_VAR = "REPRO_SERVE_MAX_BATCH"
-COALESCE_MS_ENV_VAR = "REPRO_SERVE_COALESCE_MS"
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    return int(raw) if raw else default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    return float(raw) if raw else default
-
-
 @dataclass
 class ServeConfig:
     """Knobs of one server instance.
@@ -67,18 +52,12 @@ class ServeConfig:
     (a single oversized request is still applied whole); ``coalesce_ms``
     adds a gathering window after the first queued update before the
     drain, trading per-update latency for a higher coalescing ratio.
-    Both default from the environment so deployments can tune a server
-    without code changes.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    max_batch: int = field(
-        default_factory=lambda: _env_int(MAX_BATCH_ENV_VAR, 256)
-    )
-    coalesce_ms: float = field(
-        default_factory=lambda: _env_float(COALESCE_MS_ENV_VAR, 0.0)
-    )
+    max_batch: int = 256
+    coalesce_ms: float = 0.0
 
 
 class _UpdateRequest:
@@ -289,7 +268,6 @@ class OrientationServer:
                         "num_nodes": self.dynamic.num_nodes,
                         "num_edges": self.dynamic.num_edges,
                         "updates_applied": self.dynamic.updates_applied,
-                        "backend": self.dynamic.backend,
                         "counters": dict(self.counters),
                         "coalescing_ratio": (
                             self.counters["deltas_applied"]
@@ -384,9 +362,15 @@ class ServerThread:
 
     def stop(self) -> None:
         if self._loop is not None and self._thread.is_alive():
-            self._loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.server.stop())
-            )
+            try:
+                self._loop.call_soon_threadsafe(
+                    lambda: asyncio.ensure_future(self.server.stop())
+                )
+            except RuntimeError:
+                # The loop closed after the liveness check: the server has
+                # already stopped itself (a ``shutdown`` op), so only the
+                # join below is left to do.
+                pass
         if self._thread is not None:
             self._thread.join(timeout=30)
 

@@ -1,4 +1,4 @@
-"""Tests for best-response dynamics and its compact fast path."""
+"""Tests for best-response dynamics, its kernel and its reference oracle."""
 
 from __future__ import annotations
 
@@ -7,11 +7,13 @@ import pytest
 from repro.core.assignment import (
     Assignment,
     best_response_dynamics,
+    best_response_dynamics_reference,
     greedy_assignment,
+    greedy_assignment_reference,
     is_two_approximation,
 )
-from repro.dispatch import BackendError
 from repro.graphs.bipartite import CustomerServerGraph
+from repro.graphs.compact import CompactBipartite
 from repro.workloads import datacenter_assignment, uniform_assignment
 
 
@@ -68,14 +70,14 @@ class TestBestResponseDynamics:
         assert stats.initial_potential == stats.final_potential
 
 
-class TestBackendDispatch:
+class TestReferenceOracle:
     @pytest.mark.parametrize("policy", ["first", "random"])
-    def test_backends_agree_exactly(self, skewed_graph, policy):
-        ref, ref_stats = best_response_dynamics(
-            skewed_graph, policy=policy, seed=7, backend="dict"
+    def test_kernel_matches_reference_exactly(self, skewed_graph, policy):
+        ref, ref_stats = best_response_dynamics_reference(
+            skewed_graph, policy=policy, seed=7
         )
         fast, fast_stats = best_response_dynamics(
-            skewed_graph, policy=policy, seed=7, backend="compact"
+            skewed_graph, policy=policy, seed=7
         )
         assert ref.choices() == fast.choices()
         assert ref.loads() == fast.loads()
@@ -93,11 +95,15 @@ class TestBackendDispatch:
         assert from_compact.choices() == from_reference.choices()
         assert s1 == s2
 
-    def test_greedy_backends_agree(self, skewed_graph):
-        ref = greedy_assignment(skewed_graph, order="sorted", backend="dict")
-        fast = greedy_assignment(skewed_graph, order="sorted", backend="compact")
+    def test_greedy_kernel_matches_reference(self, skewed_graph):
+        ref = greedy_assignment_reference(skewed_graph, order="sorted")
+        compact = CompactBipartite.from_customer_server_graph(skewed_graph)
+        fast = greedy_assignment(compact, order="sorted")
         assert ref.choices() == fast.choices()
 
-    def test_unknown_backend_rejected(self, skewed_graph):
-        with pytest.raises(BackendError):
-            best_response_dynamics(skewed_graph, backend="numpy")
+    def test_greedy_on_a_dict_graph_is_the_reference(self, skewed_graph):
+        # A single pass does not amortize interning, so only a compact
+        # instance takes the kernel.
+        ref = greedy_assignment_reference(skewed_graph, order="random", seed=3)
+        plain = greedy_assignment(skewed_graph, order="random", seed=3)
+        assert ref.choices() == plain.choices()

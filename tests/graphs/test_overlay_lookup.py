@@ -18,6 +18,7 @@ from repro.core.orientation import (
     EdgeInsert,
     NodeJoin,
     NodeLeave,
+    ScratchDynamicOrientation,
 )
 from repro.core.orientation.problem import OrientationError, edge_key
 from repro.graphs.compact import CompactGraph, DeltaError, DeltaOverlayGraph
@@ -54,7 +55,7 @@ class TestReinsert:
     def test_head_of_follows_the_reinserted_edge(self):
         graph = CompactGraph.from_edges(EDGES)
         engine = DynamicOrientation(graph, seed=4)
-        reference = DynamicOrientation(graph, seed=4, backend="dict")
+        reference = ScratchDynamicOrientation(graph, seed=4)
         for delta in [EdgeDelete(3, 4), EdgeInsert(4, 3), EdgeDelete(1, 4)]:
             assert engine.apply(delta) == reference.apply(delta)
             for u, v in reference.orientation().problem.edges:
@@ -100,7 +101,7 @@ class TestNodeLeaveAndRejoin:
     def test_engine_rejoin_matches_the_reference(self):
         graph = CompactGraph.from_edges(EDGES)
         engine = DynamicOrientation(graph, seed=9)
-        reference = DynamicOrientation(graph, seed=9, backend="dict")
+        reference = ScratchDynamicOrientation(graph, seed=9)
         for delta in [NodeLeave(4), NodeJoin(4, (3, 1, 5)), EdgeDelete(4, 1)]:
             assert engine.apply(delta) == reference.apply(delta)
             assert engine.loads() == reference.loads()
@@ -136,15 +137,15 @@ class TestErrors:
 
     @pytest.mark.parametrize("self_loop", [EdgeInsert(2, 2), EdgeDelete(2, 2)])
     def test_engine_rejects_self_loop_as_delta_error(self, self_loop):
-        # The engine checks before mutating, so both backends raise the
-        # same batch-indexed DeltaError, keep the applied prefix, and
-        # stay stable and in agreement.
+        # The engine checks before mutating, so it and its scratch oracle
+        # raise the same batch-indexed DeltaError, keep the applied
+        # prefix, and stay stable and in agreement.
         graph = CompactGraph.from_edges(EDGES)
         batch = [EdgeDelete(4, 5), self_loop, EdgeInsert(0, 3)]
         errors = []
         engines = []
-        for backend in ("compact", "dict"):
-            engine = DynamicOrientation(graph, seed=2, backend=backend)
+        for engine_cls in (DynamicOrientation, ScratchDynamicOrientation):
+            engine = engine_cls(graph, seed=2)
             with pytest.raises(DeltaError, match="self-loop on 2") as excinfo:
                 engine.apply_batch(batch)
             errors.append((str(excinfo.value), excinfo.value.index))
@@ -156,17 +157,18 @@ class TestErrors:
             engine.head_of(4, 5)
         assert engine.loads() == reference.loads()
         assert not engine.unhappy_edges() and not reference.unhappy_edges()
-        for backend_engine in engines:
+        for either in engines:
             with pytest.raises(DeltaError, match="self-loop"):
-                backend_engine.apply(self_loop)
+                either.apply(self_loop)
             with pytest.raises(DeltaError, match="self-loop"):
-                backend_engine.head_of(2, 2)
+                either.head_of(2, 2)
 
     @pytest.mark.parametrize("backend", ["compact", "dict"])
     @pytest.mark.parametrize("self_loop", [EdgeInsert(3, 3), EdgeDelete(3, 3)])
     def test_leading_self_loop_leaves_the_engine_untouched(self, backend, self_loop):
         graph = CompactGraph.from_edges(EDGES)
-        engine = DynamicOrientation(graph, seed=2, backend=backend)
+        engine_cls = {"compact": DynamicOrientation, "dict": ScratchDynamicOrientation}
+        engine = engine_cls[backend](graph, seed=2)
         heads = {(u, v): engine.head_of(u, v) for u, v in EDGES}
         before = (engine.num_edges, engine.loads())
         with pytest.raises(DeltaError, match="self-loop on 3") as excinfo:

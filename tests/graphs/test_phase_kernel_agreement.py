@@ -17,7 +17,10 @@ from array import array
 import pytest
 
 from repro.core.orientation._kernels import stable_orientation_kernel
-from repro.core.orientation.phases import run_stable_orientation
+from repro.core.orientation.phases import (
+    run_stable_orientation,
+    run_stable_orientation_reference,
+)
 from repro.core.orientation.problem import OrientationProblem
 from repro.graphs.compact import CSR_FIELDS, CompactGraph
 
@@ -53,11 +56,11 @@ def _signature(result):
 def _assert_backends_agree(
     problem: OrientationProblem, tie_break: str, seed: int
 ) -> None:
-    reference = run_stable_orientation(
-        problem, tie_break=tie_break, seed=seed, backend="dict"
+    reference = run_stable_orientation_reference(
+        problem, tie_break=tie_break, seed=seed
     )
     fast = run_stable_orientation(
-        problem, tie_break=tie_break, seed=seed, backend="compact"
+        problem, tie_break=tie_break, seed=seed
     )
     assert _signature(fast) == _signature(reference), (tie_break, seed)
     assert fast.orientation.is_stable()
@@ -87,7 +90,7 @@ def test_mixed_type_node_ids_agree(tie_break):
 
 
 def test_edgeless_graph_agrees():
-    """No edges: zero phases and all-zero loads on both backends."""
+    """No edges: zero phases and all-zero loads from kernel and reference."""
     problem = OrientationProblem([], nodes=range(5))
     _assert_backends_agree(problem, "min", seed=0)
     graph = CompactGraph.from_orientation_problem(problem)

@@ -42,23 +42,35 @@ import random
 
 import pytest
 
-from repro.core.assignment import best_response_dynamics, greedy_assignment
+from repro.core.assignment import (
+    best_response_dynamics,
+    best_response_dynamics_reference,
+    greedy_assignment_reference,
+)
+from repro.core.assignment.semi_matching import _greedy_assignment_compact
 from repro.core.orientation import (
     FLIP_POLICIES,
     OrientationProblem,
     arbitrary_complete_orientation,
     run_bounded_stable_orientation,
+    run_bounded_stable_orientation_reference,
     run_stable_orientation,
+    run_stable_orientation_reference,
     sequential_flip_algorithm,
+    sequential_flip_algorithm_reference,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
 from repro.core.token_dropping import (
     GREEDY_ORDERS,
     TIE_BREAK_POLICIES,
     TokenDroppingInstance,
     greedy_token_dropping,
+    greedy_token_dropping_reference,
     run_proposal_algorithm,
+    run_proposal_algorithm_reference,
     run_three_level_algorithm,
+    run_three_level_algorithm_reference,
 )
 from repro.core.token_dropping.proposal import proposal_factory
 from repro.core.token_dropping.three_level import three_level_factory
@@ -105,11 +117,11 @@ class TestSequentialFlipsAgree:
         for seed in seeds:
             problem = _orientation_instance(family, seed)
             policy = FLIP_POLICIES[seed % len(FLIP_POLICIES)]
-            ref, ref_stats = sequential_flip_algorithm(
-                problem, policy=policy, seed=seed, record_trace=True, backend="dict"
+            ref, ref_stats = sequential_flip_algorithm_reference(
+                problem, policy=policy, seed=seed, record_trace=True
             )
             fast, fast_stats = sequential_flip_algorithm(
-                problem, policy=policy, seed=seed, record_trace=True, backend="compact"
+                problem, policy=policy, seed=seed, record_trace=True
             )
             context = (family, seed, policy)
             assert ref.oriented_edges() == fast.oriented_edges(), context
@@ -141,11 +153,11 @@ class TestStableOrientationAgrees:
         for seed in seeds:
             problem = _orientation_instance(family, seed)
             tie_break = TIE_BREAK_POLICIES[seed % len(TIE_BREAK_POLICIES)]
-            ref = run_stable_orientation(
-                problem, tie_break=tie_break, seed=seed, backend="dict"
+            ref = run_stable_orientation_reference(
+                problem, tie_break=tie_break, seed=seed
             )
             fast = run_stable_orientation(
-                problem, tie_break=tie_break, seed=seed, backend="compact"
+                problem, tie_break=tie_break, seed=seed
             )
             context = (family, seed, tie_break)
             _assert_orientation_results_equal(ref, fast, context)
@@ -155,11 +167,11 @@ class TestStableOrientationAgrees:
         """check_invariants=False still yields identical (stable) results."""
         for seed in range(5):
             problem = _orientation_instance("sensor", seed)
-            ref = run_stable_orientation(
-                problem, check_invariants=False, backend="dict"
+            ref = run_stable_orientation_reference(
+                problem, check_invariants=False
             )
             fast = run_stable_orientation(
-                problem, check_invariants=False, backend="compact"
+                problem, check_invariants=False
             )
             context = ("sensor-noinv", seed)
             _assert_orientation_results_equal(ref, fast, context)
@@ -176,11 +188,11 @@ class TestRepairAgrees:
     def test_identical_orientations_and_stats(self, family, seeds):
         for seed in seeds:
             problem = _orientation_instance(family, seed)
-            ref, ref_stats = synchronous_repair_orientation(
-                problem, seed=seed, backend="dict"
+            ref, ref_stats = synchronous_repair_orientation_reference(
+                problem, seed=seed
             )
             fast, fast_stats = synchronous_repair_orientation(
-                problem, seed=seed, backend="compact"
+                problem, seed=seed
             )
             context = (family, seed)
             assert ref.oriented_edges() == fast.oriented_edges(), context
@@ -194,11 +206,11 @@ class TestRepairAgrees:
         initial = arbitrary_complete_orientation(
             problem, rng=random.Random(11), towards=towards
         )
-        ref, ref_stats = synchronous_repair_orientation(
-            problem, initial=initial, seed=3, backend="dict"
+        ref, ref_stats = synchronous_repair_orientation_reference(
+            problem, initial=initial, seed=3
         )
         fast, fast_stats = synchronous_repair_orientation(
-            problem, initial=initial, seed=3, backend="compact"
+            problem, initial=initial, seed=3
         )
         assert ref.oriented_edges() == fast.oriented_edges(), towards
         assert ref.loads() == fast.loads(), towards
@@ -214,11 +226,11 @@ class TestBoundedOrientationAgrees:
         for seed in range(10):
             problem = _orientation_instance(family, seed)
             tie_break = TIE_BREAK_POLICIES[seed % len(TIE_BREAK_POLICIES)]
-            ref = run_bounded_stable_orientation(
-                problem, k=k, tie_break=tie_break, seed=seed, backend="dict"
+            ref = run_bounded_stable_orientation_reference(
+                problem, k=k, tie_break=tie_break, seed=seed
             )
             fast = run_bounded_stable_orientation(
-                problem, k=k, tie_break=tie_break, seed=seed, backend="compact"
+                problem, k=k, tie_break=tie_break, seed=seed
             )
             context = (family, k, seed, tie_break)
             assert (
@@ -262,18 +274,18 @@ class TestOrientationPipelineEdgeCases:
     def test_mixed_type_node_ids_agree(self):
         problem = self._mixed_type_problem()
         for tie_break in TIE_BREAK_POLICIES:
-            ref = run_stable_orientation(
-                problem, tie_break=tie_break, seed=2, backend="dict"
+            ref = run_stable_orientation_reference(
+                problem, tie_break=tie_break, seed=2
             )
             fast = run_stable_orientation(
-                problem, tie_break=tie_break, seed=2, backend="compact"
+                problem, tie_break=tie_break, seed=2
             )
             _assert_orientation_results_equal(ref, fast, tie_break)
-            bounded_ref = run_bounded_stable_orientation(
-                problem, tie_break=tie_break, seed=2, backend="dict"
+            bounded_ref = run_bounded_stable_orientation_reference(
+                problem, tie_break=tie_break, seed=2
             )
             bounded_fast = run_bounded_stable_orientation(
-                problem, tie_break=tie_break, seed=2, backend="compact"
+                problem, tie_break=tie_break, seed=2
             )
             assert (
                 bounded_ref.orientation.oriented_edges()
@@ -283,25 +295,25 @@ class TestOrientationPipelineEdgeCases:
                 bounded_ref.assignment_result.per_phase
                 == bounded_fast.assignment_result.per_phase
             ), tie_break
-        ref, ref_stats = synchronous_repair_orientation(problem, seed=4, backend="dict")
+        ref, ref_stats = synchronous_repair_orientation_reference(problem, seed=4)
         fast, fast_stats = synchronous_repair_orientation(
-            problem, seed=4, backend="compact"
+            problem, seed=4
         )
         assert ref.oriented_edges() == fast.oriented_edges()
         assert ref_stats == fast_stats
 
     def test_edgeless_problems_agree(self):
         problem = OrientationProblem(edges=[], nodes=["a", "b", 3])
-        ref = run_stable_orientation(problem, backend="dict")
-        fast = run_stable_orientation(problem, backend="compact")
+        ref = run_stable_orientation_reference(problem)
+        fast = run_stable_orientation(problem)
         _assert_orientation_results_equal(ref, fast, "edgeless")
         assert fast.phases == 0
-        bounded_ref = run_bounded_stable_orientation(problem, backend="dict")
-        bounded_fast = run_bounded_stable_orientation(problem, backend="compact")
+        bounded_ref = run_bounded_stable_orientation_reference(problem)
+        bounded_fast = run_bounded_stable_orientation(problem)
         assert bounded_ref.phases == bounded_fast.phases == 0
         assert bounded_fast.assignment_result is None
-        ref_o, ref_stats = synchronous_repair_orientation(problem, backend="dict")
-        fast_o, fast_stats = synchronous_repair_orientation(problem, backend="compact")
+        ref_o, ref_stats = synchronous_repair_orientation_reference(problem)
+        fast_o, fast_stats = synchronous_repair_orientation(problem)
         assert ref_o.oriented_edges() == fast_o.oriented_edges() == ()
         assert ref_stats == fast_stats
 
@@ -339,11 +351,11 @@ class TestBestResponseAgrees:
                     num_jobs=55, num_servers=11, replicas=3, seed=seed
                 )
             policy = "first" if seed % 2 == 0 else "random"
-            ref, ref_stats = best_response_dynamics(
-                graph, policy=policy, seed=seed, backend="dict"
+            ref, ref_stats = best_response_dynamics_reference(
+                graph, policy=policy, seed=seed
             )
             fast, fast_stats = best_response_dynamics(
-                graph, policy=policy, seed=seed, backend="compact"
+                graph, policy=policy, seed=seed
             )
             context = (family, seed, policy)
             assert ref.choices() == fast.choices(), context
@@ -368,9 +380,9 @@ class TestGreedyAgrees:
                     popularity_skew=float(seed % 3),
                     seed=seed,
                 )
-                ref = greedy_assignment(graph, order=order, seed=seed, backend="dict")
-                fast = greedy_assignment(
-                    graph, order=order, seed=seed, backend="compact"
+                ref = greedy_assignment_reference(graph, order=order, seed=seed)
+                fast = _greedy_assignment_compact(
+                    graph, order=order, seed=seed
                 )
                 assert ref.choices() == fast.choices(), (seed, order)
                 assert ref.loads() == fast.loads(), (seed, order)
@@ -414,11 +426,11 @@ class TestProposalAlgorithmAgrees:
         for seed in seeds:
             instance = _token_dropping_instance(family, seed)
             tie_break = TIE_BREAK_POLICIES[seed % len(TIE_BREAK_POLICIES)]
-            ref = run_proposal_algorithm(
-                instance, tie_break=tie_break, seed=seed, backend="dict"
+            ref = run_proposal_algorithm_reference(
+                instance, tie_break=tie_break, seed=seed
             )
             fast = run_proposal_algorithm(
-                instance, tie_break=tie_break, seed=seed, backend="compact"
+                instance, tie_break=tie_break, seed=seed
             )
             context = (family, seed, tie_break)
             # Solution equality covers final placements, used edges, pass
@@ -433,10 +445,10 @@ class TestProposalAlgorithmAgrees:
         network = instance.to_network()
         budget = 3 * instance.theoretical_round_bound()
         ref = Runner(
-            network, proposal_factory("min", seed), max_rounds=budget, backend="dict"
-        ).run()
+            network, proposal_factory("min", seed), max_rounds=budget
+        ).run_reference()
         fast = Runner(
-            network, proposal_factory("min", seed), max_rounds=budget, backend="compact"
+            network, proposal_factory("min", seed), max_rounds=budget
         ).run()
         assert ref.outputs == fast.outputs, seed
         assert ref.metrics == fast.metrics, seed
@@ -456,11 +468,11 @@ class TestThreeLevelAlgorithmAgrees:
                 num_levels=3, degree=degree, seed=seed
             )
             tie_break = TIE_BREAK_POLICIES[seed % len(TIE_BREAK_POLICIES)]
-            ref = run_three_level_algorithm(
-                instance, tie_break=tie_break, seed=seed, backend="dict"
+            ref = run_three_level_algorithm_reference(
+                instance, tie_break=tie_break, seed=seed
             )
             fast = run_three_level_algorithm(
-                instance, tie_break=tie_break, seed=seed, backend="compact"
+                instance, tie_break=tie_break, seed=seed
             )
             context = (seed, degree, tie_break)
             assert ref == fast, context
@@ -471,13 +483,12 @@ class TestThreeLevelAlgorithmAgrees:
         instance = bounded_degree_token_dropping(num_levels=3, degree=5, seed=seed)
         network = instance.to_network(include_levels=True)
         ref = Runner(
-            network, three_level_factory("min", seed), max_rounds=1000, backend="dict"
-        ).run()
+            network, three_level_factory("min", seed), max_rounds=1000
+        ).run_reference()
         fast = Runner(
             network,
             three_level_factory("min", seed),
             max_rounds=1000,
-            backend="compact",
         ).run()
         assert ref.outputs == fast.outputs, seed
         assert ref.metrics == fast.metrics, seed
@@ -499,11 +510,11 @@ class TestGreedyTokenDroppingAgrees:
                 seed=seed,
             )
             for order in GREEDY_ORDERS:
-                ref = greedy_token_dropping(
-                    instance, order=order, seed=seed, backend="dict"
+                ref = greedy_token_dropping_reference(
+                    instance, order=order, seed=seed
                 )
                 fast = greedy_token_dropping(
-                    instance, order=order, seed=seed, backend="compact"
+                    instance, order=order, seed=seed
                 )
                 assert ref == fast, (seed, order)
                 assert fast.validate(instance).valid, (seed, order)
@@ -515,21 +526,21 @@ class TestTokenDroppingEdgeCases:
     def test_mixed_type_node_ids_agree(self):
         instance = _mixed_type_instance()
         for tie_break in TIE_BREAK_POLICIES:
-            assert run_proposal_algorithm(
-                instance, tie_break=tie_break, seed=3, backend="dict"
+            assert run_proposal_algorithm_reference(
+                instance, tie_break=tie_break, seed=3
             ) == run_proposal_algorithm(
-                instance, tie_break=tie_break, seed=3, backend="compact"
+                instance, tie_break=tie_break, seed=3
             ), tie_break
-            assert run_three_level_algorithm(
-                instance, tie_break=tie_break, seed=3, backend="dict"
+            assert run_three_level_algorithm_reference(
+                instance, tie_break=tie_break, seed=3
             ) == run_three_level_algorithm(
-                instance, tie_break=tie_break, seed=3, backend="compact"
+                instance, tie_break=tie_break, seed=3
             ), tie_break
         for order in GREEDY_ORDERS:
-            assert greedy_token_dropping(
-                instance, order=order, seed=5, backend="dict"
+            assert greedy_token_dropping_reference(
+                instance, order=order, seed=5
             ) == greedy_token_dropping(
-                instance, order=order, seed=5, backend="compact"
+                instance, order=order, seed=5
             ), order
 
     def test_tokenless_game_agrees(self):
@@ -538,12 +549,12 @@ class TestTokenDroppingEdgeCases:
             edges=[("a", "c"), ("b", "c"), ("c", "d")],
         )
         instance = TokenDroppingInstance(graph, frozenset())
-        assert run_proposal_algorithm(
-            instance, backend="dict"
-        ) == run_proposal_algorithm(instance, backend="compact")
-        assert greedy_token_dropping(
-            instance, backend="dict"
-        ) == greedy_token_dropping(instance, backend="compact")
+        assert run_proposal_algorithm_reference(
+            instance
+        ) == run_proposal_algorithm(instance)
+        assert greedy_token_dropping_reference(
+            instance
+        ) == greedy_token_dropping(instance)
 
     def test_empty_and_single_node_games_agree(self):
         empty = TokenDroppingInstance(LayeredGraph(levels={}), frozenset())
@@ -551,13 +562,13 @@ class TestTokenDroppingEdgeCases:
             LayeredGraph(levels={"x": 0}), frozenset({"x"})
         )
         for instance in (empty, lonely):
-            ref = run_proposal_algorithm(instance, backend="dict")
-            fast = run_proposal_algorithm(instance, backend="compact")
+            ref = run_proposal_algorithm_reference(instance)
+            fast = run_proposal_algorithm(instance)
             assert ref == fast
             assert ref.communication_rounds == 0
-            assert greedy_token_dropping(
-                instance, backend="dict"
-            ) == greedy_token_dropping(instance, backend="compact")
+            assert greedy_token_dropping_reference(
+                instance
+            ) == greedy_token_dropping(instance)
 
 
 class TestCompactInstancesMatchReferenceInstances:
@@ -569,7 +580,7 @@ class TestCompactInstancesMatchReferenceInstances:
         compact = layered_dag_orientation(
             num_levels=4, width=5, seed=seed, compact=True
         )
-        ref, ref_stats = sequential_flip_algorithm(reference, backend="dict")
+        ref, ref_stats = sequential_flip_algorithm_reference(reference)
         fast, fast_stats = sequential_flip_algorithm(compact)
         assert ref.oriented_edges() == fast.oriented_edges()
         assert ref_stats == fast_stats
@@ -580,7 +591,7 @@ class TestCompactInstancesMatchReferenceInstances:
         compact = uniform_assignment(
             num_jobs=40, num_servers=8, seed=seed, compact=True
         )
-        ref, ref_stats = best_response_dynamics(reference, backend="dict")
+        ref, ref_stats = best_response_dynamics_reference(reference)
         fast, fast_stats = best_response_dynamics(compact)
         assert ref.choices() == fast.choices()
         assert ref_stats == fast_stats

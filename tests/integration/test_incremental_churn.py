@@ -29,7 +29,8 @@ from repro.core.orientation import (
     NodeLeave,
     Orientation,
     OrientationProblem,
-    synchronous_repair_orientation,
+    ScratchDynamicOrientation,
+    synchronous_repair_orientation_reference,
 )
 from repro.graphs.compact import CompactGraph, DeltaError, DeltaOverlayGraph
 from repro.graphs.generators import bounded_degree_gnp
@@ -66,8 +67,8 @@ def _instance(family: str, seed: int) -> OrientationProblem:
 
 def _assert_lockstep(problem, trace, seed):
     """Replay ``trace`` on both backends, comparing after every step."""
-    fast = DynamicOrientation(problem, seed=seed, backend="compact")
-    reference = DynamicOrientation(problem, seed=seed, backend="dict")
+    fast = DynamicOrientation(problem, seed=seed)
+    reference = ScratchDynamicOrientation(problem, seed=seed)
     assert fast.orientation().oriented_edges() == (
         reference.orientation().oriented_edges()
     )
@@ -103,8 +104,8 @@ class TestChurnTracesAgree:
             # repair of the final graph seeded from the final orientation
             # (stability is a fixed point: zero iterations, no flips).
             final = fast.orientation()
-            solved, stats = synchronous_repair_orientation(
-                final.problem, initial=final, seed=seed, backend="dict"
+            solved, stats = synchronous_repair_orientation_reference(
+                final.problem, initial=final, seed=seed
             )
             assert stats.iterations == 0
             assert solved.oriented_edges() == final.oriented_edges()
@@ -139,7 +140,7 @@ class TestTraceGenerator:
         trace = churn_trace(
             problem, num_updates=40, seed=0, mix="failures", min_nodes=3
         )
-        engine = DynamicOrientation(problem, backend="compact")
+        engine = DynamicOrientation(problem)
         for delta in trace:
             engine.apply(delta)
             assert engine.num_nodes >= 3
@@ -223,7 +224,9 @@ class TestDynamicOrientationEdgeCases:
     @pytest.mark.parametrize("backend", ["dict", "compact"])
     def test_invalid_deltas_raise_and_leave_state_intact(self, backend):
         problem = OrientationProblem(edges=[(0, 1), (1, 2)], nodes=[0, 1, 2])
-        engine = DynamicOrientation(problem, backend=backend)
+        engine = (
+            ScratchDynamicOrientation if backend == "dict" else DynamicOrientation
+        )(problem)
         before = engine.orientation().oriented_edges()
         for delta in [
             EdgeInsert(0, 1),  # duplicate
@@ -253,7 +256,9 @@ class TestDynamicOrientationEdgeCases:
     @pytest.mark.parametrize("backend", ["dict", "compact"])
     def test_grows_from_nothing(self, backend):
         problem = OrientationProblem(edges=[], nodes=["a"])
-        engine = DynamicOrientation(problem, backend=backend)
+        engine = (
+            ScratchDynamicOrientation if backend == "dict" else DynamicOrientation
+        )(problem)
         engine.apply(NodeJoin("b", attach=("a",)))
         engine.apply(NodeJoin("c", attach=("a", "b")))
         engine.apply(NodeLeave("a"))
@@ -270,8 +275,8 @@ class TestDynamicOrientationEdgeCases:
 
     def test_explicit_update_seed_override_agrees(self):
         problem = _instance("gnp", 6)
-        fast = DynamicOrientation(problem, seed=1, backend="compact")
-        reference = DynamicOrientation(problem, seed=1, backend="dict")
+        fast = DynamicOrientation(problem, seed=1)
+        reference = ScratchDynamicOrientation(problem, seed=1)
         trace = churn_trace(problem, num_updates=10, seed=8, mix="mixed")
         for step, delta in enumerate(trace):
             assert fast.apply(delta, seed=step * 17) == reference.apply(
@@ -283,16 +288,18 @@ class TestDynamicOrientationEdgeCases:
 
     def test_wrapping_a_presolved_orientation_skips_resolving(self):
         problem = _instance("regular", 2)
-        solved, _ = synchronous_repair_orientation(problem, seed=3, backend="dict")
+        solved, _ = synchronous_repair_orientation_reference(problem, seed=3)
         for backend in ("dict", "compact"):
-            engine = DynamicOrientation(problem, initial=solved, backend=backend)
+            engine = (
+                ScratchDynamicOrientation if backend == "dict" else DynamicOrientation
+            )(problem, initial=solved)
             assert engine.orientation().oriented_edges() == solved.oriented_edges()
 
     def test_locality_updates_touch_few_frontier_nodes(self):
         """The locality guarantee: a delta seeds O(frontier) repair work,
         and the frontier is the delta's own endpoints — not O(n)."""
         problem = churn_smoke()
-        engine = DynamicOrientation(problem, backend="compact")
+        engine = DynamicOrientation(problem)
         stats = engine.apply(EdgeDelete(*engine.orientation().problem.edges[0]))
         assert stats.frontier_nodes == 2
         assert stats.repair.initial_unhappy <= 2 * problem.max_degree()

@@ -1,10 +1,9 @@
-"""CompactNetwork interning, the CompactEngine, and Runner dispatch."""
+"""CompactNetwork interning, the CompactEngine, and the Runner's two paths."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.dispatch import BackendError
 from repro.local_model import (
     AlgorithmFactory,
     CompactEngine,
@@ -109,27 +108,18 @@ class TestRunnerDispatch:
         }
         assert result.metrics.terminated
 
-    def test_backend_dict_forces_reference_scheduler(self):
+    def test_run_reference_forces_reference_scheduler(self):
         network = sample_network()
-        result = Runner(network, kernel_factory(), backend="dict").run()
+        result = Runner(network, kernel_factory()).run_reference()
         # StatelessRelay echoes its local input, unlike the echo kernel.
         assert result.outputs["c"] == {"tag": "C"}
         assert result.outputs["a"] is None
 
-    def test_explicit_compact_without_kernel_raises(self):
-        with pytest.raises(BackendError):
-            Runner(sample_network(), StatelessRelay, backend="compact").run()
+    def test_algorithm_without_kernel_runs_reference_scheduler(self):
+        result = Runner(sample_network(), StatelessRelay).run()
+        assert result.outputs["c"] == {"tag": "C"}
 
     def test_trace_falls_back_to_reference(self):
         trace = ExecutionTrace()
         result = Runner(sample_network(), kernel_factory(), trace=trace).run()
         assert result.outputs["c"] == {"tag": "C"}
-
-    def test_explicit_compact_with_trace_raises(self):
-        with pytest.raises(BackendError):
-            Runner(
-                sample_network(),
-                kernel_factory(),
-                trace=ExecutionTrace(),
-                backend="compact",
-            ).run()

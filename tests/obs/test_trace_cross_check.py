@@ -27,6 +27,7 @@ from repro import obs
 from repro.core.assignment import AssignmentPhaseStats
 from repro.core.orientation import (
     DynamicOrientation,
+    ScratchDynamicOrientation,
     run_bounded_stable_orientation,
     run_stable_orientation,
     synchronous_repair_orientation,
@@ -83,10 +84,10 @@ PHASE_SPAN_FIELDS = {
 def test_phase_spans_match_phase_stats(sink, algorithm):
     problem = sensor_network_orientation(num_nodes=80, max_degree=6, seed=3)
     if algorithm == "phases":
-        result = run_stable_orientation(problem, backend="compact")
+        result = run_stable_orientation(problem)
         name, fields = "orientation.phase", PHASE_SPAN_FIELDS
     else:
-        result = run_bounded_stable_orientation(problem, k=2, backend="compact")
+        result = run_bounded_stable_orientation(problem, k=2)
         # Bounded phases carry their AssignmentPhaseStats fields verbatim.
         name = "orientation.bounded_phase"
         fields = {f.name: f.name for f in dataclasses.fields(AssignmentPhaseStats)}
@@ -118,7 +119,7 @@ def test_api_solve_root_span_and_lazy_result_wrap_spans(sink, algorithm):
     solved = repro.solve(graph, algorithm=algorithm)
     (root,) = sink.spans("api.solve")
     assert root["parent"] is None
-    assert root["attrs"] == {"algorithm": algorithm, "backend": "compact"}
+    assert root["attrs"] == {"algorithm": algorithm}
     assert all(s["parent"] is not None for s in sink.spans() if s is not root)
     # The dict views are built only on demand, each once, outside the solve.
     assert not sink.spans("result.wrap")
@@ -183,8 +184,7 @@ def test_round_spans_match_execution_metrics_on_dict_backend(sink):
     result = Runner(
         instance.to_network(),
         proposal_factory(),
-        backend="dict",
-    ).run()
+    ).run_reference()
     assert result.metrics.rounds > 0
 
     rounds = sink.spans("local.round")
@@ -210,13 +210,9 @@ def test_round_spans_match_execution_metrics_on_dict_backend(sink):
 
 def test_compact_backend_records_run_span_with_same_totals(sink):
     instance = figure2_instance()
-    reference = Runner(
-        instance.to_network(), proposal_factory(), backend="dict"
-    ).run()
+    reference = Runner(instance.to_network(), proposal_factory()).run_reference()
     sink.clear()
-    compact = Runner(
-        instance.to_network(), proposal_factory(), backend="compact"
-    ).run()
+    compact = Runner(instance.to_network(), proposal_factory()).run()
 
     (run_span,) = sink.spans("local.run")
     assert run_span["attrs"]["backend"] == "compact"
@@ -234,7 +230,8 @@ def test_compact_backend_records_run_span_with_same_totals(sink):
 def test_churn_apply_spans_match_update_stats(sink, backend):
     problem = churn_smoke(compact=(backend == "compact"))
     trace = churn_smoke_trace(problem)
-    engine = DynamicOrientation(problem, seed=2, backend=backend)
+    engine_cls = {"compact": DynamicOrientation, "dict": ScratchDynamicOrientation}
+    engine = engine_cls[backend](problem, seed=2)
     sink.clear()  # drop the initial-solve spans; measure apply() only
 
     all_stats = [engine.apply(delta) for delta in trace]
@@ -244,7 +241,6 @@ def test_churn_apply_spans_match_update_stats(sink, backend):
     for span, delta, stats in zip(spans, trace, all_stats):
         attrs = span["attrs"]
         assert attrs["kind"] == type(delta).__name__
-        assert attrs["backend"] == backend
         assert attrs["frontier_nodes"] == stats.frontier_nodes
         assert attrs["edges_inserted"] == stats.edges_inserted
         assert attrs["edges_removed"] == stats.edges_removed
@@ -352,7 +348,7 @@ def test_jsonl_trace_replays_through_report_trace_with_exact_counts(tmp_path):
     orientation_result = run_stable_orientation(orientation_smoke(compact=True))
     churn_problem = churn_smoke(compact=True)
     deltas = churn_smoke_trace(churn_problem)
-    engine = DynamicOrientation(churn_problem, seed=2, backend="compact")
+    engine = DynamicOrientation(churn_problem, seed=2)
     update_stats = [engine.apply(delta) for delta in deltas]
     obs.disable()
 

@@ -21,6 +21,7 @@ from repro.core.orientation import (
     check_stable,
     flip_chain_length,
     run_stable_orientation,
+    run_stable_orientation_reference,
     sequential_flip_algorithm,
     synchronous_repair_orientation,
     theoretical_phase_bound,
@@ -190,7 +191,7 @@ class TestPhaseAlgorithm:
                 graph = CompactGraph.from_orientation_problem(problem)
                 stable_orientation_kernel(graph, max_phases=1)
             else:
-                run_stable_orientation(problem, max_phases=1, backend="dict")
+                run_stable_orientation_reference(problem, max_phases=1)
 
 
 class TestPropertyBased:

@@ -3,7 +3,7 @@
 The coalescing contract the serving layer is built on:
 
 * a one-delta batch is *identical* (stats and state) to :meth:`apply`;
-* compact and dict backends agree bit-for-bit on every batch;
+* the engine and its scratch oracle agree bit-for-bit on every batch;
 * an empty batch is a strict no-op (update counter untouched);
 * a failing delta re-stabilizes the applied prefix before raising, and
   leaves the engine exactly as a batch of just that prefix would —
@@ -23,6 +23,7 @@ from repro.core.orientation import (
     EdgeInsert,
     NodeJoin,
     NodeLeave,
+    ScratchDynamicOrientation,
 )
 from repro.graphs.compact import DeltaError
 from repro.workloads import churn_smoke, churn_smoke_trace, churn_trace
@@ -31,8 +32,12 @@ from repro.workloads.scenarios import sensor_network_orientation
 pytestmark = pytest.mark.integration
 
 
+#: The incremental engine and its scratch-recompute oracle.
+ENGINES = {"compact": DynamicOrientation, "dict": ScratchDynamicOrientation}
+
+
 def _engine(seed=5, backend="compact"):
-    return DynamicOrientation(churn_smoke(compact=True), seed=seed, backend=backend)
+    return ENGINES[backend](churn_smoke(compact=True), seed=seed)
 
 
 def _trace(n=60):
@@ -113,7 +118,7 @@ class TestBatchSemantics:
         stats = engine.apply_batch(batch)
         assert stats.edges_removed == 1 and stats.edges_inserted == 1
         # Bit-for-bit against the dict reference applying the same batch.
-        ref = DynamicOrientation(graph, seed=5, backend="dict")
+        ref = ScratchDynamicOrientation(graph, seed=5)
         assert ref.apply_batch(batch) == stats
         assert ref.loads() == engine.loads()
         # The edge survived the round trip on both.
@@ -247,8 +252,8 @@ class TestBatchTraceFamilies:
         trace = list(
             churn_trace(instance, num_updates=60, seed=17, mix=mix)
         )
-        fast = DynamicOrientation(instance, seed=7, backend="compact")
-        reference = DynamicOrientation(instance, seed=7, backend="dict")
+        fast = DynamicOrientation(instance, seed=7)
+        reference = ScratchDynamicOrientation(instance, seed=7)
         for lo in range(0, len(trace), 9):
             chunk = trace[lo : lo + 9]
             assert fast.apply_batch(chunk) == reference.apply_batch(chunk)

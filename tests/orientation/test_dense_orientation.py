@@ -25,8 +25,11 @@ from repro.core.orientation import (
     bounded_unhappy_edges,
     run_bounded_stable_orientation,
     run_stable_orientation,
+    run_stable_orientation_reference,
     sequential_flip_algorithm,
+    sequential_flip_algorithm_reference,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
 from repro.core.orientation import _kernels
 from repro.core.orientation.problem import DenseOrientation
@@ -70,7 +73,7 @@ def _dict_copy(dense: DenseOrientation) -> Orientation:
 class TestCompactEntryPointsKeepArrays:
     def test_phases_result_holds_the_kernel_arrays(self):
         graph = _graph()
-        result = run_stable_orientation(graph, seed=3, backend="compact")
+        result = run_stable_orientation(graph, seed=3)
         heads, load, *_ = _kernels.stable_orientation_kernel(graph, seed=3)
         assert isinstance(result.orientation, DenseOrientation)
         arrays = result.orientation.to_arrays(graph)
@@ -79,7 +82,7 @@ class TestCompactEntryPointsKeepArrays:
 
     def test_bounded_result_holds_the_kernel_arrays(self):
         graph = _graph()
-        result = run_bounded_stable_orientation(graph, seed=3, backend="compact")
+        result = run_bounded_stable_orientation(graph, seed=3)
         choice, load, *_ = _kernels.bounded_orientation_kernel(graph, seed=3)
         assert isinstance(result.orientation, DenseOrientation)
         assert result.orientation.to_arrays(graph) == (choice, load)
@@ -89,11 +92,11 @@ class TestCompactEntryPointsKeepArrays:
     def test_baselines_return_dense_orientations(self, entry):
         graph = _graph()
         if entry == "repair":
-            fast, _ = synchronous_repair_orientation(graph, seed=2, backend="compact")
-            ref, _ = synchronous_repair_orientation(graph, seed=2, backend="dict")
+            fast, _ = synchronous_repair_orientation(graph, seed=2)
+            ref, _ = synchronous_repair_orientation_reference(graph, seed=2)
         else:
-            fast, _ = sequential_flip_algorithm(graph, seed=2, backend="compact")
-            ref, _ = sequential_flip_algorithm(graph, seed=2, backend="dict")
+            fast, _ = sequential_flip_algorithm(graph, seed=2)
+            ref, _ = sequential_flip_algorithm_reference(graph, seed=2)
         assert isinstance(fast, DenseOrientation)
         assert fast.to_arrays(graph) == ref.to_arrays(graph)
         assert fast.oriented_edges() == ref.oriented_edges()
@@ -102,8 +105,8 @@ class TestCompactEntryPointsKeepArrays:
 class TestLazyDictView:
     def test_view_is_built_on_first_use_and_equals_the_reference(self):
         graph = _graph()
-        fast = run_stable_orientation(graph, seed=1, backend="compact").orientation
-        ref = run_stable_orientation(graph, seed=1, backend="dict").orientation
+        fast = run_stable_orientation(graph, seed=1).orientation
+        ref = run_stable_orientation_reference(graph, seed=1).orientation
         assert "_heads" not in vars(fast)
         assert fast.oriented_edges() == ref.oriented_edges()
         assert "_heads" in vars(fast)
@@ -112,12 +115,12 @@ class TestLazyDictView:
 
     def test_view_keeps_the_callers_problem(self):
         problem = _graph().to_orientation_problem()
-        fast = run_stable_orientation(problem, backend="compact").orientation
+        fast = run_stable_orientation(problem).orientation
         assert fast.problem is problem
 
     def test_view_is_read_only_and_copy_is_editable(self):
         graph = _graph()
-        dense = run_stable_orientation(graph, backend="compact").orientation
+        dense = run_stable_orientation(graph).orientation
         u, v = graph.edge_keys()[0]
         with pytest.raises(OrientationError, match="read-only"):
             dense.flip(u, v)
@@ -163,8 +166,8 @@ class TestArrayQueriesMatchTheirDefinitions:
     def test_edgeless(self):
         graph = CompactGraph.from_edges([], nodes=["a", "b", 3])
         for result in (
-            run_stable_orientation(graph, backend="compact"),
-            run_bounded_stable_orientation(graph, backend="compact"),
+            run_stable_orientation(graph),
+            run_bounded_stable_orientation(graph),
         ):
             assert result.stable
             assert result.orientation.to_arrays(graph) == ([], [0, 0, 0])
@@ -203,13 +206,13 @@ class TestStabilityFromArrays:
     def test_array_answer_equals_the_dict_view_answer(self, family):
         for seed in range(5):
             graph = self._instance(family, seed)
-            phases = run_stable_orientation(graph, seed=seed, backend="compact")
+            phases = run_stable_orientation(graph, seed=seed)
             assert phases.stable, (family, seed)
             assert "_heads" not in vars(phases.orientation)
             assert self._view_answers(phases)[0] is True
             for k in (2, 3):
                 bounded = run_bounded_stable_orientation(
-                    graph, k=k, seed=seed, backend="compact"
+                    graph, k=k, seed=seed
                 )
                 assert bounded.stable, (family, seed, k)
                 assert "_heads" not in vars(bounded.orientation)
@@ -220,8 +223,8 @@ class TestStabilityFromArrays:
         # of them at the centre leaves loads 3, 0, 0, 0.
         graph = CompactGraph.from_edges([("c", leaf) for leaf in range(3)])
         centre = graph.index_of["c"]
-        phases = run_stable_orientation(graph, backend="compact")
-        bounded = run_bounded_stable_orientation(graph, backend="compact")
+        phases = run_stable_orientation(graph)
+        bounded = run_bounded_stable_orientation(graph)
         assert phases.stable and bounded.stable
         load = [0] * graph.num_nodes
         load[centre] = graph.num_edges

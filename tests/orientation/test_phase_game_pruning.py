@@ -8,7 +8,7 @@ other node three rounds after its last parent, so the component's last
 halt is round ``3·L`` for ``L`` its longest upward path.  The phase's
 round count is the larger of the played game's and ``3·L``.
 
-These tests pin that contract against the ``backend="dict"`` reference,
+These tests pin that contract against ``run_stable_orientation_reference``,
 which plays every game in full on the reference scheduler: one phase
 where a token-free chain outlasts the played game, one phase whose game
 holds no token at all, the ``orientation.frontier.played_edges`` and
@@ -25,7 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import obs
-from repro.core.orientation import run_stable_orientation
+from repro.core.orientation import (
+    run_stable_orientation,
+    run_stable_orientation_reference,
+)
 from repro.core.orientation._kernels import stable_orientation_kernel
 from repro.graphs.compact import CompactGraph
 from repro.graphs.generators import bounded_degree_gnp
@@ -74,8 +77,8 @@ def _assert_matches_reference(graph, tie_break="min", seed=0):
     heads, load, phases, game_rounds, rounds, per_phase = stable_orientation_kernel(
         graph, tie_break=tie_break, seed=seed
     )
-    reference = run_stable_orientation(
-        graph, tie_break=tie_break, seed=seed, backend="dict"
+    reference = run_stable_orientation_reference(
+        graph, tie_break=tie_break, seed=seed
     )
     assert (heads, load) == reference.orientation.to_arrays(graph)
     assert per_phase == reference.per_phase

@@ -25,8 +25,11 @@ from repro.core.orientation import (
     FLIP_POLICIES,
     OrientationProblem,
     run_bounded_stable_orientation,
+    run_bounded_stable_orientation_reference,
     sequential_flip_algorithm,
+    sequential_flip_algorithm_reference,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
 from repro.core.orientation._kernels import _edge_customer_ranks, directed_ranks
 from repro.core.token_dropping import TIE_BREAK_POLICIES
@@ -169,11 +172,11 @@ class TestCustomReprIds:
 
     def test_repair_matches_dict_reference(self, problem):
         for seed in range(4):
-            ref, ref_stats = synchronous_repair_orientation(
-                problem, seed=seed, backend="dict"
+            ref, ref_stats = synchronous_repair_orientation_reference(
+                problem, seed=seed
             )
             fast, fast_stats = synchronous_repair_orientation(
-                problem, seed=seed, backend="compact"
+                problem, seed=seed
             )
             assert ref.oriented_edges() == fast.oriented_edges(), seed
             assert ref_stats == fast_stats, seed
@@ -181,11 +184,11 @@ class TestCustomReprIds:
     @pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
     def test_bounded_matches_dict_reference(self, problem, tie_break):
         for seed in range(3):
-            ref = run_bounded_stable_orientation(
-                problem, tie_break=tie_break, seed=seed, backend="dict"
+            ref = run_bounded_stable_orientation_reference(
+                problem, tie_break=tie_break, seed=seed
             )
             fast = run_bounded_stable_orientation(
-                problem, tie_break=tie_break, seed=seed, backend="compact"
+                problem, tie_break=tie_break, seed=seed
             )
             context = (tie_break, seed)
             assert (
@@ -199,11 +202,11 @@ class TestCustomReprIds:
     @pytest.mark.parametrize("policy", FLIP_POLICIES)
     def test_sequential_flip_matches_dict_reference(self, problem, policy):
         for seed in range(3):
-            ref, ref_stats = sequential_flip_algorithm(
-                problem, policy=policy, seed=seed, record_trace=True, backend="dict"
+            ref, ref_stats = sequential_flip_algorithm_reference(
+                problem, policy=policy, seed=seed, record_trace=True
             )
             fast, fast_stats = sequential_flip_algorithm(
-                problem, policy=policy, seed=seed, record_trace=True, backend="compact"
+                problem, policy=policy, seed=seed, record_trace=True
             )
             assert ref.oriented_edges() == fast.oriented_edges(), (policy, seed)
             assert ref_stats == fast_stats, (policy, seed)

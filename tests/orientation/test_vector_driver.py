@@ -7,8 +7,8 @@ NumPy arrays, but :func:`stable_orientation_kernel` and
 serialise to JSON.  ``Solved.heads`` feeds the server and the snapshots,
 so a NumPy scalar leaking out would surface far from here.
 
-Every case below is also checked against the ``backend="dict"``
-reference: edgeless graphs, isolated nodes, CSR buffers that are
+Every case below is also checked against the ``*_reference`` dict
+oracle: edgeless graphs, isolated nodes, CSR buffers that are
 read-only mmap-backed memoryviews of a snapshot, the bounded kernel at
 ``k = 2`` and at a cap no load reaches, and runs with
 ``check_invariants=False``.  The bounded kernel's ``k = 1`` has no
@@ -25,7 +25,9 @@ import pytest
 
 from repro.core.orientation import (
     run_bounded_stable_orientation,
+    run_bounded_stable_orientation_reference,
     run_stable_orientation,
+    run_stable_orientation_reference,
 )
 from repro.core.orientation._kernels import (
     bounded_orientation_kernel,
@@ -65,12 +67,11 @@ def _stable(graph, *, tie_break="min", seed=0, check_invariants=True):
     heads, load, phases, game_rounds, rounds, per_phase = out
     _assert_plain(heads, load, per_phase)
     assert all(type(x) is int for x in (phases, game_rounds, rounds))
-    reference = run_stable_orientation(
+    reference = run_stable_orientation_reference(
         graph,
         tie_break=tie_break,
         seed=seed,
         check_invariants=check_invariants,
-        backend="dict",
     )
     assert (heads, load) == reference.orientation.to_arrays(graph)
     assert (phases, game_rounds, rounds, per_phase) == (
@@ -89,13 +90,12 @@ def _bounded(graph, *, k=2, tie_break="min", seed=0, check_invariants=True):
     choice, load, phases, game_rounds, per_phase = out
     _assert_plain(choice, load, per_phase)
     assert all(type(x) is int for x in (phases, game_rounds))
-    reference = run_bounded_stable_orientation(
+    reference = run_bounded_stable_orientation_reference(
         graph,
         k=k,
         tie_break=tie_break,
         seed=seed,
         check_invariants=check_invariants,
-        backend="dict",
     )
     assert (choice, load) == reference.orientation.to_arrays(graph)
     assert (phases, game_rounds, per_phase) == (

@@ -12,8 +12,8 @@ one per head (first-proposal order) from the one ``random.Random``.
 The hand-traced games below call the kernel directly on small instances
 whose every edge is a live game hyperedge ``(child, head)``; node names
 are single letters, so dense ids, ``repr`` order and alphabetical order
-agree.  A property then holds the whole bounded kernel to the
-``backend="dict"`` reference on small dense graphs.
+agree.  A property then holds the whole bounded kernel to
+``run_bounded_stable_orientation_reference`` on small dense graphs.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from hypothesis import strategies as st
 import repro.core.assignment._kernels as game_kernels
 from repro import obs
 from repro.core.assignment._kernels import hypergraph_phase_game_kernel
-from repro.core.orientation import run_bounded_stable_orientation
+from repro.core.orientation import (
+    run_bounded_stable_orientation,
+    run_bounded_stable_orientation_reference,
+)
 from repro.core.orientation._kernels import (
     _edge_customer_ranks,
     bounded_orientation_kernel,
@@ -199,8 +202,8 @@ def test_bounded_kernel_matches_dict_reference(tie_break, n, p, k_choice, seed):
     choice, load, phases, game_rounds, per_phase = bounded_orientation_kernel(
         graph, k=k, tie_break=tie_break, seed=seed
     )
-    reference = run_bounded_stable_orientation(
-        graph, k=k, tie_break=tie_break, seed=seed, backend="dict"
+    reference = run_bounded_stable_orientation_reference(
+        graph, k=k, tie_break=tie_break, seed=seed
     )
     assert (choice, load) == reference.orientation.to_arrays(graph)
     assert per_phase == reference.per_phase

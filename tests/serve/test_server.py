@@ -55,7 +55,7 @@ class TestQueries:
         assert stats["num_nodes"] == engine.num_nodes
         assert stats["num_edges"] == engine.num_edges
         assert stats["updates_applied"] == 0
-        assert stats["backend"] == "compact"
+        assert "backend" not in stats
         assert stats["coalescing_ratio"] is None
 
     def test_point_queries_match_the_engine(self, served):
@@ -420,6 +420,25 @@ class TestLifecycle:
         assert not thread._thread.is_alive()
         with pytest.raises(OSError):
             ServeClient(thread.address[0], thread.address[1], timeout=2).ping()
+
+    def test_stop_tolerates_a_loop_closed_after_the_liveness_check(self):
+        thread = ServerThread(_engine(), ServeConfig()).start()
+        with connect(thread.address) as client:
+            client.shutdown()
+        finished = thread._thread
+        finished.join(timeout=30)
+        assert not finished.is_alive() and thread._loop.is_closed()
+
+        class StillAlive:
+            # The thread is between closing its loop and exiting.
+            def is_alive(self):
+                return True
+
+            def join(self, timeout=None):
+                finished.join(timeout)
+
+        thread._thread = StillAlive()
+        thread.stop()  # used to raise "Event loop is closed"
 
     def test_several_clients_share_one_server(self, served):
         thread, client, engine = served

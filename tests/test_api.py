@@ -15,8 +15,11 @@ from repro.api import ALGORITHMS, Instance, Solved, solve
 from repro.core.orientation import (
     DynamicOrientation,
     run_bounded_stable_orientation,
+    run_bounded_stable_orientation_reference,
     run_stable_orientation,
+    run_stable_orientation_reference,
     synchronous_repair_orientation,
+    synchronous_repair_orientation_reference,
 )
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.compact import CompactGraph
@@ -31,6 +34,24 @@ def _instance():
     return Instance.build(
         "layered", num_levels=6, width=10, edge_probability=0.3, seed=7
     )
+
+
+def _reference(instance, algorithm, seed):
+    """The dict oracle behind ``solve``: ``(heads, load, result)``."""
+    graph = instance.graph
+    if algorithm == "repair":
+        orientation, result = synchronous_repair_orientation_reference(
+            graph, seed=seed
+        )
+    else:
+        oracle = {
+            "phases": run_stable_orientation_reference,
+            "bounded": run_bounded_stable_orientation_reference,
+        }[algorithm]
+        result = oracle(graph, seed=seed)
+        orientation = result.orientation
+    heads, load = orientation.to_arrays(graph)
+    return heads, load, result
 
 
 class TestInstance:
@@ -97,10 +118,10 @@ class TestSolve:
     def test_repair_compact_equals_dict_and_the_historical_entry_point(self):
         instance = _instance()
         fast = solve(instance, algorithm="repair", seed=11)
-        slow = solve(instance, algorithm="repair", seed=11, backend="dict")
-        assert fast.backend == "compact" and slow.backend == "dict"
-        assert fast.heads == slow.heads
-        assert fast.load == slow.load
+        heads, load, _ = _reference(instance, "repair", seed=11)
+        assert fast.backend == "compact"
+        assert fast.heads == heads
+        assert fast.load == load
         # The historical entry point produces the identical orientation.
         orientation, _ = synchronous_repair_orientation(
             instance.graph.to_orientation_problem(), seed=11
@@ -166,14 +187,14 @@ class TestSolveStaysOnArrays:
         assert type(solved.heads) is list and type(solved.load) is list
         assert solved.load == recount
 
-        reference = solve(instance, algorithm=algorithm, seed=6, backend="dict")
-        assert solved.heads == reference.heads
-        assert solved.load == reference.load
+        heads, load, ref = _reference(instance, algorithm, seed=6)
+        assert solved.heads == heads
+        assert solved.load == load
         if algorithm == "repair":
-            assert solved.result == reference.result
+            assert solved.result == ref
             return
-        # Materialized afterwards, the lazy views equal the dict backend's.
-        fast, ref = solved.result, reference.result
+        # Materialized afterwards, the lazy views equal the reference's.
+        fast = solved.result
         assert fast.orientation.oriented_edges() == ref.orientation.oriented_edges()
         assert fast.orientation.loads() == ref.orientation.loads()
         assert fast.per_phase == ref.per_phase
@@ -248,7 +269,7 @@ class TestHistoricalWrappersUnchanged:
         ]
         assert list(
             inspect.signature(synchronous_repair_orientation).parameters
-        ) == ["problem", "initial", "seed", "max_iterations", "backend"]
+        ) == ["problem", "initial", "seed", "max_iterations"]
         assert list(
             inspect.signature(run_bounded_stable_orientation).parameters
         ) == ["problem", "k", "tie_break", "seed", "check_invariants", "backend"]
