@@ -108,8 +108,8 @@ def _token_dropping_gate() -> SuiteGate:
 
     def prepare() -> dict:
         instance = token_dropping_smoke()
-        # Warm the instance's network/compact caches, like the benchmark
-        # does before timing.
+        # Warm the instance's network and its memoized dense game, like
+        # the benchmark does before timing.
         run_proposal_algorithm(instance)
         return {"instance": instance}
 

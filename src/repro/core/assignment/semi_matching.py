@@ -23,7 +23,7 @@ This module provides
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, Iterable, Mapping, Union
+from typing import Dict, Hashable, Mapping, Union
 
 
 from repro.core.assignment.problem import Assignment
@@ -209,8 +209,3 @@ def load_histogram(loads: Mapping[NodeId, int]) -> Dict[int, int]:
 def worst_server_load(loads: Mapping[NodeId, int]) -> int:
     """Maximum load (the makespan-style secondary objective)."""
     return max(loads.values(), default=0)
-
-
-def costs_of(assignments: Iterable[Assignment]) -> Dict[int, int]:
-    """Semi-matching costs of several assignments keyed by their index."""
-    return {index: a.semi_matching_cost() for index, a in enumerate(assignments)}

@@ -41,7 +41,6 @@ from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
     check_stable,
-    edge_key,
 )
 from repro.core.tie_break import check_tie_break
 from repro.core.token_dropping.game import TokenDroppingInstance
@@ -302,8 +301,3 @@ def run_stable_orientation_reference(
         communication_rounds=communication_rounds,
         per_phase=per_phase,
     )
-
-
-def edge_key_of(u: NodeId, v: NodeId) -> Tuple[NodeId, NodeId]:
-    """Re-export of :func:`repro.core.orientation.problem.edge_key` for callers."""
-    return edge_key(u, v)

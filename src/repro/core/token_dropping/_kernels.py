@@ -42,8 +42,10 @@ instances (``tests/integration/test_compact_cross_validation.py``).
 The distributed kernels run behind the existing
 :class:`~repro.local_model.runner.Runner` API: the algorithm factories
 register them via ``AlgorithmFactory(..., compact_kernel=...)``; an
-untraced :meth:`~repro.local_model.runner.Runner.run` takes the kernel and
-:meth:`~repro.local_model.runner.Runner.run_reference` the per-node
+untraced :meth:`~repro.local_model.runner.Runner.run` hands the kernel
+its :class:`~repro.local_model.network.Network` (interned once per
+network by :func:`network_game`) and
+:meth:`~repro.local_model.runner.Runner.run_reference` takes the per-node
 scheduler.
 """
 
@@ -51,7 +53,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.core.token_dropping.game import (
     LOCAL_HAS_TOKEN,
@@ -61,8 +63,9 @@ from repro.core.token_dropping.game import (
 )
 from repro.core.token_dropping.traversal import TokenDroppingSolution, Traversal
 from repro.graphs.compact import _csr, intern_nodes
-from repro.local_model.compact import CompactEngine, CompactNetwork
+from repro.local_model.compact import CompactEngine
 from repro.local_model.metrics import ExecutionMetrics
+from repro.local_model.network import Network
 
 
 class _DenseGame:
@@ -101,37 +104,6 @@ class _DenseGame:
         self.chi_edge: List[int] = []
 
     @classmethod
-    def of(cls, net: CompactNetwork) -> "_DenseGame":
-        """The dense game of ``net``, memoized on the compact network.
-
-        The dense adjacency, initial token flags, and levels are all
-        derived from immutable inputs; kernels copy the mutable pieces
-        (token flags) before simulating, so the memo stays pristine.
-        """
-        cached = net.derived.get("token_game")
-        if cached is None:
-            cached = cls.from_compact_network(net)
-            net.derived["token_game"] = cached
-        return cached
-
-    @classmethod
-    def from_compact_network(cls, net: CompactNetwork) -> "_DenseGame":
-        """Read the token-dropping local inputs of every node (one pass)."""
-        index_of = net.index_of
-        inputs = [local or {} for local in net.local_inputs]
-        game, _ = game_from_arrays(
-            net.num_nodes,
-            [local.get(LOCAL_HAS_TOKEN) for local in inputs],
-            [int(local.get(LOCAL_LEVEL) or 0) for local in inputs],
-            [
-                (i, index_of[x], 0)
-                for i, local in enumerate(inputs)
-                for x in local.get(LOCAL_PARENTS, ())
-            ],
-        )
-        return game
-
-    @classmethod
     def from_instance(
         cls, instance: TokenDroppingInstance
     ) -> Tuple["_DenseGame", Tuple, Dict]:
@@ -151,6 +123,34 @@ class _DenseGame:
         return game, node_ids, index_of
 
 
+def network_game(network: Network) -> Tuple[_DenseGame, Tuple[Any, ...]]:
+    """The dense game of a token-dropping ``network`` and its dense ids.
+
+    Interns the node ids in ``repr``-sorted order and reads every node's
+    token-dropping local input once.  Networks are immutable, so the pair
+    is memoized on the network (``Network._compact_cache``): repeated
+    executions reuse it, and kernels copy the mutable pieces (token flags)
+    before simulating, so the memo stays pristine.
+    """
+    cached = getattr(network, "_compact_cache", None)
+    if cached is not None:
+        return cached
+    node_ids, index_of = intern_nodes(iter(network))
+    inputs = [network.local_input(node) or {} for node in node_ids]
+    game, _ = game_from_arrays(
+        len(node_ids),
+        [local.get(LOCAL_HAS_TOKEN) for local in inputs],
+        [int(local.get(LOCAL_LEVEL) or 0) for local in inputs],
+        [
+            (i, index_of[x], 0)
+            for i, local in enumerate(inputs)
+            for x in local.get(LOCAL_PARENTS, ())
+        ],
+    )
+    network._compact_cache = (game, node_ids)
+    return game, node_ids
+
+
 def game_from_arrays(
     num_nodes: int,
     has_token,
@@ -160,8 +160,8 @@ def game_from_arrays(
     """Build a dense game directly from int arrays (no dict instance).
 
     The builder of every in-memory game: the compact orientation phase
-    driver and both :class:`_DenseGame` constructors.  Callers that
-    already hold dense node ids never pay for a dict
+    driver, :func:`network_game` and :meth:`_DenseGame.from_instance`.
+    Callers that already hold dense node ids never pay for a dict
     :class:`TokenDroppingInstance`/``to_network`` round-trip.
 
     Parameters
@@ -245,9 +245,9 @@ def game_from_edge_stream(
     which is what makes the 10^6–10^7 tiers fit in memory.
 
     ``has_token`` / ``levels`` are optional dense-indexed per-node
-    inputs; callers that must draw tokens *after* consuming a shared-RNG
-    edge stream (see ``random_token_dropping(compact=True)``) leave them
-    ``None`` and fill ``game.has_token`` / ``game.level`` in place.
+    inputs; callers that draw tokens after consuming the edge stream (see
+    ``scale_token_dropping``) leave them ``None`` and fill
+    ``game.has_token`` / ``game.level`` in place.
 
     Returns ``(game, payloads)`` where ``payloads[game_edge]`` is the
     stream position of that edge, mirroring :func:`game_from_arrays`'s
@@ -335,18 +335,18 @@ def _leave_messages(i, game, alive, dying_now, consumed, n_par, n_chi) -> int:
     return messages
 
 
-def _halt_outputs(ids, initially, has_token, token, received, passed) -> List[dict]:
-    """Per-node halt outputs in original-id space (both round kernels)."""
-    return [
-        {
+def _halt_outputs(ids, initially, has_token, token, received, passed) -> Dict:
+    """Per-node halt outputs keyed by original id (both round kernels)."""
+    return {
+        node: {
             "initially_occupied": bool(initially[i]),
             "finally_occupied": bool(has_token[i]),
             "final_token": ids[token[i]] if has_token[i] else None,
             "received": tuple((ids[t], ids[s]) for t, s in received[i]),
             "passed": tuple((ids[t], ids[c]) for t, c in passed[i]),
         }
-        for i in range(len(ids))
-    ]
+        for i, node in enumerate(ids)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +362,9 @@ def proposal_game_kernel(
 ) -> Tuple[bytearray, List[int], List, List, bytearray, CompactEngine]:
     """Run the proposal algorithm's execution loop on a dense game.
 
-    The shared core behind :func:`proposal_kernel` (which wraps a
-    :class:`CompactNetwork`) and the Theorem 5.1 orientation kernel
+    The shared core behind :func:`proposal_kernel` (which plays the game
+    of a :class:`~repro.local_model.network.Network`, see
+    :func:`network_game`) and the Theorem 5.1 orientation kernel
     (which builds, via :func:`game_from_arrays`, only the token-bearing
     components of each phase's game and counts the rounds of the
     token-free ones in closed form).  Returns
@@ -514,19 +515,18 @@ def proposal_game_kernel(
 
 
 def proposal_kernel(
-    net: CompactNetwork,
+    network: Network,
     max_rounds: int,
     *,
     tie_break: str = "min",
     seed: int = 0,
-) -> Tuple[List[dict], ExecutionMetrics]:
+) -> Tuple[Dict, ExecutionMetrics]:
     """Simulate the proposal algorithm's execution on flat int arrays.
 
-    Returns per-dense-node outputs (the dicts the reference nodes pass to
-    ``ctx.halt``) and reference-equal execution metrics.
+    Returns per-node outputs keyed by node id (the dicts the reference
+    nodes pass to ``ctx.halt``) and reference-equal execution metrics.
     """
-    game = _DenseGame.of(net)
-    ids = net.node_ids
+    game, ids = network_game(network)
     initially = bytes(game.has_token)
     has_token, token, received, passed, _, engine = proposal_game_kernel(
         game,
@@ -542,14 +542,14 @@ def proposal_kernel(
 # The three-level algorithm (Theorem 4.7)
 # ----------------------------------------------------------------------
 def three_level_kernel(
-    net: CompactNetwork,
+    network: Network,
     max_rounds: int,
     *,
     tie_break: str = "min",
     seed: int = 0,
-) -> Tuple[List[dict], ExecutionMetrics]:
+) -> Tuple[Dict, ExecutionMetrics]:
     """Simulate the height-3 algorithm's execution on flat int arrays."""
-    game = _DenseGame.of(net)
+    game, ids = network_game(network)
     n = game.num_nodes
     engine = CompactEngine(n, max_rounds)
     alive = engine.alive
@@ -565,7 +565,7 @@ def three_level_kernel(
     consumed = bytearray(game.num_edges)
     received: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     passed: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    rngs = _node_rngs(tie_break, seed, net.node_ids)
+    rngs = _node_rngs(tie_break, seed, ids)
 
     active = list(range(n))
     dying_now = bytearray(n)
@@ -711,7 +711,6 @@ def three_level_kernel(
         resolve_round(requests, proposals)
         announce(engine.step())
 
-    ids = net.node_ids
     outputs = _halt_outputs(ids, initially, has_token, token, received, passed)
     return outputs, engine.metrics(ids)
 

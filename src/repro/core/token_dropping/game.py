@@ -126,7 +126,7 @@ class TokenDroppingInstance:
         part of the edge list is re-scanned per node or re-validated.
         The result is memoized: instances are immutable, so repeated
         executions on the same game (e.g. kernel-vs-reference runs) share
-        one network object — and thereby its cached compact form.
+        one network object — and thereby its cached dense game.
         """
         cached = self._networks.get(include_levels)
         if cached is not None:

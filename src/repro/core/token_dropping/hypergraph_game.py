@@ -269,12 +269,6 @@ class HypergraphTokenDroppingSolution:
     def destinations(self) -> FrozenSet[NodeId]:
         return frozenset(t.destination for t in self.traversals.values())
 
-    def consumed_hyperedges(self) -> FrozenSet[EdgeId]:
-        edges: List[EdgeId] = []
-        for traversal in self.traversals.values():
-            edges.extend(traversal.hyperedges)
-        return frozenset(edges)
-
     def total_moves(self) -> int:
         return sum(t.length for t in self.traversals.values())
 

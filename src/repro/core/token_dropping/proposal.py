@@ -206,10 +206,8 @@ def proposal_factory(tie_break: str = "min", seed: int = 0) -> AlgorithmFactory:
     check_tie_break(tie_break)
     from repro.core.token_dropping._kernels import proposal_kernel
 
-    def compact_kernel(compact_network, max_rounds):
-        return proposal_kernel(
-            compact_network, max_rounds, tie_break=tie_break, seed=seed
-        )
+    def compact_kernel(network, max_rounds):
+        return proposal_kernel(network, max_rounds, tie_break=tie_break, seed=seed)
 
     return AlgorithmFactory(
         lambda node_id: ProposalNode(node_id, tie_break=tie_break, seed=seed),

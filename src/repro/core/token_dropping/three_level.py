@@ -242,10 +242,8 @@ def three_level_factory(tie_break: str = "min", seed: int = 0) -> AlgorithmFacto
     check_tie_break(tie_break)
     from repro.core.token_dropping._kernels import three_level_kernel
 
-    def compact_kernel(compact_network, max_rounds):
-        return three_level_kernel(
-            compact_network, max_rounds, tie_break=tie_break, seed=seed
-        )
+    def compact_kernel(network, max_rounds):
+        return three_level_kernel(network, max_rounds, tie_break=tie_break, seed=seed)
 
     return AlgorithmFactory(
         lambda node_id: ThreeLevelNode(node_id, tie_break=tie_break, seed=seed),

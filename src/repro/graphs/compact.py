@@ -647,11 +647,6 @@ class DeltaOverlayGraph:
     def num_live_edges(self) -> int:
         return self._num_live_edges
 
-    @property
-    def num_edge_slots(self) -> int:
-        """Total edge indices ever allocated (live and dead)."""
-        return len(self.edge_u)
-
     def has_node(self, node: NodeId) -> bool:
         i = self.index_of.get(node)
         return i is not None and bool(self.node_alive[i])

@@ -156,10 +156,6 @@ class LayeredGraph:
             sorted((n for n, l in self.levels.items() if l == level), key=repr)
         )
 
-    def undirected_edges(self) -> Tuple[Tuple[NodeId, NodeId], ...]:
-        """The edges with orientation dropped, as (child, parent) tuples."""
-        return tuple(sorted(self.edges, key=repr))
-
     # ------------------------------------------------------------------
     # Derived structures
     # ------------------------------------------------------------------

@@ -177,15 +177,3 @@ def degree_histogram(graph: nx.Graph) -> Dict[int, int]:
     for _, degree in graph.degree():
         histogram[degree] = histogram.get(degree, 0) + 1
     return dict(sorted(histogram.items()))
-
-
-def edges_as_tuples(graph: nx.Graph) -> Tuple[Tuple[NodeId, NodeId], ...]:
-    """Edges of a networkx graph as a deterministic tuple of sorted pairs."""
-    out = []
-    for u, v in graph.edges():
-        try:
-            pair = (u, v) if u <= v else (v, u)
-        except TypeError:
-            pair = tuple(sorted((u, v), key=repr))
-        out.append(pair)
-    return tuple(sorted(out, key=repr))

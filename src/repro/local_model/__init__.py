@@ -13,7 +13,7 @@ unique identifiers, and initially a node knows only its own identifier,
 its local input, and the identifiers of its neighbours.
 """
 
-from repro.local_model.compact import CompactEngine, CompactNetwork
+from repro.local_model.compact import CompactEngine
 from repro.local_model.errors import (
     AlgorithmError,
     HaltedNodeError,
@@ -44,7 +44,6 @@ __all__ = [
     "AlgorithmError",
     "AlgorithmFactory",
     "CompactEngine",
-    "CompactNetwork",
     "DEFAULT_MAX_ROUNDS",
     "Envelope",
     "ExecutionMetrics",

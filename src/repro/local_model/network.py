@@ -39,6 +39,8 @@ class Network:
         server").  Nodes without an entry receive ``None``.
     """
 
+    # ``_compact_cache`` is left unset until a compact kernel memoizes the
+    # dense form it derives from this (immutable) network.
     __slots__ = ("_adjacency", "_local_inputs", "_edges", "_compact_cache")
 
     def __init__(

@@ -161,8 +161,9 @@ class AlgorithmFactory:
         The per-node algorithm constructor.
     compact_kernel:
         Optional int-array fast path for the *whole execution*: a callable
-        ``(compact_network, max_rounds) -> (outputs, metrics)`` where
-        ``outputs`` is a list indexed by dense node id and ``metrics`` an
+        ``(network, max_rounds) -> (outputs, metrics)`` that takes the
+        :class:`~repro.local_model.network.Network` itself and returns
+        ``outputs`` keyed by node id and ``metrics`` an
         :class:`~repro.local_model.metrics.ExecutionMetrics`.  A kernel
         promises to reproduce the reference scheduler's execution exactly
         (same outputs, same round count, same message count, same halt

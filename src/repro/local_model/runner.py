@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Hashable, Optional
 
 from repro import obs
-from repro.local_model.compact import CompactNetwork
 from repro.local_model.errors import RoundLimitExceeded
 from repro.local_model.metrics import ExecutionMetrics
 from repro.local_model.network import Network
@@ -125,19 +124,15 @@ class Runner:
         return self.run_reference()
 
     def _run_compact(self, kernel: Any) -> ExecutionResult:
-        """Fast path: intern the network once and run the int-array kernel."""
+        """Fast path: run the whole execution on the int-array kernel."""
         with obs.span("local.run", backend="compact") as sp:
-            compact = CompactNetwork.of(self.network)
-            dense_outputs, metrics = kernel(compact, self.max_rounds)
+            outputs, metrics = kernel(self.network, self.max_rounds)
             metrics.terminated = True
             sp.set(
                 nodes=metrics.total_nodes,
                 rounds=metrics.rounds,
                 messages=metrics.messages_sent,
             )
-        outputs = {
-            compact.node_ids[i]: output for i, output in enumerate(dense_outputs)
-        }
         return ExecutionResult(outputs=outputs, metrics=metrics, trace=None)
 
     def run_reference(self) -> ExecutionResult:

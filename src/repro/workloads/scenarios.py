@@ -24,9 +24,13 @@ the :mod:`repro.graphs.compact` CSR form of the *same* instance (same
 nodes, same edges, same seed-determinism) instead of the reference dict
 structure, so benchmarks and engine measures can feed the fast-path
 kernels without re-representing anything.  Orientation builders stream
-their edges into :meth:`CompactGraph.from_edges`, token builders into
-:func:`~repro.core.token_dropping._kernels.game_from_edge_stream`; both
+their edges into :meth:`CompactGraph.from_edges`; the compact-only
+:func:`scale_token_dropping` streams its game into
+:func:`~repro.core.token_dropping._kernels.game_from_edge_stream`.  Both
 counting-sort into CSR with the one routine of :mod:`repro.graphs.compact`.
+Token games at the sizes the LOCAL simulator runs stay
+:class:`TokenDroppingInstance` objects: their kernels intern the network
+once and memoize the dense game on it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from typing import Hashable, Optional, Tuple, Union
 import networkx as nx
 
 from repro.core.orientation.problem import OrientationProblem
-from repro.graphs.compact import CompactBipartite, CompactGraph, intern_nodes
+from repro.graphs.compact import CompactBipartite, CompactGraph
 from repro.core.token_dropping.game import (
     TokenDroppingInstance,
     figure2_instance,
@@ -280,7 +284,7 @@ def build_orientation_instance(family: str, **params) -> CompactGraph:
 class CompactTokenGame:
     """A token dropping game already in dense-kernel form.
 
-    What the ``compact=True`` token builders emit: the
+    What :func:`scale_token_dropping` emits: the
     :class:`~repro.core.token_dropping._kernels._DenseGame` the proposal
     kernel consumes directly, plus the dense-id → original-id mapping the
     tie-break RNGs and halt outputs need.  The game arrays are
@@ -329,53 +333,9 @@ def random_token_dropping(
     token_fraction: float = 0.5,
     max_degree: Optional[int] = None,
     seed: int = 0,
-    compact: bool = False,
-) -> "TokenDroppingInstance | CompactTokenGame":
-    """A random layered game (the experiment E1 instance family).
-
-    ``compact=True`` emits the *same* seeded game as a
-    :class:`CompactTokenGame` built straight from the generator's edge
-    stream — no ``LayeredGraph``, ``TokenDroppingInstance`` or network
-    dict ever exists.  The RNG discipline matches the reference path
-    (edges first, then one token draw per node in ``repr``-sorted node
-    order), so the dense arrays equal what interning the dict instance
-    would produce.
-    """
+) -> TokenDroppingInstance:
+    """A random layered game (the experiment E1 instance family)."""
     rng = random.Random(seed)
-    if compact:
-        if not 0.0 <= token_fraction <= 1.0:
-            raise ValueError(
-                f"fraction must lie in [0, 1], got {token_fraction}"
-            )
-        node_ids, index_of = intern_nodes(
-            (level, index)
-            for level in range(num_levels)
-            for index in range(width)
-        )
-        game, _ = game_from_edge_stream(
-            len(node_ids),
-            (
-                (index_of[child], index_of[parent])
-                for child, parent in layered_dag_edges(
-                    num_levels,
-                    width,
-                    edge_probability,
-                    seed=rng,
-                    max_degree=max_degree,
-                )
-            ),
-        )
-        level_arr = game.level
-        for dense, node in enumerate(node_ids):
-            if node[0]:
-                level_arr[dense] = node[0]
-        has_token = game.has_token
-        # random_token_placement draws one per node iterating the graph's
-        # repr-sorted node tuple — which is exactly dense-id order.
-        for dense in range(len(node_ids)):
-            if rng.random() < token_fraction:
-                has_token[dense] = 1
-        return CompactTokenGame(game=game, node_ids=node_ids)
     graph = random_layered_graph(
         num_levels, width, edge_probability, seed=rng, max_degree=max_degree
     )

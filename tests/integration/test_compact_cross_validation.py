@@ -1,10 +1,10 @@
 """Cross-validation: compact fast-path kernels vs. dict reference paths.
 
-The dispatch contract (:mod:`repro.dispatch`) promises that both backends
-of every dispatched entry point produce *identical* results — same final
-solution, same statistics, same tie-breaking — not merely equally-good
-ones.  This suite enforces that promise on 400+ seeded random instances
-spanning every kernel and every policy:
+Every public entry point that runs a compact kernel promises *identical*
+results to its named reference oracle — same final solution, same
+statistics, same tie-breaking — not merely equally-good ones.  This
+suite enforces that promise on 400+ seeded random instances spanning
+every kernel and every policy:
 
 * sequential flip orientation: 4 instance families x 20 seeds, policies
   rotated per seed (80 instances);
@@ -438,17 +438,18 @@ class TestProposalAlgorithmAgrees:
             assert ref == fast, context
             assert fast.validate(instance).valid, context
 
+    @pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
     @pytest.mark.parametrize("seed", range(10))
-    def test_identical_runner_metrics(self, seed):
+    def test_identical_runner_metrics(self, seed, tie_break):
         """Full ExecutionMetrics equality: rounds, messages, halt rounds."""
         instance = _token_dropping_instance("wide", seed)
         network = instance.to_network()
         budget = 3 * instance.theoretical_round_bound()
         ref = Runner(
-            network, proposal_factory("min", seed), max_rounds=budget
+            network, proposal_factory(tie_break, seed), max_rounds=budget
         ).run_reference()
         fast = Runner(
-            network, proposal_factory("min", seed), max_rounds=budget
+            network, proposal_factory(tie_break, seed), max_rounds=budget
         ).run()
         assert ref.outputs == fast.outputs, seed
         assert ref.metrics == fast.metrics, seed
@@ -478,16 +479,17 @@ class TestThreeLevelAlgorithmAgrees:
             assert ref == fast, context
             assert fast.validate(instance).valid, context
 
+    @pytest.mark.parametrize("tie_break", TIE_BREAK_POLICIES)
     @pytest.mark.parametrize("seed", range(5))
-    def test_identical_runner_metrics(self, seed):
+    def test_identical_runner_metrics(self, seed, tie_break):
         instance = bounded_degree_token_dropping(num_levels=3, degree=5, seed=seed)
         network = instance.to_network(include_levels=True)
         ref = Runner(
-            network, three_level_factory("min", seed), max_rounds=1000
+            network, three_level_factory(tie_break, seed), max_rounds=1000
         ).run_reference()
         fast = Runner(
             network,
-            three_level_factory("min", seed),
+            three_level_factory(tie_break, seed),
             max_rounds=1000,
         ).run()
         assert ref.outputs == fast.outputs, seed

@@ -1,13 +1,17 @@
-"""CompactNetwork interning, the CompactEngine, and the Runner's two paths."""
+"""The dense token game memoized on a Network, CompactEngine, Runner paths."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.token_dropping import TokenDroppingInstance, _kernels
+from repro.core.token_dropping._kernels import network_game
+from repro.core.token_dropping.game import LOCAL_HAS_TOKEN
+from repro.core.token_dropping.proposal import proposal_factory
+from repro.graphs.layered import LayeredGraph
 from repro.local_model import (
     AlgorithmFactory,
     CompactEngine,
-    CompactNetwork,
     ExecutionMetrics,
     Network,
     Runner,
@@ -25,36 +29,52 @@ def sample_network() -> Network:
     )
 
 
-class TestCompactNetwork:
-    def test_interning_is_repr_sorted(self):
-        compact = CompactNetwork.from_network(sample_network())
+def token_network() -> Network:
+    """A two-level game over mixed-type node ids."""
+    graph = LayeredGraph(
+        levels={10: 1, "c": 0, (1, 2): 1, "a": 0},
+        edges=[("a", (1, 2)), ("c", (1, 2)), ("c", 10)],
+    )
+    instance = TokenDroppingInstance(graph, frozenset({(1, 2), 10}))
+    return instance.to_network(include_levels=True)
+
+
+class TestNetworkGame:
+    def test_game_is_built_once_per_network(self, monkeypatch):
+        network = token_network()
+        builds = []
+        build = _kernels.game_from_arrays
+
+        def counting_build(*args):
+            builds.append(args[0])
+            return build(*args)
+
+        monkeypatch.setattr(_kernels, "game_from_arrays", counting_build)
+        first = Runner(network, proposal_factory()).run()
+        memo = network_game(network)
+        second = Runner(network, proposal_factory()).run()
+        assert builds == [4]
+        assert network_game(network) is memo
+        assert second.outputs == first.outputs
+        assert second.metrics == first.metrics
+
+    def test_with_local_inputs_gets_a_fresh_game(self):
+        network = token_network()
+        game, _ = network_game(network)
+        inputs = network.local_inputs()
+        inputs[10] = {**inputs[10], LOCAL_HAS_TOKEN: False}
+        other = network.with_local_inputs(inputs)
+        other_game, _ = network_game(other)
+        assert other_game is not game
+        assert sum(game.has_token) == 2
+        assert sum(other_game.has_token) == 1
+
+    def test_dense_ids_are_repr_sorted_over_mixed_types(self):
+        game, node_ids = network_game(token_network())
         # repr order: "'a'" < "'c'" < "(1, 2)" < "10"
-        assert compact.node_ids == ("a", "c", (1, 2), 10)
-        assert [compact.index_of[n] for n in compact.node_ids] == [0, 1, 2, 3]
-
-    def test_csr_neighbors_ascending_and_degrees(self):
-        compact = CompactNetwork.from_network(sample_network())
-        for i in range(compact.num_nodes):
-            neighbors = list(compact.neighbors(i))
-            assert neighbors == sorted(neighbors)
-            assert compact.degree(i) == len(neighbors)
-        assert compact.num_edges == 3
-        # 'c' (dense 1) is adjacent to 'a' (dense 0) and 10 (dense 3).
-        assert list(compact.neighbors(1)) == [0, 3]
-
-    def test_local_inputs_aligned_with_dense_ids(self):
-        compact = CompactNetwork.from_network(sample_network())
-        assert compact.local_inputs[compact.index_of["c"]] == {"tag": "C"}
-        assert compact.local_inputs[compact.index_of[10]] == {"tag": "ten"}
-        assert compact.local_inputs[compact.index_of["a"]] is None
-
-    def test_of_memoizes_on_the_network(self):
-        network = sample_network()
-        first = CompactNetwork.of(network)
-        assert CompactNetwork.of(network) is first
-        # A derived network with different local inputs gets a fresh form.
-        other = network.with_local_inputs({"c": "changed"})
-        assert CompactNetwork.of(other) is not first
+        assert node_ids == ("a", "c", (1, 2), 10)
+        assert list(game.has_token) == [0, 0, 1, 1]
+        assert game.level == [0, 0, 1, 1]
 
 
 class TestCompactEngine:
@@ -84,12 +104,14 @@ class TestCompactEngine:
         )
 
 
-def _echo_kernel(compact, max_rounds):
-    """A toy whole-execution kernel: every node outputs its dense id."""
-    engine = CompactEngine(compact.num_nodes, max_rounds)
-    for i in range(compact.num_nodes):
+def _echo_kernel(network, max_rounds):
+    """A toy whole-execution kernel: every node outputs its position."""
+    node_ids = network.node_ids
+    engine = CompactEngine(len(node_ids), max_rounds)
+    for i in range(len(node_ids)):
         engine.halt(i, 0)
-    return list(range(compact.num_nodes)), engine.metrics(compact.node_ids)
+    outputs = {node: i for i, node in enumerate(node_ids)}
+    return outputs, engine.metrics(node_ids)
 
 
 def kernel_factory():
@@ -102,11 +124,9 @@ class TestRunnerDispatch:
     def test_auto_uses_registered_kernel(self):
         network = sample_network()
         result = Runner(network, kernel_factory()).run()
-        compact = CompactNetwork.of(network)
-        assert result.outputs == {
-            node: i for i, node in enumerate(compact.node_ids)
-        }
+        assert result.outputs == {"a": 0, "c": 1, (1, 2): 2, 10: 3}
         assert result.metrics.terminated
+        assert result.metrics.node_halt_rounds == dict.fromkeys(result.outputs, 0)
 
     def test_run_reference_forces_reference_scheduler(self):
         network = sample_network()
