@@ -2,9 +2,10 @@
 
 Where the other suites race the compact kernels against the dict
 reference on mid-size instances, this one answers a different question:
-*do the streaming builders (``CompactGraph.from_edges`` and
-``game_from_edge_stream``, both on the one counting-sort CSR routine)
-and the frontier-batched kernels actually hold up at 10^5–10^6 nodes?*
+*do the streaming builders (``CompactGraph.from_edges`` on the
+counting-sort CSR routine, and ``scale_token_dropping`` on the NumPy
+token-game builder ``game_from_arrays``) and the frontier-batched
+kernels actually hold up at 10^5–10^6 nodes?*
 There is no dict path here — at these sizes the reference representation
 is the thing being avoided — so every scenario times the compact
 pipeline alone and records its peak memory:

@@ -29,13 +29,16 @@ inputs:
   Theorem 7.1 — as a ``play`` closure that takes and returns arrays;
 * the factory of the per-phase stats row and span attributes.
 
-Theorem 5.1's ``play`` classifies its game in NumPy and converts only
-the token-bearing part for :func:`~repro.core.token_dropping._kernels.
-game_from_arrays`, whose proposal game runs on Python lists.  The
-bounded ``play`` hands its arrays to :func:`~repro.core.assignment.
-_kernels.hypergraph_phase_game_kernel`, which plays the rank-2 game as
-per-round NumPy vector ops.  Both kernels return lists of Python ``int``
-and stats rows of ``int`` fields.
+Theorem 5.1's ``play`` classifies its game in NumPy and hands the
+endpoint arrays of only the token-bearing part to
+:func:`~repro.core.token_dropping._kernels.game_from_arrays`, which
+builds the game's ``array('q')`` CSR with one ``lexsort``; the proposal
+game itself (:func:`~repro.core.token_dropping._kernels.
+proposal_game_kernel`) is still a per-node Python loop over those
+buffers.  The bounded ``play`` hands its arrays to
+:func:`~repro.core.assignment._kernels.hypergraph_phase_game_kernel`,
+which plays the rank-2 game as per-round NumPy vector ops.  Both
+kernels return lists of Python ``int`` and stats rows of ``int`` fields.
 
 Each kernel runs the same algorithm as its reference on a
 :class:`~repro.graphs.compact.CompactGraph`, touching only flat integer
@@ -528,9 +531,12 @@ def stable_orientation_kernel(
     game in NumPy: tails, game degrees and the round budget, then the
     weakly connected components (:func:`_weak_components`); only the
     components holding a token are built *directly* as a dense game
+    from their NumPy endpoint arrays
     (:func:`repro.core.token_dropping._kernels.game_from_arrays` — no
-    dict instance or ``to_network`` round-trip) and solved by the
-    compact proposal-game kernel, while the token-free ones add only
+    dict instance, ``to_network`` round-trip or per-edge tuple) and
+    solved by the compact proposal-game kernel; the builder's ``order``
+    maps each consumed game edge back to the graph edge it flips.  The
+    token-free ones add only
     their closed-form round count ``3·L`` (see the module docstring).
     The ``orientation.frontier.played_edges`` and ``free_rounds``
     counters record, per phase, the played game's size and that ``3·L``
@@ -559,6 +565,8 @@ def stable_orientation_kernel(
         proposal_game_kernel,
     )
     from repro.core.tie_break import check_tie_break
+    from repro.core.token_dropping.game import proposal_round_budget
+    from repro.core.token_dropping.proposal import ROUNDS_PER_GAME_ROUND
     from repro.core.token_dropping.traversal import InvalidSolutionError
 
     m = graph.num_edges
@@ -587,7 +595,9 @@ def stable_orientation_kernel(
         # The reference budget: three LOCAL rounds per game round of the
         # Theorem 4.1 bound computed from the full game's height/degree.
         game_degree = int(np.bincount(local).max()) if len(local) else 0
-        max_rounds = 3 * (8 * (height + 1) * (game_degree + 1) ** 2 + 8)
+        max_rounds = ROUNDS_PER_GAME_ROUND * proposal_round_budget(
+            height, game_degree
+        )
 
         # Tokens only move inside their own component, so only the
         # components holding one are played.
@@ -624,21 +634,12 @@ def stable_orientation_kernel(
         # The played game, in its own ascending ids ``sub``.
         played_nodes = nodes[played].tolist()
         sub = np.cumsum(played) - 1
-        pt = sub[gt[played_edge]]
-        ph = sub[gh[played_edge]]
-        payload = game_edges[played_edge]
-        by_arc = np.lexsort((ph, pt))
-        game, payloads = game_from_arrays(
+        game, order = game_from_arrays(
             len(played_nodes),
-            token[played].tolist(),
-            level[nodes[played]].tolist(),
-            list(
-                zip(
-                    pt[by_arc].tolist(),
-                    ph[by_arc].tolist(),
-                    payload[by_arc].tolist(),
-                )
-            ),
+            token[played],
+            level[nodes[played]],
+            sub[gt[played_edge]],
+            sub[gh[played_edge]],
         )
         _, final_token, _, _, consumed, engine = proposal_game_kernel(
             game,
@@ -666,7 +667,7 @@ def stable_orientation_kernel(
                         )
 
         # Every consumed game edge flips its graph edge to the tail.
-        moved = np.asarray(payloads, dtype=np.int64)[
+        moved = game_edges[played_edge][order][
             np.frombuffer(consumed, dtype=np.uint8) != 0
         ]
         old = heads[moved]
@@ -921,6 +922,7 @@ def bounded_orientation_kernel(
         AssignmentPhaseStats,
     )
     from repro.core.tie_break import check_tie_break
+    from repro.core.token_dropping.game import proposal_round_budget
 
     check_tie_break(tie_break)
     indptr = np.asarray(graph.indptr, dtype=np.int64)
@@ -940,7 +942,7 @@ def bounded_orientation_kernel(
             np.concatenate((lo[game_edges], hi[game_edges])), return_counts=True
         )
         max_vertex_degree = int(incidence.max()) if len(incidence) else 0
-        max_game_rounds = 8 * (height + 1) * (max_vertex_degree + 1) ** 2 + 8
+        max_game_rounds = proposal_round_budget(height, max_vertex_degree)
         live[game_edges] = True
         occupied[acc_nodes] = True
 

@@ -9,12 +9,14 @@ These are the compact counterparts of the three token dropping solvers:
 * :func:`three_level_kernel` — the O(Δ) height-3 algorithm
   (Theorem 4.7, :mod:`repro.core.token_dropping.three_level`).
 
-Each kernel re-represents its input once — dense node ids in
-``repr``-sorted order, parent/child adjacency as flat CSR lists sharing
-one edge-id space — and then simulates the *same execution* the reference
-path performs, touching only integer arrays in the hot loop: token
-positions, per-edge consumed flags, incremental parent/child counts, and
-per-phase request/grant buffers instead of per-message dict envelopes.
+Each kernel re-represents its input once, through the one builder
+:func:`game_from_arrays` — dense node ids in ``repr``-sorted order,
+parent/child adjacency as flat ``array('q')`` CSR buffers sharing one
+edge-id space, the parent slots — and then simulates the *same
+execution* the reference path performs, touching only integer arrays in
+the hot loop: token positions, per-edge consumed flags, incremental
+parent/child counts, and per-phase request/grant buffers instead of
+per-message dict envelopes.
 
 Exactness contract
 ------------------
@@ -53,7 +55,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.token_dropping.game import (
     LOCAL_HAS_TOKEN,
@@ -62,20 +64,23 @@ from repro.core.token_dropping.game import (
     TokenDroppingInstance,
 )
 from repro.core.token_dropping.traversal import TokenDroppingSolution, Traversal
-from repro.graphs.compact import _csr, intern_nodes
+from repro.graphs.compact import intern_nodes
 from repro.local_model.compact import CompactEngine
 from repro.local_model.metrics import ExecutionMetrics
 from repro.local_model.network import Network
 
 
 class _DenseGame:
-    """Directed layered adjacency in flat parallel lists.
+    """Directed layered adjacency in flat ``array('q')`` CSR buffers.
 
-    Parent and child CSR structures share one edge-id space: directed
-    edge ``e`` appears once in some node's parent list and once in the
-    parent's child list, so a single ``consumed`` byte per edge serves
-    both endpoints.  Lists are ascending per node (dense ids are interned
-    in ``repr`` order), which is exactly the reference tie-break order.
+    Game edge ``e`` is parent slot ``e``: edge ids number the edges in
+    ascending ``(child, parent)`` order, so ``par_node[e]`` is the parent
+    of edge ``e`` and the child CSR names its edges by ``chi_edge``.
+    Each edge thus appears once in its child's parent list and once in
+    its parent's child list, and a single ``consumed`` byte per edge
+    serves both endpoints.  Rows are ascending per node (dense ids are
+    interned in ``repr`` order), which is exactly the reference
+    tie-break order.  Only :func:`game_from_arrays` builds one.
     """
 
     __slots__ = (
@@ -85,23 +90,23 @@ class _DenseGame:
         "level",
         "par_ptr",
         "par_node",
-        "par_edge",
         "chi_ptr",
         "chi_node",
         "chi_edge",
     )
 
-    def __init__(self, num_nodes: int) -> None:
-        self.num_nodes = num_nodes
-        self.num_edges = 0
-        self.has_token = bytearray(num_nodes)
-        self.level = [0] * num_nodes
-        self.par_ptr = [0] * (num_nodes + 1)
-        self.par_node: List[int] = []
-        self.par_edge: List[int] = []
-        self.chi_ptr = [0] * (num_nodes + 1)
-        self.chi_node: List[int] = []
-        self.chi_edge: List[int] = []
+    def __init__(
+        self, has_token, level, par_ptr, par_node, chi_ptr, chi_node, chi_edge
+    ) -> None:
+        self.num_nodes = len(level)
+        self.num_edges = len(par_node)
+        self.has_token: bytearray = has_token
+        self.level: List[int] = level
+        self.par_ptr: array = par_ptr
+        self.par_node: array = par_node
+        self.chi_ptr: array = chi_ptr
+        self.chi_node: array = chi_node
+        self.chi_edge: array = chi_edge
 
     @classmethod
     def from_instance(
@@ -110,15 +115,18 @@ class _DenseGame:
         """Intern a :class:`TokenDroppingInstance` directly (one pass)."""
         graph = instance.graph
         node_ids, index_of = intern_nodes(graph.levels)
+        child = []
+        parent = []
+        for i, node in enumerate(node_ids):
+            for x in graph.parents(node):
+                child.append(i)
+                parent.append(index_of[x])
         game, _ = game_from_arrays(
             len(node_ids),
             [node in instance.tokens for node in node_ids],
             [graph.levels[node] for node in node_ids],
-            [
-                (i, index_of[x], 0)
-                for i, node in enumerate(node_ids)
-                for x in graph.parents(node)
-            ],
+            child,
+            parent,
         )
         return game, node_ids, index_of
 
@@ -137,157 +145,81 @@ def network_game(network: Network) -> Tuple[_DenseGame, Tuple[Any, ...]]:
         return cached
     node_ids, index_of = intern_nodes(iter(network))
     inputs = [network.local_input(node) or {} for node in node_ids]
+    child = []
+    parent = []
+    for i, local in enumerate(inputs):
+        for x in local.get(LOCAL_PARENTS, ()):
+            child.append(i)
+            parent.append(index_of[x])
     game, _ = game_from_arrays(
         len(node_ids),
-        [local.get(LOCAL_HAS_TOKEN) for local in inputs],
+        [bool(local.get(LOCAL_HAS_TOKEN)) for local in inputs],
         [int(local.get(LOCAL_LEVEL) or 0) for local in inputs],
-        [
-            (i, index_of[x], 0)
-            for i, local in enumerate(inputs)
-            for x in local.get(LOCAL_PARENTS, ())
-        ],
+        child,
+        parent,
     )
     network._compact_cache = (game, node_ids)
     return game, node_ids
 
 
 def game_from_arrays(
-    num_nodes: int,
-    has_token,
-    levels,
-    edges,
-) -> Tuple[_DenseGame, List[int]]:
-    """Build a dense game directly from int arrays (no dict instance).
+    num_nodes: int, has_token, levels, child, parent
+) -> Tuple[_DenseGame, Any]:
+    """Build the dense game of the edges ``child[k] -> parent[k]``.
 
-    The builder of every in-memory game: the compact orientation phase
-    driver, :func:`network_game` and :meth:`_DenseGame.from_instance`.
-    Callers that already hold dense node ids never pay for a dict
-    :class:`TokenDroppingInstance`/``to_network`` round-trip.
+    The one :class:`_DenseGame` builder: the orientation phase driver
+    hands it NumPy arrays, :func:`network_game` and
+    :meth:`_DenseGame.from_instance` Python lists, and
+    :func:`~repro.workloads.scenarios.scale_token_dropping` ``array('q')``
+    buffers.  Callers that already hold dense node ids never pay for a
+    dict :class:`TokenDroppingInstance`/``to_network`` round-trip.
 
     Parameters
     ----------
     num_nodes:
         Number of dense nodes; all arrays are indexed ``0 .. num_nodes-1``.
     has_token / levels:
-        Per-node token flag and level (the caller's loads).
-    edges:
-        List of ``(child, parent, payload)`` triples (``payload`` is an
-        arbitrary caller-side edge index).  Order is irrelevant: the CSR
-        lists are counting-sorted into the ascending per-node order the
-        reference tie-breaks require (dense interning is ``repr``-sorted,
-        so ascending dense order is reference order).
+        Per-node token flag and level.
+    child / parent:
+        The endpoints of each directed game edge as flat int sequences,
+        in any order and free of duplicate pairs.
 
     Returns
     -------
-    (game, payloads)
-        The dense game plus ``payloads[game_edge]`` echoing the caller's
-        payload of each directed game edge.
+    (game, order)
+        The dense game, whose edge ids ascend in ``(child, parent)``
+        order, and the NumPy ``int64`` permutation ``order``:
+        ``order[e]`` is the input position of game edge ``e``.
     """
-    game = _DenseGame(num_nodes)
-    for i in range(num_nodes):
-        if has_token[i]:
-            game.has_token[i] = 1
-        level = levels[i]
-        if level:
-            game.level[i] = level
+    import numpy as np
 
-    num_edges = len(edges)
-    game.num_edges = num_edges
-    # Game edge ids follow the (child, parent)-sorted order, which makes
-    # the parent CSR a straight copy and keeps both adjacency lists
-    # ascending per node.
-    edges = sorted(edges)
-    par_ptr = game.par_ptr
-    chi_ptr = game.chi_ptr
-    for c, p, _ in edges:
-        par_ptr[c + 1] += 1
-        chi_ptr[p + 1] += 1
-    for i in range(num_nodes):
-        par_ptr[i + 1] += par_ptr[i]
-        chi_ptr[i + 1] += chi_ptr[i]
+    child = np.asarray(child, dtype=np.int64)
+    parent = np.asarray(parent, dtype=np.int64)
+    order = np.lexsort((parent, child))
+    par_node = parent[order]
+    # Game edges ascend by child, so a stable sort by parent lists each
+    # parent's edges by ascending child.
+    by_parent = np.argsort(par_node, kind="stable")
 
-    game.par_node = [0] * num_edges
-    game.par_edge = list(range(num_edges))
-    game.chi_node = [0] * num_edges
-    game.chi_edge = [0] * num_edges
-    payloads = [0] * num_edges
-    par_node = game.par_node
-    chi_node, chi_edge = game.chi_node, game.chi_edge
-    cursor = chi_ptr[:num_nodes]
-    for ge, (c, p, payload) in enumerate(edges):
-        par_node[ge] = p
-        payloads[ge] = payload
-        slot = cursor[p]
-        chi_node[slot] = c
-        chi_edge[slot] = ge
-        cursor[p] = slot + 1
-    return game, payloads
+    def ptr(rows):
+        counts = np.bincount(rows, minlength=num_nodes)
+        return _index_array(np.concatenate(([0], np.cumsum(counts))))
 
-
-def game_from_edge_stream(
-    num_nodes: int,
-    edges: Iterable[Tuple[int, int]],
-    *,
-    has_token=None,
-    levels=None,
-) -> Tuple[_DenseGame, array]:
-    """Build a dense game from a streamed ``(child, parent)`` iterable.
-
-    The million-node counterpart of :func:`game_from_arrays`: the stream
-    is consumed once into two flat ``array('q')`` buffers and each CSR
-    direction is counting-sorted by :func:`repro.graphs.compact._csr`
-    into the same ascending ``(child, parent)`` game-edge order — the
-    resulting CSR structures are element-for-element equal to
-    what :func:`game_from_arrays` produces on the materialised edge list
-    (the cross-validation tests assert this), but no per-edge tuples or
-    Python-list sort keys ever exist.  All adjacency arrays come out as
-    ``array('q')`` (8 bytes per entry) rather than int-object lists,
-    which is what makes the 10^6–10^7 tiers fit in memory.
-
-    ``has_token`` / ``levels`` are optional dense-indexed per-node
-    inputs; callers that draw tokens after consuming the edge stream (see
-    ``scale_token_dropping``) leave them ``None`` and fill
-    ``game.has_token`` / ``game.level`` in place.
-
-    Returns ``(game, payloads)`` where ``payloads[game_edge]`` is the
-    stream position of that edge, mirroring :func:`game_from_arrays`'s
-    payload echo.  Duplicate edges are not detected (the generating
-    streams are duplicate-free by construction).
-    """
-    game = _DenseGame(num_nodes)
-    if has_token is not None:
-        for i in range(num_nodes):
-            if has_token[i]:
-                game.has_token[i] = 1
-    if levels is not None:
-        for i in range(num_nodes):
-            level = levels[i]
-            if level:
-                game.level[i] = level
-
-    child_of = array("q")
-    parent_of = array("q")
-    for c, p in edges:
-        child_of.append(c)
-        parent_of.append(p)
-    m = len(child_of)
-    game.num_edges = m
-
-    # Game edge ids are the parent-CSR slots: ascending (child, parent),
-    # the order game_from_arrays gets from sorting triples.
-    game.par_ptr, game.par_node, payloads = _csr(
-        num_nodes, num_nodes, child_of, parent_of
+    game = _DenseGame(
+        bytearray(np.asarray(has_token, dtype=bool).tobytes()),
+        np.asarray(levels, dtype=np.int64).tolist(),
+        ptr(child),
+        _index_array(par_node),
+        ptr(parent),
+        _index_array(child[order][by_parent]),
+        _index_array(by_parent),
     )
-    game.par_edge = array("q", range(m))
-    del parent_of
-    # The child CSR sorts the game edges by (parent, child), so its
-    # ``source`` is each child slot's game edge id.
-    child_of_slot = array("q", map(child_of.__getitem__, payloads))
-    del child_of
-    game.chi_ptr, game.chi_node, game.chi_edge = _csr(
-        num_nodes, num_nodes, game.par_node, child_of_slot
-    )
-    return game, payloads
+    return game, order
+
+
+def _index_array(values) -> array:
+    """An ``array('q')`` copy of a NumPy integer array."""
+    return array("q", values.astype("int64", copy=False).tobytes())
 
 
 def _node_rngs(
@@ -315,11 +247,11 @@ def _leave_messages(i, game, alive, dying_now, consumed, n_par, n_chi) -> int:
     same round drop the message, per the scheduler rule) and removes the
     dying node from each survivor's parent/child count.
     """
-    par_ptr, par_node, par_edge = game.par_ptr, game.par_node, game.par_edge
+    par_ptr, par_node = game.par_ptr, game.par_node
     chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
     messages = 0
     for s in range(par_ptr[i], par_ptr[i + 1]):
-        if consumed[par_edge[s]]:
+        if consumed[s]:
             continue
         p = par_node[s]
         if alive[p] and not dying_now[p]:
@@ -370,8 +302,9 @@ def proposal_game_kernel(
     token-free ones in closed form).  Returns
     the dense end state ``(has_token, token, received, passed, consumed,
     engine)``: ``consumed[game_edge]`` marks exactly the edges used by
-    passes, and ``engine`` carries the reference-equal round/message/halt
-    bookkeeping.
+    passes (a game edge's id is its parent slot, so the parent scans
+    read ``consumed[s]``), and ``engine`` carries the reference-equal
+    round/message/halt bookkeeping.
 
     ``count_messages=False`` skips the LEAVE/announce delivery accounting
     (``engine.messages`` is then meaningless) while keeping the
@@ -383,7 +316,7 @@ def proposal_game_kernel(
     n = game.num_nodes
     engine = CompactEngine(n, max_rounds)
     alive = engine.alive
-    par_ptr, par_node, par_edge = game.par_ptr, game.par_node, game.par_edge
+    par_ptr, par_node = game.par_ptr, game.par_node
     chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
 
     has_token = bytearray(game.has_token)
@@ -437,7 +370,7 @@ def proposal_game_kernel(
             # checks of the counting path are unnecessary here.
             for i in dying:
                 for s in range(par_ptr[i], par_ptr[i + 1]):
-                    if not consumed[par_edge[s]]:
+                    if not consumed[s]:
                         n_chi[par_node[s]] -= 1
                 for s in range(chi_ptr[i], chi_ptr[i + 1]):
                     if not consumed[chi_edge[s]]:
@@ -458,13 +391,12 @@ def proposal_game_kernel(
                 if has_token[c]:
                     continue
                 for s in range(par_ptr[c], par_ptr[c + 1]):
-                    e = par_edge[s]
-                    if consumed[e]:
+                    if consumed[s]:
                         continue
                     p = par_node[s]
                     if alive[p] and has_token[p]:
                         messages += 1
-                        requests.setdefault(p, []).append((c, e))
+                        requests.setdefault(p, []).append((c, s))
                         break
         else:
             for c in active:
@@ -472,12 +404,11 @@ def proposal_game_kernel(
                     continue
                 candidates = []
                 for s in range(par_ptr[c], par_ptr[c + 1]):
-                    e = par_edge[s]
-                    if consumed[e]:
+                    if consumed[s]:
                         continue
                     p = par_node[s]
                     if alive[p] and has_token[p]:
-                        candidates.append((p, e))
+                        candidates.append((p, s))
                 if not candidates:
                     continue
                 p, e = _pick(candidates, tie_break, rngs[c] if rngs else None)
@@ -554,7 +485,7 @@ def three_level_kernel(
     engine = CompactEngine(n, max_rounds)
     alive = engine.alive
     level = game.level
-    par_ptr, par_node, par_edge = game.par_ptr, game.par_node, game.par_edge
+    par_ptr, par_node = game.par_ptr, game.par_node
     chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
 
     has_token = bytearray(game.has_token)
@@ -638,12 +569,11 @@ def three_level_kernel(
             if not has_token[i]:
                 candidates = []
                 for s in range(par_ptr[i], par_ptr[i + 1]):
-                    e = par_edge[s]
-                    if consumed[e]:
+                    if consumed[s]:
                         continue
                     p = par_node[s]
                     if alive[p] and has_token[p]:
-                        candidates.append((p, e))
+                        candidates.append((p, s))
                         if first:
                             break
                 if not candidates:
@@ -735,7 +665,7 @@ def greedy_kernel(
     """
     game, node_ids, index_of = _DenseGame.from_instance(instance)
     level = game.level
-    par_ptr, par_node, par_edge = game.par_ptr, game.par_node, game.par_edge
+    par_ptr, par_node = game.par_ptr, game.par_node
     chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
 
     rng = random.Random(seed)
@@ -815,11 +745,11 @@ def greedy_kernel(
         movable[node] -= 1  # the chosen child was unoccupied
         occupied[node] = 0
         for s in range(par_ptr[node], par_ptr[node + 1]):
-            if not consumed[par_edge[s]]:
+            if not consumed[s]:
                 movable[par_node[s]] += 1
         occupied[child] = 1
         for s in range(par_ptr[child], par_ptr[child + 1]):
-            if not consumed[par_edge[s]]:
+            if not consumed[s]:
                 movable[par_node[s]] -= 1
         position[chosen] = child
         paths[chosen].append(child)

@@ -24,6 +24,7 @@ Theorem 4.7, where the layering is promised) request them explicitly via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Hashable, Iterable, Optional
 
 from repro.graphs.layered import LayeredGraph
@@ -36,6 +37,19 @@ LOCAL_HAS_TOKEN = "has_token"
 LOCAL_PARENTS = "parents"
 LOCAL_CHILDREN = "children"
 LOCAL_LEVEL = "level"
+
+
+def proposal_round_budget(height: int, max_degree: int, constant: int = 8) -> int:
+    """The game-round budget ``constant · (L + 1) · (Δ + 1)² + constant``.
+
+    Theorem 4.1 states the proposal algorithm finishes in O(L·Δ²) game
+    rounds, and Theorem 7.1 its hypergraph form in O(L·S²) with S the
+    maximum vertex degree.  Every solver of either game uses this as a
+    hard ``max_rounds`` budget, so that the asymptotic bound is itself a
+    checked invariant (the ``+1`` terms keep the budget positive for
+    degenerate games).
+    """
+    return constant * (height + 1) * (max_degree + 1) ** 2 + constant
 
 
 class InvalidInstanceError(ValueError):
@@ -73,12 +87,13 @@ class TokenDroppingInstance:
         object.__setattr__(self, "_networks", {})
 
     # ------------------------------------------------------------------
-    @property
+    # Instances are immutable, so L and Δ are computed once.
+    @cached_property
     def height(self) -> int:
         """L, the height of the game (the maximum level)."""
         return self.graph.height()
 
-    @property
+    @cached_property
     def max_degree(self) -> int:
         """Δ, the maximum degree of the underlying graph."""
         return self.graph.max_degree()
@@ -93,16 +108,8 @@ class TokenDroppingInstance:
         return node in self.tokens
 
     def theoretical_round_bound(self, constant: int = 8) -> int:
-        """A concrete budget of the form ``constant · (L + 1) · (Δ + 1)² + constant``.
-
-        Theorem 4.1 states the proposal algorithm finishes in O(L·Δ²) game
-        rounds.  Benchmarks and tests use this as a hard ``max_rounds``
-        budget so that the asymptotic bound is itself a checked invariant
-        (the ``+1`` terms keep the budget positive for degenerate games).
-        """
-        length = self.height + 1
-        degree = self.max_degree + 1
-        return constant * length * degree * degree + constant
+        """The Theorem 4.1 game-round budget (:func:`proposal_round_budget`)."""
+        return proposal_round_budget(self.height, self.max_degree, constant)
 
     # ------------------------------------------------------------------
     def to_network(self, include_levels: bool = False) -> Network:

@@ -45,7 +45,10 @@ from typing import (
 )
 
 from repro.core.tie_break import check_tie_break
-from repro.core.token_dropping.game import TokenDroppingInstance
+from repro.core.token_dropping.game import (
+    TokenDroppingInstance,
+    proposal_round_budget,
+)
 from repro.graphs.hypergraph import Hypergraph
 
 NodeId = Hashable
@@ -191,10 +194,7 @@ class HypergraphTokenDroppingInstance:
 
     def theoretical_round_bound(self, constant: int = 8) -> int:
         """A concrete ``O(L · S²)`` game-round budget (Theorem 7.1)."""
-        return (
-            constant * (self.height + 1) * (self.max_vertex_degree + 1) ** 2
-            + constant
-        )
+        return proposal_round_budget(self.height, self.max_vertex_degree, constant)
 
     # ------------------------------------------------------------------
     @classmethod

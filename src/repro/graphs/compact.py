@@ -69,7 +69,9 @@ def _csr(
 ) -> Tuple[array, array, array]:
     """CSR ``(indptr, indices, source)`` of the arcs ``(rows[k], cols[k])``.
 
-    The one CSR builder behind every compact structure: a stable
+    The CSR builder behind :class:`CompactGraph` and
+    :class:`CompactBipartite` (token games have their own NumPy builder,
+    :func:`~repro.core.token_dropping._kernels.game_from_arrays`): a stable
     counting sort, first by column and then by row, over flat
     ``array('q')`` scratch (no per-arc tuples).  Row ``r``'s columns are
     ``indices[indptr[r]:indptr[r+1]]``, ascending — dense ids are

@@ -24,13 +24,14 @@ the :mod:`repro.graphs.compact` CSR form of the *same* instance (same
 nodes, same edges, same seed-determinism) instead of the reference dict
 structure, so benchmarks and engine measures can feed the fast-path
 kernels without re-representing anything.  Orientation builders stream
-their edges into :meth:`CompactGraph.from_edges`; the compact-only
-:func:`scale_token_dropping` streams its game into
-:func:`~repro.core.token_dropping._kernels.game_from_edge_stream`.  Both
-counting-sort into CSR with the one routine of :mod:`repro.graphs.compact`.
-Token games at the sizes the LOCAL simulator runs stay
-:class:`TokenDroppingInstance` objects: their kernels intern the network
-once and memoize the dense game on it.
+their edges into :meth:`CompactGraph.from_edges`, which counting-sorts
+them into CSR.  The compact-only :func:`scale_token_dropping` collects
+its game's edges into two flat ``array('q')`` buffers for
+:func:`~repro.core.token_dropping._kernels.game_from_arrays`, the one
+dense token-game builder.  Token games at the sizes the LOCAL simulator
+runs stay :class:`TokenDroppingInstance` objects: their kernels intern
+the network once and memoize the dense game, built by the same
+function, on it.
 """
 
 from __future__ import annotations
@@ -47,9 +48,10 @@ from repro.graphs.compact import CompactBipartite, CompactGraph
 from repro.core.token_dropping.game import (
     TokenDroppingInstance,
     figure2_instance,
+    proposal_round_budget,
     random_token_placement,
 )
-from repro.core.token_dropping._kernels import game_from_edge_stream
+from repro.core.token_dropping._kernels import game_from_arrays
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.generators import (
     bounded_degree_gnp,
@@ -319,10 +321,8 @@ class CompactTokenGame:
         )
 
     def theoretical_round_bound(self, constant: int = 8) -> int:
-        """The Theorem 4.1 budget, mirroring the dict instance's formula."""
-        length = self.height() + 1
-        degree = self.max_degree() + 1
-        return constant * length * degree * degree + constant
+        """The Theorem 4.1 budget, as the dict instance computes it."""
+        return proposal_round_budget(self.height(), self.max_degree(), constant)
 
 
 def random_token_dropping(
@@ -452,25 +452,19 @@ def scale_token_dropping(
     rank = array("q", bytes(8 * n))
     for dense, node in enumerate(order):
         rank[node] = dense
-    game, _ = game_from_edge_stream(
-        n,
-        (
-            (rank[child], rank[parent])
-            for child, parent in layered_dag_edge_stream(
-                num_levels, width, edge_probability, seed=seed
-            )
-        ),
-    )
-    level_arr = game.level
-    for node in range(width, n):
-        level_arr[rank[node]] = node // width
+    child = array("q")
+    parent = array("q")
+    for c, p in layered_dag_edge_stream(
+        num_levels, width, edge_probability, seed=seed
+    ):
+        child.append(rank[c])
+        parent.append(rank[p])
+    levels = [node // width for node in order]
     token_rng = random.Random(f"{seed}:tokens")
-    has_token = game.has_token
     # One draw per node in repr (= dense) order, like the reference
     # placement helper.
-    for dense in range(n):
-        if token_rng.random() < token_fraction:
-            has_token[dense] = 1
+    has_token = [token_rng.random() < token_fraction for _ in range(n)]
+    game, _ = game_from_arrays(n, has_token, levels, child, parent)
     return CompactTokenGame(game=game, node_ids=tuple(order))
 
 

@@ -20,8 +20,11 @@ from repro.core.token_dropping.game import (
     LOCAL_HAS_TOKEN,
     LOCAL_LEVEL,
     LOCAL_PARENTS,
+    proposal_round_budget,
 )
+from repro.core.token_dropping.proposal import run_proposal_algorithm
 from repro.graphs.layered import LayeredGraph
+from repro.workloads.scenarios import random_token_dropping
 
 
 @pytest.fixture
@@ -48,6 +51,26 @@ class TestInstance:
     def test_theoretical_round_bound_positive(self, chain_graph: LayeredGraph):
         instance = TokenDroppingInstance(chain_graph, tokens=set())
         assert instance.theoretical_round_bound() > 0
+
+    def test_theoretical_round_bound_is_the_budget(self, chain_graph: LayeredGraph):
+        instance = TokenDroppingInstance(chain_graph, tokens=set())
+        # L = 2, Δ = 2: c·(L+1)·(Δ+1)² + c.
+        assert instance.theoretical_round_bound() == 8 * 3 * 9 + 8
+        assert instance.theoretical_round_bound(2) == proposal_round_budget(2, 2, 2)
+
+    def test_second_run_recomputes_no_degree(self, monkeypatch):
+        instance = random_token_dropping(num_levels=5, width=20, seed=1)
+        first = run_proposal_algorithm(instance)
+        calls = []
+        degree = LayeredGraph.degree
+
+        def counting_degree(graph, node):
+            calls.append(node)
+            return degree(graph, node)
+
+        monkeypatch.setattr(LayeredGraph, "degree", counting_degree)
+        assert run_proposal_algorithm(instance) == first
+        assert calls == []
 
     def test_to_network_local_inputs(self, chain_graph: LayeredGraph):
         instance = TokenDroppingInstance(chain_graph, tokens={"b"})

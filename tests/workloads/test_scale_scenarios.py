@@ -131,7 +131,6 @@ class TestScaleTokenDropping:
         for attr in (
             "par_ptr",
             "par_node",
-            "par_edge",
             "chi_ptr",
             "chi_node",
             "chi_edge",
