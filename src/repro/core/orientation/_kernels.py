@@ -75,7 +75,9 @@ Where both apply they give the same ranks.
 The sequential and repair kernels track unhappiness incrementally: a
 flip changes the loads of exactly two nodes, so only the edges incident
 to those nodes can change state (O(Δ) bookkeeping per flip versus the
-reference path's full O(m log m) rescan).
+reference path's full O(m log m) rescan).  The sequential kernel does it
+per flip over Python lists; the repair kernel per iteration on NumPy
+arrays, with one CSR gather over the endpoints of the whole flip batch.
 
 Playing only the token-bearing part of a phase game
 ---------------------------------------------------
@@ -140,7 +142,7 @@ def _gc_paused(kernel):
     return run
 
 
-def directed_ranks(graph: CompactGraph) -> Tuple[List[int], List[int]]:
+def directed_ranks(graph: CompactGraph) -> Tuple[np.ndarray, np.ndarray]:
     """Per-edge integer ranks of ``repr((tail, head))`` for both directions.
 
     ``rank_to_v[e]`` ranks the orientation pointing at ``edge_v[e]`` and
@@ -150,43 +152,65 @@ def directed_ranks(graph: CompactGraph) -> Tuple[List[int], List[int]]:
     lexicographic_reprs` holds, the ``repr`` order is the lexicographic
     order of the dense ``(tail, head)`` pairs, which is CSR slot order
     (rows ascend, and each row lists its neighbours ascending): the rank
-    of ``(tail, head)`` is the slot of ``head`` in ``tail``'s row, read
-    off with no ``repr`` and no sort.  Otherwise (custom ``__repr__``
-    ids) the ranks come from sorting the ``2m`` ``repr`` strings, the
-    exact rule.  Both give the same ranks whenever both apply.  Memoized
-    on the (immutable) graph, so repeated kernel runs on the same
-    instance build the table once.
+    of ``(tail, head)`` is the slot of ``head`` in ``tail``'s row, one
+    scatter of the slot numbers with no ``repr`` and no sort.  Otherwise
+    (custom ``__repr__`` ids) the ranks come from sorting the ``2m``
+    ``repr`` strings, the exact rule.  Both give the same ranks whenever
+    both apply.  Returned as NumPy ``int64`` arrays and memoized on the
+    (immutable) graph, so repeated kernel runs on the same instance build
+    the table once.
     """
     cached = graph.derived.get("directed_ranks")
     if cached is not None:
         return cached
+    import numpy as np
+
     m = graph.num_edges
-    eu = graph.edge_u
-    ev = graph.edge_v
     with obs.span("orientation.rank_keys", table="directed", edges=m) as sp:
         lexicographic = graph.lexicographic_reprs()
         sp.set(lexicographic=lexicographic)
         if lexicographic:
-            rank_to_v = [0] * m
-            rank_to_u = [0] * m
-            for slot, (e, head) in enumerate(zip(graph.slot_edge, graph.indices)):
-                if head == ev[e]:
-                    rank_to_v[e] = slot
-                else:
-                    rank_to_u[e] = slot
-            ranks = (rank_to_v, rank_to_u)
+            ev = np.asarray(graph.edge_v, dtype=np.int64)
+            slot_edge = np.asarray(graph.slot_edge, dtype=np.int64)
+            # Row 0 holds the ranks towards ``edge_v``, row 1 the reverse.
+            to_u = np.asarray(graph.indices, dtype=np.int64) != ev[slot_edge]
+            rank = np.empty((2, m), dtype=np.int64)
+            rank[to_u.astype(np.int64), slot_edge] = np.arange(2 * m)
         else:
             ids = graph.node_ids
             reprs: List[str] = []
-            for e in range(m):
-                u = ids[eu[e]]
-                v = ids[ev[e]]
-                reprs.append(repr((u, v)))  # head = edge_v  (item 2e)
-                reprs.append(repr((v, u)))  # head = edge_u  (item 2e + 1)
-            rank = _ranks(reprs)
-            ranks = (rank[0::2], rank[1::2])
+            for u, v in zip(graph.edge_u, graph.edge_v):
+                reprs.append(repr((ids[u], ids[v])))  # head = edge_v  (item 2e)
+                reprs.append(repr((ids[v], ids[u])))  # head = edge_u  (item 2e + 1)
+            rank = np.array(_ranks(reprs), dtype=np.int64).reshape(m, 2).T.copy()
+    rank.setflags(write=False)
+    ranks = (rank[0], rank[1])
     graph.derived["directed_ranks"] = ranks
     return ranks
+
+
+def flip_budget(graph: CompactGraph) -> int:
+    """The safety valve ``Σ deg(v)² + 1`` of the flip and repair loops.
+
+    Every flip of an unhappy edge lowers the potential ``Σ load²`` by at
+    least 2 and the potential lies in ``[0, Σ deg²]``, so no run can
+    flip, or iterate, more often; the loops raise once they reach it.
+    """
+    import numpy as np
+
+    degree = np.diff(np.asarray(graph.indptr, dtype=np.int64))
+    return int(degree @ degree) + 1
+
+
+def _csr_slots(indptr: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The CSR slots of every node in ``nodes``, row after row (one gather)."""
+    import numpy as np
+
+    starts = indptr[nodes]
+    counts = indptr[nodes + 1] - starts
+    slots = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    slots += np.arange(len(slots))
+    return slots
 
 
 def _ranks(keys: Sequence[str]) -> List[int]:
@@ -228,7 +252,7 @@ def sequential_flip_kernel(
     ev = list(graph.edge_v)
     indptr = list(graph.indptr)
     slot_edge = list(graph.slot_edge)
-    rank_to_v, rank_to_u = directed_ranks(graph)
+    rank_to_v, rank_to_u = (rank.tolist() for rank in directed_ranks(graph))
 
     if initial_heads is None:
         heads = list(ev)
@@ -242,7 +266,7 @@ def sequential_flip_kernel(
         load[h] += 1
 
     if max_flips is None:
-        max_flips = sum((indptr[i + 1] - indptr[i]) ** 2 for i in range(n)) + 1
+        max_flips = flip_budget(graph)
 
     potential = sum(l * l for l in load)
     initial_potential = potential
@@ -425,11 +449,8 @@ def _run_phases(
             new_level = np.minimum(load[changed], k)
             touched = changed[new_level != level[changed]]
             level[changed] = new_level
-            starts = indptr[touched]
-            counts = indptr[touched + 1] - starts
-            refreshed = int(counts.sum())
-            slots = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-            slots += np.arange(refreshed)
+            slots = _csr_slots(indptr, touched)
+            refreshed = len(slots)
             if obs.enabled():
                 obs.add("orientation.frontier.game_edges", len(game_edges))
                 obs.add("orientation.frontier.touched_nodes", len(touched))
@@ -731,6 +752,32 @@ def stable_orientation_kernel(
 # ----------------------------------------------------------------------
 # The synchronous repair baseline
 # ----------------------------------------------------------------------
+def _coin_flips(rng: random.Random, count: int) -> np.ndarray:
+    """``count`` draws of ``rng.random() < 0.5`` at once, as a bool array.
+
+    ``random.Random.random()`` is MT19937's ``genrand_res53``: two 32-bit
+    words ``a, b`` give ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
+    Loading ``rng``'s state into :class:`numpy.random.MT19937` and reading
+    ``random_raw(2 * count)`` yields the same words in the same order, and
+    the formula is exact in ``float64``.  NumPy's state after the draw is
+    handed back with ``rng.setstate``, so ``rng`` continues exactly as if
+    it had made the ``count`` calls itself.
+    """
+    import numpy as np
+
+    version, (*key, pos), gauss_next = rng.getstate()
+    bits = np.random.MT19937()
+    bits.state = {
+        "bit_generator": "MT19937",
+        "state": {"key": np.array(key, dtype=np.uint32), "pos": pos},
+    }
+    words = bits.random_raw(2 * count)
+    after = bits.state["state"]
+    rng.setstate((version, (*after["key"].tolist(), after["pos"]), gauss_next))
+    draws = ((words[0::2] >> 5) * 2**26 + (words[1::2] >> 6)) / 2**53
+    return draws < 0.5
+
+
 @_gc_paused
 def repair_kernel(
     graph: CompactGraph,
@@ -739,25 +786,43 @@ def repair_kernel(
     max_iterations: Optional[int] = None,
     initial_heads: Optional[Sequence[int]] = None,
 ) -> Tuple[List[int], List[int], "object"]:
-    """Run the synchronous repair baseline on int arrays.
+    """Run the synchronous repair baseline on NumPy arrays.
 
     The compact counterpart of :func:`~repro.core.orientation.repair.
-    synchronous_repair_orientation_reference`.  The reference's only randomness is
-    one ``random.Random(seed)`` consumed first by the coin-per-edge
-    initial orientation (edges in canonical-key ``repr`` order, which is
-    edge-index order) and then by ``rng.shuffle`` over the repr-sorted
-    unhappy list each iteration.  ``shuffle``'s stream consumption depends
-    only on the list length, so shuffling the rank-sorted edge-index list
-    yields the exact reference permutation — the per-iteration flip sets,
-    statistics, and final orientation all match bit for bit.
+    synchronous_repair_orientation_reference`.  The reference's only
+    randomness is one ``random.Random(seed)`` consumed first by the
+    coin-per-edge initial orientation (edges in canonical-key ``repr``
+    order, which is edge-index order) and then by ``rng.shuffle`` over the
+    repr-sorted unhappy list each iteration.  The coins are drawn in one
+    vector by replaying the generator's MT19937 stream in NumPy
+    (:func:`_coin_flips`), which leaves ``rng`` in the state the ``m``
+    scalar draws would.  ``shuffle``'s stream consumption depends only on
+    the list length, so shuffling the rank-sorted edge-index list yields
+    the exact reference permutation; the greedy conflict-free pass over
+    it is the reference rule, run in Python over a ``bytearray``.  The
+    per-iteration flip sets, statistics, and final orientation all match
+    bit for bit.
+
+    State is ``heads``, ``tails`` and ``load`` as NumPy ``int64`` arrays.
+    The selected batch is conflict-free (no node is an endpoint of two of
+    its edges), so the flip is one fancy-indexed assignment.  An edge's
+    unhappiness depends only on its direction and its endpoint loads, and
+    a flip changes the loads of exactly its two endpoints, so an edge with
+    no flipped endpoint keeps its state.  Every edge that was unhappy has
+    a flipped endpoint too: the greedy pass is maximal, so it skipped an
+    unhappy edge only for an endpoint that a selected edge had taken.  So
+    the next unhappy set lies within the edges in the CSR slots of the
+    flipped endpoints (one ragged gather), deduplicated by a sort and an
+    adjacent-difference mask and filtered by ``load[head] - load[tail] >
+    1``: O(touched slots) work per iteration, never O(m).
 
     ``initial_heads`` is the dense head id per edge index (default: the
-    seeded random complete orientation of the reference path).
+    seeded random complete orientation of the reference path).  Returns
+    ``(heads, load, stats)`` with ``heads``/``load`` as lists of Python
+    ``int`` and a :class:`~repro.core.orientation.repair.RepairRunStats`.
     """
-    from repro.core.orientation._unhappy import (
-        UnhappyEdgeTracker,
-        run_repair_loop,
-    )
+    import numpy as np
+
     from repro.core.orientation.repair import (
         ROUNDS_PER_REPAIR_ITERATION,
         RepairRunStats,
@@ -766,57 +831,87 @@ def repair_kernel(
     rng = random.Random(seed)
     n = graph.num_nodes
     m = graph.num_edges
-    eu = list(graph.edge_u)
-    ev = list(graph.edge_v)
-    indptr = list(graph.indptr)
-    slot_edge = list(graph.slot_edge)
+    eu = np.asarray(graph.edge_u, dtype=np.int64)
+    ev = np.asarray(graph.edge_v, dtype=np.int64)
+    indptr = np.asarray(graph.indptr, dtype=np.int64)
+    slot_edge = np.asarray(graph.slot_edge, dtype=np.int64)
     rank_to_v, rank_to_u = directed_ranks(graph)
 
     if initial_heads is None:
-        heads = [ev[e] if rng.random() < 0.5 else eu[e] for e in range(m)]
+        heads = np.where(_coin_flips(rng, m), ev, eu)
     else:
-        heads = list(initial_heads)
-    tails = [eu[e] if heads[e] == ev[e] else ev[e] for e in range(m)]
-
-    load = [0] * n
-    for h in heads:
-        load[h] += 1
+        heads = np.array(initial_heads, dtype=np.int64)
+    tails = eu + ev - heads
+    load = np.bincount(heads, minlength=n)
 
     if max_iterations is None:
-        max_iterations = (
-            sum((indptr[i + 1] - indptr[i]) ** 2 for i in range(n)) + 1
-        )
+        max_iterations = flip_budget(graph)
 
-    # Unhappy edges tracked incrementally (a flip changes two loads, so
-    # only edges incident to those nodes change state), keyed to the rank
-    # of their current (tail, head) repr — the reference's sort order.
-    tracker = UnhappyEdgeTracker(heads, tails, load, ev, rank_to_v, rank_to_u)
-    tracker.refresh(range(m))
-
-    stats = RepairRunStats(initial_unhappy=len(tracker))
-
-    def refresh_incident(x: int) -> None:
-        tracker.refresh_slots(slot_edge, indptr[x], indptr[x + 1])
-
+    unhappy = np.flatnonzero(load[heads] - load[tails] > 1)
+    stats = RepairRunStats(initial_unhappy=len(unhappy))
+    # Hoisted out of the loop: the disabled-metric check, and the conflict
+    # bitmap, wiped per iteration by clearing only the entries the
+    # selection marked (a fresh O(n) bitmap per iteration would dwarf the
+    # work once the unhappy set is a small frontier of a large graph).
+    traced = obs.enabled()
+    used = bytearray(n)
     with obs.span(
-        "orientation.repair", nodes=n, edges=m, initial_unhappy=len(tracker)
+        "orientation.repair", nodes=n, edges=m, initial_unhappy=len(unhappy)
     ) as sp:
-        run_repair_loop(
-            tracker,
-            num_nodes=n,
-            refresh_incident=refresh_incident,
-            rng=rng,
-            stats=stats,
-            max_iterations=max_iterations,
-            rounds_per_iteration=ROUNDS_PER_REPAIR_ITERATION,
-        )
+        while len(unhappy):
+            if stats.iterations >= max_iterations:
+                raise RuntimeError(
+                    f"repair loop exceeded {max_iterations} iterations; "
+                    "the potential argument guarantees this cannot happen"
+                )
+
+            # Reference order (ascending rank of the current direction),
+            # then the seeded shuffle and the greedy conflict-free pass:
+            # no node participates in two flips.
+            to_v = heads[unhappy] == ev[unhappy]
+            rank = np.where(to_v, rank_to_v[unhappy], rank_to_u[unhappy])
+            batch = unhappy[rank.argsort()].tolist()
+            rng.shuffle(batch)
+            order = np.array(batch, dtype=np.int64)
+            selected: List[int] = []
+            for e, t, h in zip(batch, tails[order].tolist(), heads[order].tolist()):
+                if used[t] or used[h]:
+                    continue
+                selected.append(e)
+                used[t] = 1
+                used[h] = 1
+
+            flipped = np.array(selected, dtype=np.int64)
+            old_heads = heads[flipped]
+            old_tails = tails[flipped]
+            heads[flipped] = old_tails
+            tails[flipped] = old_heads
+            load[old_heads] -= 1
+            load[old_tails] += 1
+            touched = np.concatenate((old_heads, old_tails))
+            for x in touched.tolist():
+                used[x] = 0
+
+            edges = slot_edge[_csr_slots(indptr, touched)]
+            edges.sort()
+            edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+            unhappy = edges[load[heads[edges]] - load[tails[edges]] > 1]
+
+            stats.iterations += 1
+            stats.communication_rounds += ROUNDS_PER_REPAIR_ITERATION
+            stats.total_flips += len(selected)
+            stats.flips_per_iteration.append(len(selected))
+            if traced:
+                obs.add("repair.iterations")
+                obs.observe("repair.unhappy_edges", len(batch))
+                obs.observe("repair.flips_per_iteration", len(selected))
         sp.set(
             iterations=stats.iterations,
             flips=stats.total_flips,
             communication_rounds=stats.communication_rounds,
         )
 
-    return heads, load, stats
+    return heads.tolist(), load.tolist(), stats
 
 
 # ----------------------------------------------------------------------

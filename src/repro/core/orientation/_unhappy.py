@@ -1,32 +1,24 @@
-"""The rank-keyed unhappy-edge tracker shared by repair-style loops.
+"""The unhappy-edge tracker and repair loop of the incremental engine.
 
-Both the batch :func:`~repro.core.orientation._kernels.repair_kernel` and
-the incremental engine of :mod:`repro.core.orientation.incremental` run
-the same synchronous repair iteration: sort the unhappy edges in the
-reference's ``repr`` order, shuffle with the seeded RNG, select a
-conflict-free batch greedily, flip it, and refresh only the edges whose
-endpoint loads changed.  This module holds the two pieces they share:
+:class:`~repro.core.orientation.incremental.DynamicOrientation` re-runs
+the synchronous repair iteration after every delta: sort the unhappy
+edges in the reference's ``repr((tail, head))`` order, shuffle with the
+seeded RNG, select a conflict-free batch greedily, flip it, and refresh
+only the edges whose endpoint loads changed.  Its frontiers are a handful
+of edges, so the two pieces here are plain Python over lists (NumPy's
+per-call overhead would dominate, and the served path stays NumPy-free);
+the batch :func:`~repro.core.orientation._kernels.repair_kernel` runs the
+same iteration on NumPy arrays with integer rank keys of its own.
 
-* :class:`UnhappyEdgeTracker` — the incrementally maintained
-  ``edge -> sort key`` map.  Keys only need to *order* like the
-  reference's ``repr((tail, head))`` strings.  The batch kernel supplies
-  the integer ranks of :func:`~repro.core.orientation._kernels.
-  directed_ranks` (cheapest to compare): CSR slot indices when the node
-  ``repr`` strings pass the predicate P of
-  :meth:`~repro.graphs.compact.CompactGraph.lexicographic_reprs` (every
-  builtin id type does), else the ranks of the sorted strings (custom
-  ``__repr__`` ids).  The incremental engine supplies the ``repr``
-  strings themselves: its overlay appends nodes out of ``repr`` order,
-  and global ranks would shift under edge insertion.  The two key
-  families are never mixed within one tracker.  The incremental engine's strings are
-  computed on demand, not precomputed: :class:`ReprKeys` builds item
-  ``e`` when the tracker reads it, which happens only while edge ``e``
-  is unhappy — from a stable state, a handful of frontier edges per
-  update instead of two strings for every edge at startup.
-* :func:`run_repair_loop` — the iteration itself, identical for both
-  callers, parameterized only by how to enumerate the edges incident to
-  a node (CSR scan for the immutable batch graph, overlay scan for the
-  mutable incremental view).
+* :class:`UnhappyEdgeTracker` — the incrementally maintained ``edge ->
+  sort key`` map.  Its one key family is the reference's ``repr((tail,
+  head))`` string itself, not a global rank: the overlay appends nodes
+  out of ``repr`` order, and ranks would shift under edge insertion.  A
+  key is formatted only while its edge is unhappy — from a stable state,
+  a handful of frontier edges per update.
+* :func:`run_repair_loop` — the iteration itself, parameterized by how
+  to enumerate the live edges incident to a node (the overlay scan of
+  the mutable incremental view).
 
 The tracker's correctness argument is the one documented on
 ``repair_kernel``: an edge's unhappiness can only change when the load
@@ -44,27 +36,7 @@ from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro import obs
 
-__all__ = ["ReprKeys", "UnhappyEdgeTracker", "run_repair_loop"]
-
-
-class ReprKeys:
-    """Per-edge ``repr`` sort keys, computed when read.
-
-    Item ``e`` is ``repr((ids[a[e]], ids[b[e]]))``.  The view holds live
-    references to ``ids``, ``a`` and ``b``, so it covers nodes and edges
-    appended to them later without any bookkeeping.
-    """
-
-    __slots__ = ("ids", "a", "b")
-
-    def __init__(self, ids: Sequence, a: Sequence[int], b: Sequence[int]) -> None:
-        self.ids = ids
-        self.a = a
-        self.b = b
-
-    def __getitem__(self, e: int) -> str:
-        ids = self.ids
-        return repr((ids[self.a[e]], ids[self.b[e]]))
+__all__ = ["UnhappyEdgeTracker", "run_repair_loop"]
 
 
 class UnhappyEdgeTracker:
@@ -75,37 +47,28 @@ class UnhappyEdgeTracker:
     heads, tails, load:
         Live references to the caller's dense state arrays (the tracker
         reads them on every refresh; it never mutates them).
-    ev:
-        Per-edge "canonical v" endpoint: when ``heads[e] == ev[e]`` the
-        edge's sort key is ``key_to_v[e]``, otherwise ``key_to_u[e]`` —
-        exactly the two possible ``repr((tail, head))`` orders.
-    key_to_v, key_to_u:
-        Per-edge sort keys for the two directions.  Any totally ordered
-        keys whose order matches the reference ``repr`` order work:
-        integer ranks (batch kernel) or the repr strings themselves
-        (incremental engine, as :class:`ReprKeys` views that grow with
-        the overlay's edge lists).
+    ids:
+        Live reference to the node ids by dense index; an unhappy edge's
+        key is ``repr((ids[tail], ids[head]))``, the reference's order.
+        The tracker covers nodes and edges appended to these lists later
+        without any bookkeeping.
     """
 
-    __slots__ = ("heads", "tails", "load", "ev", "key_to_v", "key_to_u", "unhappy")
+    __slots__ = ("heads", "tails", "load", "ids", "unhappy")
 
     def __init__(
         self,
         heads: Sequence[int],
         tails: Sequence[int],
         load: Sequence[int],
-        ev: Sequence[int],
-        key_to_v: Sequence,
-        key_to_u: Sequence,
+        ids: Sequence,
     ) -> None:
         self.heads = heads
         self.tails = tails
         self.load = load
-        self.ev = ev
-        self.key_to_v = key_to_v
-        self.key_to_u = key_to_u
+        self.ids = ids
         #: edge index -> sort key of its current (tail, head) direction.
-        self.unhappy: Dict[int, object] = {}
+        self.unhappy: Dict[int, str] = {}
 
     # -- refresh --------------------------------------------------------
     def refresh(self, edges: Iterable[int]) -> None:
@@ -118,33 +81,13 @@ class UnhappyEdgeTracker:
         heads = self.heads
         tails = self.tails
         load = self.load
-        ev = self.ev
+        ids = self.ids
         unhappy = self.unhappy
         for e in edges:
             h = heads[e]
-            if load[h] - load[tails[e]] > 1:
-                unhappy[e] = (
-                    self.key_to_v[e] if h == ev[e] else self.key_to_u[e]
-                )
-            else:
-                unhappy.pop(e, None)
-
-    def refresh_slots(
-        self, slot_edge: Sequence[int], start: int, stop: int
-    ) -> None:
-        """Refresh the edges in ``slot_edge[start:stop]`` (CSR fast path)."""
-        heads = self.heads
-        tails = self.tails
-        load = self.load
-        ev = self.ev
-        unhappy = self.unhappy
-        for s in range(start, stop):
-            e = slot_edge[s]
-            h = heads[e]
-            if load[h] - load[tails[e]] > 1:
-                unhappy[e] = (
-                    self.key_to_v[e] if h == ev[e] else self.key_to_u[e]
-                )
+            t = tails[e]
+            if load[h] - load[t] > 1:
+                unhappy[e] = repr((ids[t], ids[h]))
             else:
                 unhappy.pop(e, None)
 
@@ -186,8 +129,7 @@ def run_repair_loop(
     Parameters
     ----------
     tracker:
-        Seeded tracker (full scan for the batch kernel, delta frontier
-        for the incremental engine).
+        Tracker seeded from the delta frontier.
     num_nodes:
         Size of the dense node id space (for the conflict bitmap).
     refresh_incident:

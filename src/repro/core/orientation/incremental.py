@@ -2,8 +2,9 @@
 
 The paper's objects are static, but a production load balancer sees
 customers arrive and leave and servers fail continuously.  This module
-generalizes the rank-keyed unhappy-edge machinery of the repair kernel
-(:mod:`repro.core.orientation._unhappy`) into a first-class dynamic API:
+runs the synchronous repair baseline incrementally, over the
+``repr``-keyed unhappy-edge tracker of
+:mod:`repro.core.orientation._unhappy`, as a first-class dynamic API:
 
 :class:`DynamicOrientation` wraps a solved (stable, complete)
 orientation and supports :meth:`~DynamicOrientation.apply` for four
@@ -41,7 +42,7 @@ The engine and its oracle
 -------------------------
 :class:`DynamicOrientation` is the incremental engine: a
 :class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node views
-without rebuilding CSR arrays, and the shared repair loop runs over the
+without rebuilding CSR arrays, and the repair loop runs over the
 frontier-seeded tracker.
 
 :class:`ScratchDynamicOrientation` is its oracle: after each delta it
@@ -65,11 +66,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.orientation._unhappy import (
-    ReprKeys,
-    UnhappyEdgeTracker,
-    run_repair_loop,
-)
+from repro.core.orientation._unhappy import UnhappyEdgeTracker, run_repair_loop
 from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
@@ -376,7 +373,7 @@ class DynamicOrientation(_SeededEngine):
     """A stable orientation that absorbs edge/node churn locally.
 
     A :class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node
-    views without rebuilding CSR arrays, and the shared repair loop runs
+    views without rebuilding CSR arrays, and the repair loop runs
     over the frontier-seeded unhappy-edge tracker.
 
     Parameters
@@ -442,15 +439,11 @@ class DynamicOrientation(_SeededEngine):
         self._heads = heads
         self._tails = tails
         self._load = load
-        # Per-edge repr sort keys for the two directions (the reference's
-        # unhappy-edge order), built only when an unhappy edge is read.
+        # Unhappy edges keyed by their repr((tail, head)) strings (the
+        # reference's order), formatted only while an edge is unhappy.
         # Strings rather than global ranks: ranks shift when edges are
         # inserted, the per-edge strings never do.
-        ids = self._overlay.node_ids
-        eu, ev = self._overlay.edge_u, self._overlay.edge_v
-        self._tracker = UnhappyEdgeTracker(
-            heads, tails, load, ev, ReprKeys(ids, eu, ev), ReprKeys(ids, ev, eu)
-        )
+        self._tracker = UnhappyEdgeTracker(heads, tails, load, self._overlay.node_ids)
 
     # -- trusted construction ------------------------------------------
     @classmethod

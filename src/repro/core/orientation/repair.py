@@ -90,7 +90,7 @@ def synchronous_repair_orientation(
     -------
     (orientation, stats)
     """
-    from repro.core.orientation._kernels import repair_kernel
+    from repro.core.orientation._kernels import flip_budget, repair_kernel
 
     if initial is not None:
         if not initial.is_complete():
@@ -110,10 +110,7 @@ def synchronous_repair_orientation(
         # The reference sizes the safety valve from `problem` even when
         # `initial` brings its own graph; mirror that.
         if isinstance(problem, CompactGraph):
-            ptr = problem.indptr
-            max_iterations = (
-                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
-            )
+            max_iterations = flip_budget(problem)
         else:
             max_iterations = sum(problem.degree(x) ** 2 for x in problem.nodes) + 1
 

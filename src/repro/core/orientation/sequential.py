@@ -98,7 +98,7 @@ def sequential_flip_algorithm(
     (orientation, stats)
         The final (stable) orientation and run statistics.
     """
-    from repro.core.orientation._kernels import sequential_flip_kernel
+    from repro.core.orientation._kernels import flip_budget, sequential_flip_kernel
 
     _check_policy(policy)
     if initial is not None:
@@ -119,10 +119,7 @@ def sequential_flip_algorithm(
         # The reference path sizes the safety valve from the `problem`
         # argument, so mirror that even when `initial` brings its own graph.
         if isinstance(problem, CompactGraph):
-            ptr = problem.indptr
-            max_flips = (
-                sum((ptr[i + 1] - ptr[i]) ** 2 for i in range(problem.num_nodes)) + 1
-            )
+            max_flips = flip_budget(problem)
         else:
             max_flips = sum(problem.degree(n) ** 2 for n in problem.nodes) + 1
 

@@ -160,31 +160,67 @@ class TestAssignCommand:
         assert "ratio" in out
 
 
+def _run_with_src_path(args):
+    """Run ``python args...`` in a fresh interpreter that imports this ``repro``."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import repro
+
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, check=True
+    )
+
+
 class TestServeImportCost:
     def test_cli_and_serve_imports_load_neither_networkx_nor_numpy(self):
         # ``python -m repro serve`` imports these two; a restart's time to
         # first answer should not pay for the generators' dependencies.
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import repro
-
-        src = str(Path(repro.__file__).resolve().parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        )
         probe = (
             "import sys, repro.cli, repro.serve; "
             "print(sorted(m for m in ('networkx', 'numpy') if m in sys.modules))"
         )
-        result = subprocess.run(
-            [sys.executable, "-c", probe],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
+        result = _run_with_src_path(["-c", probe])
         assert result.stdout.strip() == "[]"
+
+    def test_served_restart_churn_and_snapshot_stay_numpy_free(self, tmp_path):
+        # What a served restart runs: load a snapshot, absorb churn with
+        # edge inserts, joins and leaves, write the changed instance back.
+        # ``first_answer_s`` and ``peak_rss_mb`` are measured on such a
+        # server, so none of it may import NumPy.
+        import pickle
+
+        from repro.core.orientation.incremental import DynamicOrientation
+        from repro.serve.snapshot import save_state
+        from repro.workloads.churn import churn_trace
+        from repro.workloads.scenarios import sensor_network_orientation
+
+        graph = sensor_network_orientation(
+            num_nodes=60, max_degree=5, density=0.1, seed=2, compact=True
+        )
+        trace = churn_trace(graph, num_updates=40, seed=3, mix="mixed")
+        kinds = {type(delta).__name__ for delta in trace}
+        assert {"EdgeInsert", "EdgeDelete", "NodeJoin", "NodeLeave"} <= kinds
+        save_state(DynamicOrientation(graph, seed=1), tmp_path / "start.snap")
+        (tmp_path / "trace.pickle").write_bytes(pickle.dumps(trace))
+        probe = (
+            "import pickle, sys\n"
+            "from repro.serve.snapshot import load_state, save_state\n"
+            f"root = {str(tmp_path)!r}\n"
+            "engine = load_state(root + '/start.snap')\n"
+            "with open(root + '/trace.pickle', 'rb') as f:\n"
+            "    trace = pickle.load(f)\n"
+            "for delta in trace:\n"
+            "    engine.apply(delta)\n"
+            "save_state(engine, root + '/end.snap')\n"
+            "print(engine.updates_applied, 'numpy' in sys.modules)\n"
+        )
+        result = _run_with_src_path(["-c", probe])
+        assert result.stdout.split() == [str(len(trace)), "False"]
