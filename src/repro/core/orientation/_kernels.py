@@ -34,8 +34,9 @@ endpoint arrays of only the token-bearing part to
 :func:`~repro.core.token_dropping._kernels.game_from_arrays`, which
 builds the game's ``array('q')`` CSR with one ``lexsort``; the proposal
 game itself (:func:`~repro.core.token_dropping._kernels.
-proposal_game_kernel`) is still a per-node Python loop over those
-buffers.  The bounded ``play`` hands its arrays to
+proposal_game_kernel`) plays each LOCAL round as NumPy vector ops over
+the live nodes, and ``play`` checks the game's maximality with one mask
+over its edges.  The bounded ``play`` hands its arrays to
 :func:`~repro.core.assignment._kernels.hypergraph_phase_game_kernel`,
 which plays the rank-2 game as per-round NumPy vector ops.  Both
 kernels return lists of Python ``int`` and stats rows of ``int`` fields.
@@ -85,7 +86,7 @@ A token moves only inside its own weakly connected component of the
 Lemma 5.2 game, and the components run independently, so
 :func:`stable_orientation_kernel` plays only the components that hold a
 token.  A token-free component makes no move, and its round count has a
-closed form under the proposal algorithm's quiet ``LEAVE`` rule: a node
+closed form under the proposal algorithm's ``LEAVE`` rule: a node
 with no game parents halts at round 0, and every other node halts at
 the announce round three rounds after its last parent halts.  Its last
 halt is round ``3·L``, for ``L`` its longest upward path; every game
@@ -363,16 +364,18 @@ def _run_phases(
     ``level``, ``badness``; ``heads`` is ``-1`` while unoriented), and
     ``play`` receives and returns arrays.  Each step is a vector op over
     the phase's frontier: proposals are a ``where`` over the pending
-    edges, acceptance the first occurrence per target from ``unique``,
-    moves and accepts a scatter of heads with ``add.at``/``subtract.at``
-    on loads, and levels ``minimum(load, k)`` over the nodes whose load
-    changed.  Badness is refreshed only where it can have changed: the
+    edges, acceptance the smallest scan position per target from
+    ``minimum.at``, moves and accepts a scatter of heads with
+    ``add.at``/``subtract.at`` on loads, and levels ``minimum(load, k)``
+    over the nodes whose load changed (a bool scatter, since node ids
+    are dense).  Badness is refreshed only where it can have changed: the
     incident slots of the nodes whose level changed *net* over the phase
     (one ragged CSR gather), plus the moved and accepted edges, which
     covers a new head whose level stayed at the cap.  The only
     whole-array work per phase is vectorized: ``flatnonzero(badness ==
     1)`` (the next game, already ascending) and ``badness.max()`` over
-    the m edges, and ``level.max()`` (the game height) over the n nodes.
+    the m edges, and ``level.max()`` (the game height) and the bool
+    scatters of the first proposals and changed loads over the n nodes.
     No per-phase Python loop runs over all nodes or all edges.
 
     ``make_row(phase, proposals, accepted, game_edges, height, rounds,
@@ -415,15 +418,16 @@ def _run_phases(
 
         with obs.span(span_name, phase=phases) as psp:
             # Steps 1 + 2: propose, then accept the first proposal per
-            # target (``unique`` returns first occurrences), in scan order.
+            # target (the smallest scan position), in scan order.
             a = a_end[pending]
             b = b_end[pending]
             target = np.where(level[b] < level[a], b, a)
-            first = np.unique(target, return_index=True)[1]
-            first.sort()
+            proposals = len(pending)
+            earliest = np.full(n, proposals)
+            np.minimum.at(earliest, target, np.arange(proposals))
+            first = np.sort(earliest[earliest < proposals])
             acc_edges = pending[first]
             acc_nodes = target[first]
-            proposals = len(pending)
 
             # Step 3, on the badness as refreshed at the end of the last phase.
             game_edges = np.flatnonzero(badness == 1)
@@ -445,7 +449,9 @@ def _run_phases(
             # Re-level the nodes whose load changed; the ones whose level
             # changed net have their incident slots refreshed, together
             # with the moved and accepted edges, whose head changed.
-            changed = np.unique(np.concatenate((old_heads, move_heads, acc_nodes)))
+            changed = np.zeros(n, dtype=bool)
+            changed[old_heads] = changed[move_heads] = changed[acc_nodes] = True
+            changed = np.flatnonzero(changed)
             new_level = np.minimum(load[changed], k)
             touched = changed[new_level != level[changed]]
             level[changed] = new_level
@@ -590,6 +596,7 @@ def stable_orientation_kernel(
     from repro.core.token_dropping.proposal import ROUNDS_PER_GAME_ROUND
     from repro.core.token_dropping.traversal import InvalidSolutionError
 
+    n = graph.num_nodes
     m = graph.num_edges
     delta = graph.max_degree()
     if max_phases is None:
@@ -610,12 +617,15 @@ def stable_orientation_kernel(
         # fan-out in the reference execution, so they never enter it.
         h = heads[game_edges]
         t = np.where(h == ev[game_edges], eu[game_edges], ev[game_edges])
-        nodes, local = np.unique(np.concatenate((t, h)), return_inverse=True)
-        gt = local[: len(game_edges)]
-        gh = local[len(game_edges) :]
+        in_game = np.zeros(n, dtype=bool)
+        in_game[t] = in_game[h] = True
+        nodes = np.flatnonzero(in_game)
+        local = np.cumsum(in_game) - 1
+        gt = local[t]
+        gh = local[h]
         # The reference budget: three LOCAL rounds per game round of the
         # Theorem 4.1 bound computed from the full game's height/degree.
-        game_degree = int(np.bincount(local).max()) if len(local) else 0
+        game_degree = int(np.bincount(np.concatenate((t, h))).max()) if len(t) else 0
         max_rounds = ROUNDS_PER_GAME_ROUND * proposal_round_budget(
             height, game_degree
         )
@@ -623,7 +633,9 @@ def stable_orientation_kernel(
         # Tokens only move inside their own component, so only the
         # components holding one are played.
         comp = _weak_components(len(nodes), gt, gh)
-        token = np.isin(nodes, acc_nodes)
+        is_acc = np.zeros(n, dtype=bool)
+        is_acc[acc_nodes] = True
+        token = is_acc[nodes]
         bearing = np.zeros(len(nodes), dtype=bool)
         bearing[comp[token]] = True
         played = bearing[comp]
@@ -655,47 +667,44 @@ def stable_orientation_kernel(
         # The played game, in its own ascending ids ``sub``.
         played_nodes = nodes[played].tolist()
         sub = np.cumsum(played) - 1
+        child = sub[gt[played_edge]]
+        parent = sub[gh[played_edge]]
         game, order = game_from_arrays(
-            len(played_nodes),
-            token[played],
-            level[nodes[played]],
-            sub[gt[played_edge]],
-            sub[gh[played_edge]],
+            len(played_nodes), token[played], level[nodes[played]], child, parent
         )
-        _, final_token, _, _, consumed, engine = proposal_game_kernel(
+        run = proposal_game_kernel(
             game,
             max_rounds,
             tie_break=tie_break,
             rngs=_node_rngs(tie_break, seed, tuple(ids[g] for g in played_nodes))
             if tie_break == "random"
             else None,
-            count_messages=False,
         )
 
         if check_invariants:
             # Maximality (output rule 3) is the part of the solution
             # validation that guards Lemma 5.4; rules 1 and 2 hold by
-            # construction of the game kernel.
-            chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
-            for i in range(len(played_nodes)):
-                if final_token[i] < 0:
-                    continue
-                for s in range(chi_ptr[i], chi_ptr[i + 1]):
-                    if not consumed[chi_edge[s]] and final_token[chi_node[s]] < 0:
-                        raise InvalidSolutionError(
-                            f"not maximal: token at {ids[played_nodes[i]]!r} can "
-                            f"still move to {ids[played_nodes[chi_node[s]]]!r}"
-                        )
+            # construction of the game kernel.  A token is stuck short of
+            # a free child over an unconsumed edge; the first one in
+            # (parent, child) order is reported.
+            child = child[order]
+            parent = parent[order]
+            final = run.token
+            stuck = ~run.consumed & (final[parent] >= 0) & (final[child] < 0)
+            if stuck.any():
+                p, c = min(zip(parent[stuck].tolist(), child[stuck].tolist()))
+                raise InvalidSolutionError(
+                    f"not maximal: token at {ids[played_nodes[p]]!r} can "
+                    f"still move to {ids[played_nodes[c]]!r}"
+                )
 
         # Every consumed game edge flips its graph edge to the tail.
-        moved = game_edges[played_edge][order][
-            np.frombuffer(consumed, dtype=np.uint8) != 0
-        ]
+        moved = game_edges[played_edge][order][run.consumed]
         old = heads[moved]
         return (
             moved,
             np.where(old == ev[moved], eu[moved], ev[moved]),
-            max(engine.rounds, free_rounds),
+            max(run.rounds, free_rounds),
         )
 
     def make_row(

@@ -13,10 +13,13 @@ Each kernel re-represents its input once, through the one builder
 :func:`game_from_arrays` — dense node ids in ``repr``-sorted order,
 parent/child adjacency as flat ``array('q')`` CSR buffers sharing one
 edge-id space, the parent slots — and then simulates the *same
-execution* the reference path performs, touching only integer arrays in
-the hot loop: token positions, per-edge consumed flags, incremental
-parent/child counts, and per-phase request/grant buffers instead of
-per-message dict envelopes.
+execution* the reference path performs, touching only integer arrays:
+token positions, per-edge consumed flags, incremental parent/child
+counts, and request/grant buffers instead of per-message dict
+envelopes.  :func:`proposal_game_kernel` keeps them in NumPy arrays and
+plays each LOCAL round as vector ops over the live nodes; the
+three-level and greedy kernels loop over the ``array('q')`` buffers in
+Python.
 
 Exactness contract
 ------------------
@@ -55,7 +58,7 @@ from __future__ import annotations
 
 import random
 from array import array
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.token_dropping.game import (
     LOCAL_HAS_TOKEN,
@@ -66,8 +69,12 @@ from repro.core.token_dropping.game import (
 from repro.core.token_dropping.traversal import TokenDroppingSolution, Traversal
 from repro.graphs.compact import intern_nodes
 from repro.local_model.compact import CompactEngine
+from repro.local_model.errors import RoundLimitExceeded
 from repro.local_model.metrics import ExecutionMetrics
 from repro.local_model.network import Network
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class _DenseGame:
@@ -241,7 +248,7 @@ def _pick(candidates: List, tie_break: str, rng: Optional[random.Random]):
 
 
 def _leave_messages(i, game, alive, dying_now, consumed, n_par, n_chi) -> int:
-    """LEAVE fan-out of one dying node (shared by both round kernels).
+    """LEAVE fan-out of one dying node in :func:`three_level_kernel`.
 
     Counts deliveries to surviving neighbours (receivers halting in the
     same round drop the message, per the scheduler rule) and removes the
@@ -267,13 +274,17 @@ def _leave_messages(i, game, alive, dying_now, consumed, n_par, n_chi) -> int:
     return messages
 
 
-def _halt_outputs(ids, initially, has_token, token, received, passed) -> Dict:
-    """Per-node halt outputs keyed by original id (both round kernels)."""
+def _halt_outputs(ids, initially, token, received, passed) -> Dict:
+    """Per-node halt outputs keyed by original id (both round kernels).
+
+    ``token[i]`` is the dense id of node ``i``'s final token, ``-1`` when
+    it ends unoccupied.
+    """
     return {
         node: {
             "initially_occupied": bool(initially[i]),
-            "finally_occupied": bool(has_token[i]),
-            "final_token": ids[token[i]] if has_token[i] else None,
+            "finally_occupied": token[i] >= 0,
+            "final_token": ids[token[i]] if token[i] >= 0 else None,
             "received": tuple((ids[t], ids[s]) for t, s in received[i]),
             "passed": tuple((ids[t], ids[c]) for t, c in passed[i]),
         }
@@ -284,165 +295,176 @@ def _halt_outputs(ids, initially, has_token, token, received, passed) -> Dict:
 # ----------------------------------------------------------------------
 # The distributed proposal algorithm (Theorem 4.1)
 # ----------------------------------------------------------------------
+class ProposalRun(NamedTuple):
+    """The end state and pass log of one proposal-game execution.
+
+    ``token[i]`` is the dense id of the token node ``i`` finally holds
+    (``-1`` when unoccupied), ``consumed[e]`` marks the game edges used by
+    passes, and ``halt_round[i]`` is the round node ``i`` halted at.
+    ``passes`` is a ``(4, k)`` ``int64`` array whose rows are the grant
+    round, parent, child and token of every pass, in execution order.
+    ``rounds`` and ``messages`` are the reference scheduler's counts.
+    """
+
+    token: np.ndarray
+    consumed: np.ndarray
+    halt_round: np.ndarray
+    passes: np.ndarray
+    rounds: int
+    messages: int
+
+
+def _group_picks(owner, tie_break: str, rngs) -> np.ndarray:
+    """One pick per run of equal ``owner`` values, as positions.
+
+    ``owner`` lists each group's candidates contiguously, in reference
+    order.  ``min`` picks each group's first candidate, ``max`` its last,
+    and ``random`` draws ``rngs[owner].randrange(size)`` once per group,
+    in ascending group order.  Groups of size 1 draw too:
+    ``randrange(1)`` consumes a 32-bit word of the generator, as the
+    reference ``_choose`` does.
+    """
+    import numpy as np
+
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    if tie_break == "min" or not len(starts):
+        return starts
+    ends = np.append(starts[1:], len(owner))
+    if tie_break == "max":
+        return ends - 1
+    draws = [
+        rngs[i].randrange(size)
+        for i, size in zip(owner[starts].tolist(), (ends - starts).tolist())
+    ]
+    return starts + np.array(draws, dtype=np.int64)
+
+
 def proposal_game_kernel(
     game: _DenseGame,
     max_rounds: int,
     *,
     tie_break: str = "min",
     rngs: Optional[List[random.Random]] = None,
-    count_messages: bool = True,
-) -> Tuple[bytearray, List[int], List, List, bytearray, CompactEngine]:
-    """Run the proposal algorithm's execution loop on a dense game.
+) -> ProposalRun:
+    """Run the proposal algorithm's execution on a dense game, in NumPy.
 
     The shared core behind :func:`proposal_kernel` (which plays the game
     of a :class:`~repro.local_model.network.Network`, see
-    :func:`network_game`) and the Theorem 5.1 orientation kernel
-    (which builds, via :func:`game_from_arrays`, only the token-bearing
+    :func:`network_game`) and the Theorem 5.1 orientation kernel (which
+    builds, via :func:`game_from_arrays`, only the token-bearing
     components of each phase's game and counts the rounds of the
-    token-free ones in closed form).  Returns
-    the dense end state ``(has_token, token, received, passed, consumed,
-    engine)``: ``consumed[game_edge]`` marks exactly the edges used by
-    passes (a game edge's id is its parent slot, so the parent scans
-    read ``consumed[s]``), and ``engine`` carries the reference-equal
-    round/message/halt bookkeeping.
+    token-free ones in closed form).
 
-    ``count_messages=False`` skips the LEAVE/announce delivery accounting
-    (``engine.messages`` is then meaningless) while keeping the
-    termination-driving counter decrements — rounds, halts, passes, and
-    consumed edges are unchanged.  Callers that only need the game
-    outcome and round count (the orientation phase driver) use it to
-    avoid the per-death delivery checks.
+    Every node's state — token, unconsumed parent and child counts,
+    alive flag, halt round — lives in a NumPy array, and each LOCAL round
+    is a handful of vector ops over ``active``, the nodes still alive:
+
+    * ANNOUNCE delivers the last round's grants by scatter, halts the
+      nodes that are occupied with no children or unoccupied with no
+      parents (checked against the pre-``LEAVE`` counts, as a death only
+      becomes visible the round after), and subtracts each dying node's
+      ``LEAVE`` from its unconsumed neighbours' counts with one CSR
+      gather;
+    * REQUEST gathers the parent slots of the unoccupied nodes and keeps
+      those whose edge is unconsumed and whose parent is alive and
+      occupied; each child's candidates are contiguous and ascend in
+      dense (= ``repr``) order, so it requests its first, last or drawn
+      candidate;
+    * GRANT sorts the requests stably by parent, so each parent's
+      requesters ascend, and every parent passes its token to its first,
+      last or drawn requester.
+
+    Message counts are masked sums: a ``LEAVE`` reaches each unconsumed
+    neighbour that survives the round, a survivor's ``HAVE_TOKEN`` each
+    of its ``n_chi`` remaining children, and every request and grant is
+    one message.  ``random`` draws ``rngs[i].randrange(count)`` for every
+    requester and every granter (:func:`_group_picks`); per-node streams
+    make the order across nodes irrelevant.
     """
+    import numpy as np
+
+    from repro.core.orientation._kernels import _csr_slots
+
     n = game.num_nodes
-    engine = CompactEngine(n, max_rounds)
-    alive = engine.alive
-    par_ptr, par_node = game.par_ptr, game.par_node
-    chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
+    par_ptr = np.frombuffer(game.par_ptr, dtype=np.int64)
+    par_node = np.frombuffer(game.par_node, dtype=np.int64)
+    chi_ptr = np.frombuffer(game.chi_ptr, dtype=np.int64)
+    chi_node = np.frombuffer(game.chi_node, dtype=np.int64)
+    chi_edge = np.frombuffer(game.chi_edge, dtype=np.int64)
+    n_par = np.diff(par_ptr)
+    n_chi = np.diff(chi_ptr)
+    # Game edges ascend by child: ``edge_child[e]`` is edge e's child.
+    edge_child = np.repeat(np.arange(n), n_par)
 
-    has_token = bytearray(game.has_token)
-    token = [i if has_token[i] else -1 for i in range(n)]
-    n_par = [par_ptr[i + 1] - par_ptr[i] for i in range(n)]
-    n_chi = [chi_ptr[i + 1] - chi_ptr[i] for i in range(n)]
-    consumed = bytearray(game.num_edges)
-    received: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    passed: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+    has_token = np.frombuffer(game.has_token, dtype=bool).copy()
+    token = np.where(has_token, np.arange(n), -1)
+    consumed = np.zeros(game.num_edges, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    halt_round = np.full(n, -1, dtype=np.int64)
+    active = np.arange(n)
+    log = []
+    messages = 0
+    rounds = 0
+    # In-flight grants, delivered at the next ANNOUNCE round exactly when
+    # the reference node processes its inbox.
+    grant_child = grant_token = active[:0]
 
-    active = list(range(n))
-    dying_now = bytearray(n)
-    # In-flight grants (child, parent, token), applied at the next
-    # announce round exactly when the reference node processes its inbox.
-    pending_grants: List[Tuple[int, int, int]] = []
+    def enter_round() -> int:
+        if rounds >= max_rounds:
+            raise RoundLimitExceeded(max_rounds, len(active))
+        return rounds + 1
 
-    def announce(round_number: int) -> None:
-        nonlocal active
-        for c, p, tok in pending_grants:
-            has_token[c] = 1
-            token[c] = tok
-            received[c].append((tok, p))
-            n_par[c] -= 1
-        pending_grants.clear()
-        # Termination checks run against pre-LEAVE state: a death in this
-        # round only becomes visible to neighbours at the next round.
-        dying = []
-        for i in active:
-            if (n_chi[i] == 0) if has_token[i] else (n_par[i] == 0):
-                dying.append(i)
-                dying_now[i] = 1
-        if count_messages:
-            messages = 0
-            for i in dying:
-                messages += _leave_messages(
-                    i, game, alive, dying_now, consumed, n_par, n_chi
-                )
-            # A surviving token-holder's announcement is delivered over
-            # every unconsumed edge to a child that has not left — which,
-            # once this round's LEAVE decrements are in, is exactly
-            # n_chi[i]: consumed edges and departed children are already
-            # subtracted, and same-round deaths drop the message per the
-            # scheduler rule.
-            for i in active:
-                if has_token[i] and not dying_now[i]:
-                    messages += n_chi[i]
-            engine.messages += messages
-        else:
-            # Quiet LEAVE: only the termination-driving decrements.  Dead
-            # receivers' counters are never read again, so the survivor
-            # checks of the counting path are unnecessary here.
-            for i in dying:
-                for s in range(par_ptr[i], par_ptr[i + 1]):
-                    if not consumed[s]:
-                        n_chi[par_node[s]] -= 1
-                for s in range(chi_ptr[i], chi_ptr[i + 1]):
-                    if not consumed[chi_edge[s]]:
-                        n_par[chi_node[s]] -= 1
-        for i in dying:
-            engine.halt(i, round_number)
-            dying_now[i] = 0
-        if dying:
-            active = [i for i in active if alive[i]]
+    while True:
+        # ANNOUNCE.
+        has_token[grant_child] = True
+        token[grant_child] = grant_token
+        n_par[grant_child] -= 1
+        dies = np.where(has_token[active], n_chi[active] == 0, n_par[active] == 0)
+        dying = active[dies]
+        active = active[~dies]
+        alive[dying] = False
+        halt_round[dying] = rounds
+        up = _csr_slots(par_ptr, dying)
+        up = par_node[up[~consumed[up]]]
+        down = _csr_slots(chi_ptr, dying)
+        down = chi_node[down[~consumed[chi_edge[down]]]]
+        np.subtract.at(n_chi, up, 1)
+        np.subtract.at(n_par, down, 1)
+        holders = active[has_token[active]]
+        messages += int(
+            np.count_nonzero(alive[up])
+            + np.count_nonzero(alive[down])
+            + n_chi[holders].sum()
+        )
+        if not len(active):
+            break
 
-    def request_round() -> Dict[int, List[Tuple[int, int]]]:
-        requests: Dict[int, List[Tuple[int, int]]] = {}
-        messages = 0
-        if tie_break == "min":
-            # Smallest repr == smallest dense id == first valid slot, so
-            # the default policy needs no candidate list at all.
-            for c in active:
-                if has_token[c]:
-                    continue
-                for s in range(par_ptr[c], par_ptr[c + 1]):
-                    if consumed[s]:
-                        continue
-                    p = par_node[s]
-                    if alive[p] and has_token[p]:
-                        messages += 1
-                        requests.setdefault(p, []).append((c, s))
-                        break
-        else:
-            for c in active:
-                if has_token[c]:
-                    continue
-                candidates = []
-                for s in range(par_ptr[c], par_ptr[c + 1]):
-                    if consumed[s]:
-                        continue
-                    p = par_node[s]
-                    if alive[p] and has_token[p]:
-                        candidates.append((p, s))
-                if not candidates:
-                    continue
-                p, e = _pick(candidates, tie_break, rngs[c] if rngs else None)
-                messages += 1
-                requests.setdefault(p, []).append((c, e))
-        engine.messages += messages
-        return requests
+        # REQUEST.
+        rounds = enter_round()
+        slots = _csr_slots(par_ptr, active[~has_token[active]])
+        parent = par_node[slots]
+        slots = slots[~consumed[slots] & alive[parent] & has_token[parent]]
+        asks = slots[_group_picks(edge_child[slots], tie_break, rngs)]
+        messages += len(asks)
 
-    def grant_round(requests: Dict[int, List[Tuple[int, int]]]) -> None:
-        messages = 0
-        for p, requesters in requests.items():
-            # p announced this game round, so it is alive and still holds
-            # its token; the requesters are current children (ascending,
-            # because request_round scans nodes in dense order).
-            c, e = _pick(requesters, tie_break, rngs[p] if rngs else None)
-            messages += 1
-            tok = token[p]
-            passed[p].append((tok, c))
-            consumed[e] = 1
-            n_chi[p] -= 1
-            has_token[p] = 0
-            token[p] = -1
-            pending_grants.append((c, p, tok))
-        engine.messages += messages
+        # GRANT.
+        rounds = enter_round()
+        asks = asks[np.argsort(par_node[asks], kind="stable")]
+        grants = asks[_group_picks(par_node[asks], tie_break, rngs)]
+        granter = par_node[grants]
+        grant_child = edge_child[grants]
+        grant_token = token[granter]
+        log.append((np.full(len(grants), rounds), granter, grant_child, grant_token))
+        consumed[grants] = True
+        n_chi[granter] -= 1
+        has_token[granter] = False
+        token[granter] = -1
+        messages += len(grants)
 
-    announce(0)
-    while engine.n_alive:
-        engine.step()
-        requests = request_round()
-        engine.step()
-        grant_round(requests)
-        announce(engine.step())
+        rounds = enter_round()
 
-    return has_token, token, received, passed, consumed, engine
+    passes = np.concatenate(log, axis=1) if log else np.empty((4, 0), dtype=np.int64)
+    return ProposalRun(token, consumed, halt_round, passes, rounds, messages)
 
 
 def proposal_kernel(
@@ -458,15 +480,27 @@ def proposal_kernel(
     nodes pass to ``ctx.halt``) and reference-equal execution metrics.
     """
     game, ids = network_game(network)
-    initially = bytes(game.has_token)
-    has_token, token, received, passed, _, engine = proposal_game_kernel(
+    run = proposal_game_kernel(
         game,
         max_rounds,
         tie_break=tie_break,
         rngs=_node_rngs(tie_break, seed, ids),
     )
-    outputs = _halt_outputs(ids, initially, has_token, token, received, passed)
-    return outputs, engine.metrics(ids)
+    received: List[List[Tuple[int, int]]] = [[] for _ in ids]
+    passed: List[List[Tuple[int, int]]] = [[] for _ in ids]
+    _, parents, children, tokens = run.passes.tolist()
+    for p, c, tok in zip(parents, children, tokens):
+        passed[p].append((tok, c))
+        received[c].append((tok, p))
+    outputs = _halt_outputs(ids, game.has_token, run.token.tolist(), received, passed)
+    metrics = ExecutionMetrics(
+        rounds=run.rounds,
+        messages_sent=run.messages,
+        node_halt_rounds=dict(zip(ids, run.halt_round.tolist())),
+        halted_nodes=len(ids),
+        total_nodes=len(ids),
+    )
+    return outputs, metrics
 
 
 # ----------------------------------------------------------------------
@@ -641,7 +675,7 @@ def three_level_kernel(
         resolve_round(requests, proposals)
         announce(engine.step())
 
-    outputs = _halt_outputs(ids, initially, has_token, token, received, passed)
+    outputs = _halt_outputs(ids, initially, token, received, passed)
     return outputs, engine.metrics(ids)
 
 

@@ -32,6 +32,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from itertools import accumulate
+from operator import sub
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
@@ -433,9 +434,7 @@ class CompactGraph:
 
     def max_degree(self) -> int:
         ptr = self.indptr
-        return max(
-            (ptr[i + 1] - ptr[i] for i in range(self.num_nodes)), default=0
-        )
+        return max(map(sub, ptr[1:], ptr[:-1]), default=0)
 
     def neighbors(self, i: int) -> memoryview:
         """Dense neighbour ids of dense node ``i`` as a zero-copy memoryview."""

@@ -6,11 +6,14 @@ machines, per-message dict envelopes, hash-based neighbour sets.  Its hot
 loop allocates one inbox and one outbox entry per message per round, which
 caps simulated network sizes at toys.
 
-:class:`CompactEngine` is the batched synchronous round engine of the
-compact counterpart: it owns the flat per-node state every kernel needs —
-alive flags, halt rounds, the round budget, and the message counter — so
-a kernel only supplies the algorithm-specific phase logic over parallel
-arrays (requests, grants, token positions) instead of per-message objects.
+:class:`CompactEngine` is a batched synchronous round engine for
+compact kernels that loop over nodes in Python: it owns the flat
+per-node state — alive flags, halt rounds, the round budget, and the
+message counter — so such a kernel (the Theorem 4.7 three-level kernel)
+only supplies the algorithm-specific phase logic over parallel arrays
+(requests, grants, token positions) instead of per-message objects.
+The proposal kernel keeps the same state in NumPy arrays of its own and
+plays each round as vector ops.
 
 Kernels register on :class:`~repro.local_model.node.AlgorithmFactory`
 (``compact_kernel=``) and an untraced
