@@ -4,22 +4,25 @@ These are the compact counterparts of the three token dropping solvers:
 
 * :func:`greedy_kernel` — the centralized sequential baseline
   (:func:`~repro.core.token_dropping.greedy.greedy_token_dropping_reference`);
-* :func:`proposal_kernel` — the distributed proposal algorithm
+* :func:`proposal_game_kernel` — the distributed proposal algorithm
   (Theorem 4.1, :mod:`repro.core.token_dropping.proposal`);
-* :func:`three_level_kernel` — the O(Δ) height-3 algorithm
+* :func:`three_level_game_kernel` — the O(Δ) height-3 algorithm
   (Theorem 4.7, :mod:`repro.core.token_dropping.three_level`).
 
-Each kernel re-represents its input once, through the one builder
+The reference simulator (:class:`~repro.local_model.scheduler.
+SynchronousScheduler`) is the readable correctness oracle: per-node
+state machines, per-message dict envelopes, hash-based neighbour sets,
+one inbox and one outbox entry per message per round.  Each kernel
+instead re-represents its input once, through the one builder
 :func:`game_from_arrays` — dense node ids in ``repr``-sorted order,
 parent/child adjacency as flat ``array('q')`` CSR buffers sharing one
 edge-id space, the parent slots — and then simulates the *same
-execution* the reference path performs, touching only integer arrays:
-token positions, per-edge consumed flags, incremental parent/child
-counts, and request/grant buffers instead of per-message dict
-envelopes.  :func:`proposal_game_kernel` keeps them in NumPy arrays and
-plays each LOCAL round as vector ops over the live nodes; the
-three-level and greedy kernels loop over the ``array('q')`` buffers in
-Python.
+execution* the reference path performs, touching only integer arrays.
+The two round kernels keep every node's state (token, unconsumed
+parent/child counts, alive flag, halt round) in NumPy arrays, play each
+LOCAL round as vector ops over the live nodes, and return one
+:class:`ProposalRun`; the greedy kernel loops over the ``array('q')``
+buffers in Python.
 
 Exactness contract
 ------------------
@@ -33,32 +36,38 @@ message counts and per-node halt rounds.  This works because
   ("smallest ``repr`` first", see ``_choose`` in the proposal module)
   becomes "smallest dense id first" — candidate lists built by ascending
   scans are already in reference order;
-* the ``random`` tie-break seeds one :class:`random.Random` per node from
-  ``f"{seed}:{node_id!r}"`` exactly like the reference node classes, and
-  each node's generator is consumed in the same per-node event order;
+* the ``random`` tie-break gives each node the :class:`random.Random`
+  the reference node seeds from ``f"{seed}:{node_id!r}"`` (seeded on its
+  first draw), and each node draws at most once per game round, so every
+  generator is consumed in the reference's per-node order;
 * message counting replays the scheduler's delivery rule (messages to
   nodes that halted in or before the sending round are dropped), and the
   termination checks run against the same pre-``LEAVE`` neighbour counts
-  the reference nodes observe.
+  the reference nodes observe;
+* the round budget is the runner's: while nodes are active, a round may
+  only start when fewer than ``max_rounds`` have completed, otherwise
+  :class:`~repro.local_model.errors.RoundLimitExceeded` names the limit
+  and the number of active nodes.
 
 The cross-validation suite asserts all of this on hundreds of seeded
 instances (``tests/integration/test_compact_cross_validation.py``).
 
 The distributed kernels run behind the existing
 :class:`~repro.local_model.runner.Runner` API: the algorithm factories
-register them via ``AlgorithmFactory(..., compact_kernel=...)``; an
-untraced :meth:`~repro.local_model.runner.Runner.run` hands the kernel
-its :class:`~repro.local_model.network.Network` (interned once per
-network by :func:`network_game`) and
-:meth:`~repro.local_model.runner.Runner.run_reference` takes the per-node
-scheduler.
+register :func:`play_network` via ``AlgorithmFactory(...,
+compact_kernel=...)``; an untraced
+:meth:`~repro.local_model.runner.Runner.run` hands it the
+:class:`~repro.local_model.network.Network` itself (interned once per
+network and memoized on it by :func:`network_game`) and
+:meth:`~repro.local_model.runner.Runner.run_reference`, a traced run and
+every algorithm without a kernel take the per-node scheduler.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from typing import TYPE_CHECKING, Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.core.token_dropping.game import (
     LOCAL_HAS_TOKEN,
@@ -68,7 +77,6 @@ from repro.core.token_dropping.game import (
 )
 from repro.core.token_dropping.traversal import TokenDroppingSolution, Traversal
 from repro.graphs.compact import intern_nodes
-from repro.local_model.compact import CompactEngine
 from repro.local_model.errors import RoundLimitExceeded
 from repro.local_model.metrics import ExecutionMetrics
 from repro.local_model.network import Network
@@ -229,49 +237,34 @@ def _index_array(values) -> array:
     return array("q", values.astype("int64", copy=False).tobytes())
 
 
+class _NodeRngs(dict):
+    """Per-node generators, each seeded on its first lookup.
+
+    ``rngs[i]`` is ``random.Random(f"{seed}:{node_ids[i]!r}")``, the
+    generator the reference node ``node_ids[i]`` builds, created the
+    first time node ``i`` draws: most nodes of a game never draw, and a
+    string seeding costs far more than the draws themselves.
+    """
+
+    __slots__ = ("seed", "node_ids")
+
+    def __init__(self, seed: int, node_ids: Tuple) -> None:
+        super().__init__()
+        self.seed = seed
+        self.node_ids = node_ids
+
+    def __missing__(self, i: int) -> random.Random:
+        rng = self[i] = random.Random(f"{self.seed}:{self.node_ids[i]!r}")
+        return rng
+
+
 def _node_rngs(
     tie_break: str, seed: int, node_ids: Tuple
-) -> Optional[List[random.Random]]:
+) -> Optional[Dict[int, random.Random]]:
     """Per-node generators matching the reference node constructors."""
     if tie_break != "random":
         return None
-    return [random.Random(f"{seed}:{node_id!r}") for node_id in node_ids]
-
-
-def _pick(candidates: List, tie_break: str, rng: Optional[random.Random]):
-    """Reference ``_choose`` over an already-ascending candidate list."""
-    if tie_break == "min":
-        return candidates[0]
-    if tie_break == "max":
-        return candidates[-1]
-    return candidates[rng.randrange(len(candidates))]
-
-
-def _leave_messages(i, game, alive, dying_now, consumed, n_par, n_chi) -> int:
-    """LEAVE fan-out of one dying node in :func:`three_level_kernel`.
-
-    Counts deliveries to surviving neighbours (receivers halting in the
-    same round drop the message, per the scheduler rule) and removes the
-    dying node from each survivor's parent/child count.
-    """
-    par_ptr, par_node = game.par_ptr, game.par_node
-    chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
-    messages = 0
-    for s in range(par_ptr[i], par_ptr[i + 1]):
-        if consumed[s]:
-            continue
-        p = par_node[s]
-        if alive[p] and not dying_now[p]:
-            messages += 1
-            n_chi[p] -= 1
-    for s in range(chi_ptr[i], chi_ptr[i + 1]):
-        if consumed[chi_edge[s]]:
-            continue
-        c = chi_node[s]
-        if alive[c] and not dying_now[c]:
-            messages += 1
-            n_par[c] -= 1
-    return messages
+    return _NodeRngs(seed, node_ids)
 
 
 def _halt_outputs(ids, initially, token, received, passed) -> Dict:
@@ -296,14 +289,17 @@ def _halt_outputs(ids, initially, token, received, passed) -> Dict:
 # The distributed proposal algorithm (Theorem 4.1)
 # ----------------------------------------------------------------------
 class ProposalRun(NamedTuple):
-    """The end state and pass log of one proposal-game execution.
+    """The end state and pass log of one round-kernel execution.
 
-    ``token[i]`` is the dense id of the token node ``i`` finally holds
-    (``-1`` when unoccupied), ``consumed[e]`` marks the game edges used by
-    passes, and ``halt_round[i]`` is the round node ``i`` halted at.
-    ``passes`` is a ``(4, k)`` ``int64`` array whose rows are the grant
-    round, parent, child and token of every pass, in execution order.
-    ``rounds`` and ``messages`` are the reference scheduler's counts.
+    Returned by both :func:`proposal_game_kernel` and
+    :func:`three_level_game_kernel`.  ``token[i]`` is the dense id of the
+    token node ``i`` finally holds (``-1`` when unoccupied),
+    ``consumed[e]`` marks the game edges used by passes, and
+    ``halt_round[i]`` is the round node ``i`` halted at.  ``passes`` is a
+    ``(4, k)`` ``int64`` array whose rows are the round, parent, child
+    and token of every pass (a grant, or an accepted proposal), in
+    execution order.  ``rounds`` and ``messages`` are the reference
+    scheduler's counts.
     """
 
     token: np.ndarray
@@ -344,11 +340,11 @@ def proposal_game_kernel(
     max_rounds: int,
     *,
     tie_break: str = "min",
-    rngs: Optional[List[random.Random]] = None,
+    rngs: Optional[Dict[int, random.Random]] = None,
 ) -> ProposalRun:
     """Run the proposal algorithm's execution on a dense game, in NumPy.
 
-    The shared core behind :func:`proposal_kernel` (which plays the game
+    The shared core behind :func:`play_network` (which plays the game
     of a :class:`~repro.local_model.network.Network`, see
     :func:`network_game`) and the Theorem 5.1 orientation kernel (which
     builds, via :func:`game_from_arrays`, only the token-bearing
@@ -359,12 +355,11 @@ def proposal_game_kernel(
     alive flag, halt round — lives in a NumPy array, and each LOCAL round
     is a handful of vector ops over ``active``, the nodes still alive:
 
-    * ANNOUNCE delivers the last round's grants by scatter, halts the
-      nodes that are occupied with no children or unoccupied with no
-      parents (checked against the pre-``LEAVE`` counts, as a death only
-      becomes visible the round after), and subtracts each dying node's
-      ``LEAVE`` from its unconsumed neighbours' counts with one CSR
-      gather;
+    * ANNOUNCE halts the nodes that are occupied with no children or
+      unoccupied with no parents (checked against the pre-``LEAVE``
+      counts, as a death only becomes visible the round after), and
+      subtracts each dying node's ``LEAVE`` from its unconsumed
+      neighbours' counts with one CSR gather;
     * REQUEST gathers the parent slots of the unoccupied nodes and keeps
       those whose edge is unconsumed and whose parent is alive and
       occupied; each child's candidates are contiguous and ascend in
@@ -372,7 +367,9 @@ def proposal_game_kernel(
       candidate;
     * GRANT sorts the requests stably by parent, so each parent's
       requesters ascend, and every parent passes its token to its first,
-      last or drawn requester.
+      last or drawn requester.  The passes apply at once: nothing reads
+      the state before the next ANNOUNCE, where the reference child
+      takes its grant.
 
     Message counts are masked sums: a ``LEAVE`` reaches each unconsumed
     neighbour that survives the round, a survivor's ``HAVE_TOKEN`` each
@@ -405,9 +402,6 @@ def proposal_game_kernel(
     log = []
     messages = 0
     rounds = 0
-    # In-flight grants, delivered at the next ANNOUNCE round exactly when
-    # the reference node processes its inbox.
-    grant_child = grant_token = active[:0]
 
     def enter_round() -> int:
         if rounds >= max_rounds:
@@ -416,9 +410,6 @@ def proposal_game_kernel(
 
     while True:
         # ANNOUNCE.
-        has_token[grant_child] = True
-        token[grant_child] = grant_token
-        n_par[grant_child] -= 1
         dies = np.where(has_token[active], n_chi[active] == 0, n_par[active] == 0)
         dying = active[dies]
         active = active[~dies]
@@ -451,14 +442,17 @@ def proposal_game_kernel(
         rounds = enter_round()
         asks = asks[np.argsort(par_node[asks], kind="stable")]
         grants = asks[_group_picks(par_node[asks], tie_break, rngs)]
-        granter = par_node[grants]
-        grant_child = edge_child[grants]
-        grant_token = token[granter]
-        log.append((np.full(len(grants), rounds), granter, grant_child, grant_token))
+        giver = par_node[grants]
+        taker = edge_child[grants]
+        moved = token[giver]
+        log.append((np.full(len(grants), rounds), giver, taker, moved))
         consumed[grants] = True
-        n_chi[granter] -= 1
-        has_token[granter] = False
-        token[granter] = -1
+        n_chi[giver] -= 1
+        n_par[taker] -= 1
+        has_token[giver] = False
+        token[giver] = -1
+        has_token[taker] = True
+        token[taker] = moved
         messages += len(grants)
 
         rounds = enter_round()
@@ -467,20 +461,167 @@ def proposal_game_kernel(
     return ProposalRun(token, consumed, halt_round, passes, rounds, messages)
 
 
-def proposal_kernel(
+# ----------------------------------------------------------------------
+# The three-level algorithm (Theorem 4.7)
+# ----------------------------------------------------------------------
+def three_level_game_kernel(
+    game: _DenseGame,
+    max_rounds: int,
+    *,
+    tie_break: str = "min",
+    rngs: Optional[Dict[int, random.Random]] = None,
+) -> ProposalRun:
+    """Run the three-level algorithm's execution on a dense game, in NumPy.
+
+    The Theorem 4.7 counterpart of :func:`proposal_game_kernel`, with
+    the same state arrays, round budget and pass log.  Each game round
+    is three LOCAL rounds of vector ops over ``active``:
+
+    * ANNOUNCE halts the level-2 nodes that are unoccupied or have no
+      children left, the level-0 nodes that are occupied or have no
+      parents left, and every other node by the proposal rule, then
+      subtracts the dying nodes' ``LEAVE`` as the proposal kernel does;
+      occupied level-2 survivors announce ``HAVE_TOKEN`` to their
+      children and unoccupied level-0 survivors ``UNOCCUPIED`` to their
+      parents;
+    * ACT: every unoccupied level-1 node requests from its first, last
+      or drawn live occupied parent, and every occupied level-1 node
+      proposes its token to its first, last or drawn live unoccupied
+      child;
+    * RESOLVE: every level-2 node grants its token to one requester
+      (requests sorted stably by parent, so its requesters ascend) and
+      every level-0 node accepts one offer (offers sorted stably by
+      child, so its proposers ascend).  Grants and accepts both apply at
+      once, as passes from parent to child: nothing reads the state
+      before the next ANNOUNCE.
+
+    Each node draws at most once per game round (level 1 in ACT, levels
+    2 and 0 in RESOLVE), so per-node streams make the order across nodes
+    irrelevant and :func:`_group_picks` replays the reference draws.
+    """
+    import numpy as np
+
+    from repro.core.orientation._kernels import _csr_slots
+
+    n = game.num_nodes
+    par_ptr = np.frombuffer(game.par_ptr, dtype=np.int64)
+    par_node = np.frombuffer(game.par_node, dtype=np.int64)
+    chi_ptr = np.frombuffer(game.chi_ptr, dtype=np.int64)
+    chi_node = np.frombuffer(game.chi_node, dtype=np.int64)
+    chi_edge = np.frombuffer(game.chi_edge, dtype=np.int64)
+    n_par = np.diff(par_ptr)
+    n_chi = np.diff(chi_ptr)
+    edge_child = np.repeat(np.arange(n), n_par)
+    level = np.asarray(game.level, dtype=np.int64)
+    top = level == 2
+    bottom = level == 0
+
+    has_token = np.frombuffer(game.has_token, dtype=bool).copy()
+    token = np.where(has_token, np.arange(n), -1)
+    consumed = np.zeros(game.num_edges, dtype=bool)
+    alive = np.ones(n, dtype=bool)
+    halt_round = np.full(n, -1, dtype=np.int64)
+    active = np.arange(n)
+    log = []
+    messages = 0
+    rounds = 0
+
+    def enter_round() -> int:
+        if rounds >= max_rounds:
+            raise RoundLimitExceeded(max_rounds, len(active))
+        return rounds + 1
+
+    while True:
+        # ANNOUNCE.
+        # Level-0 nodes have no children, so the proposal rule already
+        # halts them once occupied; level-2 nodes halt once unoccupied.
+        held = has_token[active]
+        dies = np.where(held, n_chi[active] == 0, n_par[active] == 0)
+        dies |= top[active] & ~held
+        dying = active[dies]
+        active = active[~dies]
+        alive[dying] = False
+        halt_round[dying] = rounds
+        up = _csr_slots(par_ptr, dying)
+        up = par_node[up[~consumed[up]]]
+        down = _csr_slots(chi_ptr, dying)
+        down = chi_node[down[~consumed[chi_edge[down]]]]
+        np.subtract.at(n_chi, up, 1)
+        np.subtract.at(n_par, down, 1)
+        held = has_token[active]
+        messages += int(
+            np.count_nonzero(alive[up])
+            + np.count_nonzero(alive[down])
+            + n_chi[active[held & top[active]]].sum()
+            + n_par[active[~held & bottom[active]]].sum()
+        )
+        if not len(active):
+            break
+
+        # ACT.
+        rounds = enter_round()
+        movers = active[level[active] == 1]
+        held = has_token[movers]
+        slots = _csr_slots(par_ptr, movers[~held])
+        parent = par_node[slots]
+        slots = slots[~consumed[slots] & alive[parent] & has_token[parent]]
+        asks = slots[_group_picks(edge_child[slots], tie_break, rngs)]
+        edges = chi_edge[_csr_slots(chi_ptr, movers[held])]
+        child = edge_child[edges]
+        edges = edges[~consumed[edges] & alive[child] & ~has_token[child]]
+        offers = edges[_group_picks(par_node[edges], tie_break, rngs)]
+        messages += len(asks) + len(offers)
+
+        # RESOLVE.
+        rounds = enter_round()
+        asks = asks[np.argsort(par_node[asks], kind="stable")]
+        offers = offers[np.argsort(edge_child[offers], kind="stable")]
+        passes = np.concatenate(
+            (
+                asks[_group_picks(par_node[asks], tie_break, rngs)],
+                offers[_group_picks(edge_child[offers], tie_break, rngs)],
+            )
+        )
+        giver = par_node[passes]
+        taker = edge_child[passes]
+        moved = token[giver]
+        log.append((np.full(len(passes), rounds), giver, taker, moved))
+        consumed[passes] = True
+        n_chi[giver] -= 1
+        n_par[taker] -= 1
+        has_token[giver] = False
+        token[giver] = -1
+        has_token[taker] = True
+        token[taker] = moved
+        messages += len(passes)
+
+        rounds = enter_round()
+
+    passes = np.concatenate(log, axis=1) if log else np.empty((4, 0), dtype=np.int64)
+    return ProposalRun(token, consumed, halt_round, passes, rounds, messages)
+
+
+# ----------------------------------------------------------------------
+# Both round kernels behind the Runner
+# ----------------------------------------------------------------------
+def play_network(
+    game_kernel: Callable[..., ProposalRun],
     network: Network,
     max_rounds: int,
     *,
     tie_break: str = "min",
     seed: int = 0,
 ) -> Tuple[Dict, ExecutionMetrics]:
-    """Simulate the proposal algorithm's execution on flat int arrays.
+    """Play ``game_kernel`` on the dense game of a token-dropping ``network``.
 
-    Returns per-node outputs keyed by node id (the dicts the reference
-    nodes pass to ``ctx.halt``) and reference-equal execution metrics.
+    The ``compact_kernel`` hook of both distributed token-dropping
+    factories (``game_kernel`` is :func:`proposal_game_kernel` or
+    :func:`three_level_game_kernel`).  Returns per-node outputs keyed by
+    node id (the dicts the reference nodes pass to ``ctx.halt``) and
+    reference-equal execution metrics.
     """
     game, ids = network_game(network)
-    run = proposal_game_kernel(
+    run = game_kernel(
         game,
         max_rounds,
         tie_break=tie_break,
@@ -501,182 +642,6 @@ def proposal_kernel(
         total_nodes=len(ids),
     )
     return outputs, metrics
-
-
-# ----------------------------------------------------------------------
-# The three-level algorithm (Theorem 4.7)
-# ----------------------------------------------------------------------
-def three_level_kernel(
-    network: Network,
-    max_rounds: int,
-    *,
-    tie_break: str = "min",
-    seed: int = 0,
-) -> Tuple[Dict, ExecutionMetrics]:
-    """Simulate the height-3 algorithm's execution on flat int arrays."""
-    game, ids = network_game(network)
-    n = game.num_nodes
-    engine = CompactEngine(n, max_rounds)
-    alive = engine.alive
-    level = game.level
-    par_ptr, par_node = game.par_ptr, game.par_node
-    chi_ptr, chi_node, chi_edge = game.chi_ptr, game.chi_node, game.chi_edge
-
-    has_token = bytearray(game.has_token)
-    initially = bytes(has_token)
-    token = [i if has_token[i] else -1 for i in range(n)]
-    n_par = [par_ptr[i + 1] - par_ptr[i] for i in range(n)]
-    n_chi = [chi_ptr[i + 1] - chi_ptr[i] for i in range(n)]
-    consumed = bytearray(game.num_edges)
-    received: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    passed: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
-    rngs = _node_rngs(tie_break, seed, ids)
-
-    active = list(range(n))
-    dying_now = bytearray(n)
-    # In-flight GRANTs to level-1 nodes and ACCEPTs to level-1 proposers,
-    # both applied at the next announce round (reference inbox timing).
-    pending_grants: List[Tuple[int, int, int]] = []
-    pending_accepts: List[Tuple[int, int]] = []
-
-    def announce(round_number: int) -> None:
-        nonlocal active
-        for c, p, tok in pending_grants:
-            has_token[c] = 1
-            token[c] = tok
-            received[c].append((tok, p))
-            n_par[c] -= 1
-        pending_grants.clear()
-        for p, c in pending_accepts:
-            # The accepted proposer still holds the proposed token.
-            passed[p].append((token[p], c))
-            n_chi[p] -= 1
-            has_token[p] = 0
-            token[p] = -1
-        pending_accepts.clear()
-        dying = []
-        for i in active:
-            lvl = level[i]
-            if lvl == 2:
-                die = (not has_token[i]) or n_chi[i] == 0
-            elif lvl == 0:
-                die = bool(has_token[i]) or n_par[i] == 0
-            else:
-                die = (n_chi[i] == 0) if has_token[i] else (n_par[i] == 0)
-            if die:
-                dying.append(i)
-                dying_now[i] = 1
-        messages = 0
-        for i in dying:
-            messages += _leave_messages(
-                i, game, alive, dying_now, consumed, n_par, n_chi
-            )
-        # Counter-based delivery counts, as in proposal_kernel's announce:
-        # after this round's LEAVE decrements, n_chi/n_par hold exactly the
-        # unconsumed edges to neighbours that have not left, and same-round
-        # deaths drop the message per the scheduler rule.
-        for i in active:
-            if dying_now[i]:
-                continue
-            lvl = level[i]
-            if lvl == 2 and has_token[i]:
-                messages += n_chi[i]
-            elif lvl == 0 and not has_token[i]:
-                messages += n_par[i]
-        engine.messages += messages
-        for i in dying:
-            engine.halt(i, round_number)
-            dying_now[i] = 0
-        if dying:
-            active = [i for i in active if alive[i]]
-
-    def act_round() -> Tuple[
-        Dict[int, List[Tuple[int, int]]], Dict[int, List[Tuple[int, int, int]]]
-    ]:
-        requests: Dict[int, List[Tuple[int, int]]] = {}
-        proposals: Dict[int, List[Tuple[int, int, int]]] = {}
-        messages = 0
-        first = tie_break == "min"
-        for i in active:
-            if level[i] != 1:
-                continue
-            if not has_token[i]:
-                candidates = []
-                for s in range(par_ptr[i], par_ptr[i + 1]):
-                    if consumed[s]:
-                        continue
-                    p = par_node[s]
-                    if alive[p] and has_token[p]:
-                        candidates.append((p, s))
-                        if first:
-                            break
-                if not candidates:
-                    continue
-                p, e = _pick(candidates, tie_break, rngs[i] if rngs else None)
-                messages += 1
-                requests.setdefault(p, []).append((i, e))
-            else:
-                candidates = []
-                for s in range(chi_ptr[i], chi_ptr[i + 1]):
-                    e = chi_edge[s]
-                    if consumed[e]:
-                        continue
-                    c = chi_node[s]
-                    # Level-0 survivors are exactly the unoccupied nodes
-                    # that announced UNOCCUPIED this game round.
-                    if alive[c] and not has_token[c]:
-                        candidates.append((c, e))
-                        if first:
-                            break
-                if not candidates:
-                    continue
-                c, e = _pick(candidates, tie_break, rngs[i] if rngs else None)
-                messages += 1
-                proposals.setdefault(c, []).append((i, e, token[i]))
-        engine.messages += messages
-        return requests, proposals
-
-    def resolve_round(
-        requests: Dict[int, List[Tuple[int, int]]],
-        proposals: Dict[int, List[Tuple[int, int, int]]],
-    ) -> None:
-        messages = 0
-        for p, requesters in requests.items():
-            # Level-2 granters announced this game round, so they are
-            # alive and hold their token.
-            c, e = _pick(requesters, tie_break, rngs[p] if rngs else None)
-            messages += 1
-            tok = token[p]
-            passed[p].append((tok, c))
-            consumed[e] = 1
-            n_chi[p] -= 1
-            has_token[p] = 0
-            token[p] = -1
-            pending_grants.append((c, p, tok))
-        for c, offers in proposals.items():
-            # Level-0 acceptors announced UNOCCUPIED, so they are alive
-            # and unoccupied; the edge is consumed on both sides now (the
-            # proposer learns via the pending ACCEPT next round).
-            p, e, tok = _pick(offers, tie_break, rngs[c] if rngs else None)
-            messages += 1
-            has_token[c] = 1
-            token[c] = tok
-            received[c].append((tok, p))
-            consumed[e] = 1
-            n_par[c] -= 1
-            pending_accepts.append((p, c))
-        engine.messages += messages
-
-    announce(0)
-    while engine.n_alive:
-        engine.step()
-        requests, proposals = act_round()
-        engine.step()
-        resolve_round(requests, proposals)
-        announce(engine.step())
-
-    outputs = _halt_outputs(ids, initially, token, received, passed)
-    return outputs, engine.metrics(ids)
 
 
 # ----------------------------------------------------------------------

@@ -198,16 +198,25 @@ class ProposalNode(NodeAlgorithm):
 def proposal_factory(tie_break: str = "min", seed: int = 0) -> AlgorithmFactory:
     """An :class:`AlgorithmFactory` for :class:`ProposalNode` with fixed policy.
 
-    The factory also registers the int-array fast path
-    (:func:`repro.core.token_dropping._kernels.proposal_kernel`), so an
-    untraced :meth:`Runner.run` takes the compact round engine, which
-    reproduces the reference execution exactly.
+    The factory also registers the NumPy round kernel
+    (:func:`repro.core.token_dropping._kernels.proposal_game_kernel`),
+    so an untraced :meth:`Runner.run` takes it, and it reproduces the
+    reference execution exactly.
     """
     check_tie_break(tie_break)
-    from repro.core.token_dropping._kernels import proposal_kernel
+    from repro.core.token_dropping._kernels import (
+        play_network,
+        proposal_game_kernel,
+    )
 
     def compact_kernel(network, max_rounds):
-        return proposal_kernel(network, max_rounds, tie_break=tie_break, seed=seed)
+        return play_network(
+            proposal_game_kernel,
+            network,
+            max_rounds,
+            tie_break=tie_break,
+            seed=seed,
+        )
 
     return AlgorithmFactory(
         lambda node_id: ProposalNode(node_id, tie_break=tie_break, seed=seed),

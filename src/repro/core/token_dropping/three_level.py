@@ -235,15 +235,24 @@ class ThreeLevelNode(NodeAlgorithm):
 def three_level_factory(tie_break: str = "min", seed: int = 0) -> AlgorithmFactory:
     """An :class:`AlgorithmFactory` for :class:`ThreeLevelNode`.
 
-    Registers the int-array fast path
-    (:func:`repro.core.token_dropping._kernels.three_level_kernel`), which
-    an untraced :meth:`Runner.run` takes.
+    Registers the NumPy round kernel
+    (:func:`repro.core.token_dropping._kernels.three_level_game_kernel`),
+    which an untraced :meth:`Runner.run` takes.
     """
     check_tie_break(tie_break)
-    from repro.core.token_dropping._kernels import three_level_kernel
+    from repro.core.token_dropping._kernels import (
+        play_network,
+        three_level_game_kernel,
+    )
 
     def compact_kernel(network, max_rounds):
-        return three_level_kernel(network, max_rounds, tie_break=tie_break, seed=seed)
+        return play_network(
+            three_level_game_kernel,
+            network,
+            max_rounds,
+            tie_break=tie_break,
+            seed=seed,
+        )
 
     return AlgorithmFactory(
         lambda node_id: ThreeLevelNode(node_id, tie_break=tie_break, seed=seed),
@@ -268,7 +277,7 @@ def run_three_level_algorithm(
 ) -> TokenDroppingSolution:
     """Solve a height-≤-2 (three-level) token dropping instance in O(Δ) rounds.
 
-    An untraced run takes the int-array round kernel; a traced run (which
+    An untraced run takes the NumPy round kernel; a traced run (which
     records every message) the reference scheduler.  Both produce
     identical solutions and metrics.
 

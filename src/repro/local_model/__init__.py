@@ -11,9 +11,15 @@ The model matches Section 3 of the paper: computation proceeds in
 synchronous communication rounds, message sizes are unbounded, nodes have
 unique identifiers, and initially a node knows only its own identifier,
 its local input, and the identifiers of its neighbours.
+
+An algorithm may also register a whole-execution kernel on its
+:class:`AlgorithmFactory` (``compact_kernel=``); an untraced
+:meth:`Runner.run` then hands it the :class:`Network` and takes its
+outputs and :class:`ExecutionMetrics`, which must equal the reference
+scheduler's.  The token-dropping games' NumPy round kernels live in
+:mod:`repro.core.token_dropping._kernels`.
 """
 
-from repro.local_model.compact import CompactEngine
 from repro.local_model.errors import (
     AlgorithmError,
     HaltedNodeError,
@@ -43,7 +49,6 @@ from repro.local_model.trace import ExecutionTrace, NullTrace, TraceEvent
 __all__ = [
     "AlgorithmError",
     "AlgorithmFactory",
-    "CompactEngine",
     "DEFAULT_MAX_ROUNDS",
     "Envelope",
     "ExecutionMetrics",

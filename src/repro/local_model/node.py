@@ -167,9 +167,12 @@ class AlgorithmFactory:
         :class:`~repro.local_model.metrics.ExecutionMetrics`.  A kernel
         promises to reproduce the reference scheduler's execution exactly
         (same outputs, same round count, same message count, same halt
-        rounds); an untraced :meth:`~repro.local_model.runner.Runner.run`
-        takes it, and algorithms that register no kernel run on the
-        reference scheduler.
+        rounds, and the same
+        :class:`~repro.local_model.errors.RoundLimitExceeded` when
+        ``max_rounds`` runs out); an untraced
+        :meth:`~repro.local_model.runner.Runner.run` takes it, and
+        algorithms that register no kernel run on the reference
+        scheduler.
     """
 
     def __init__(self, factory: Any, compact_kernel: Any = None) -> None:

@@ -363,9 +363,9 @@ class ServerThread:
     def stop(self) -> None:
         if self._loop is not None and self._thread.is_alive():
             try:
-                self._loop.call_soon_threadsafe(
-                    lambda: asyncio.ensure_future(self.server.stop())
-                )
+                # A plain callback, not a coroutine: after a ``shutdown``
+                # op the loop may be winding down and never run a task.
+                self._loop.call_soon_threadsafe(self.server._stopping.set)
             except RuntimeError:
                 # The loop closed after the liveness check: the server has
                 # already stopped itself (a ``shutdown`` op), so only the

@@ -1,8 +1,6 @@
-"""The dense token game memoized on a Network, CompactEngine, Runner paths."""
+"""The dense token game memoized on a Network, and the Runner's kernel paths."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.core.token_dropping import TokenDroppingInstance, _kernels
 from repro.core.token_dropping._kernels import network_game
@@ -11,11 +9,9 @@ from repro.core.token_dropping.proposal import proposal_factory
 from repro.graphs.layered import LayeredGraph
 from repro.local_model import (
     AlgorithmFactory,
-    CompactEngine,
     ExecutionMetrics,
     Network,
     Runner,
-    RoundLimitExceeded,
 )
 from repro.local_model.node import StatelessRelay
 from repro.local_model.trace import ExecutionTrace
@@ -77,41 +73,18 @@ class TestNetworkGame:
         assert game.level == [0, 0, 1, 1]
 
 
-class TestCompactEngine:
-    def test_round_budget_enforced_at_exact_boundary(self):
-        engine = CompactEngine(num_nodes=3, max_rounds=2)
-        assert engine.step() == 1
-        assert engine.step() == 2
-        with pytest.raises(RoundLimitExceeded) as excinfo:
-            engine.step()
-        assert excinfo.value.limit == 2
-        assert excinfo.value.active_nodes == 3
-
-    def test_halt_and_metrics(self):
-        engine = CompactEngine(num_nodes=2, max_rounds=10)
-        engine.step()
-        engine.halt(1, 1)
-        engine.halt(1, 1)  # double-halt is idempotent
-        engine.messages += 5
-        engine.halt(0, 1)
-        metrics = engine.metrics(("x", "y"))
-        assert metrics == ExecutionMetrics(
-            rounds=1,
-            messages_sent=5,
-            node_halt_rounds={"x": 1, "y": 1},
-            halted_nodes=2,
-            total_nodes=2,
-        )
-
-
 def _echo_kernel(network, max_rounds):
     """A toy whole-execution kernel: every node outputs its position."""
     node_ids = network.node_ids
-    engine = CompactEngine(len(node_ids), max_rounds)
-    for i in range(len(node_ids)):
-        engine.halt(i, 0)
     outputs = {node: i for i, node in enumerate(node_ids)}
-    return outputs, engine.metrics(node_ids)
+    metrics = ExecutionMetrics(
+        rounds=0,
+        messages_sent=0,
+        node_halt_rounds=dict.fromkeys(node_ids, 0),
+        halted_nodes=len(node_ids),
+        total_nodes=len(node_ids),
+    )
+    return outputs, metrics
 
 
 def kernel_factory():

@@ -23,7 +23,14 @@ from repro.core.orientation import (
     NodeLeave,
 )
 from repro.graphs.compact import DeltaError
-from repro.serve import ServeClient, ServeConfig, ServeError, ServerThread, connect
+from repro.serve import (
+    OrientationServer,
+    ServeClient,
+    ServeConfig,
+    ServeError,
+    ServerThread,
+    connect,
+)
 from repro.serve.protocol import delta_to_wire
 from repro.workloads import churn_smoke, churn_smoke_trace
 
@@ -439,6 +446,47 @@ class TestLifecycle:
 
         thread._thread = StillAlive()
         thread.stop()  # used to raise "Event loop is closed"
+
+    def test_stop_after_a_shutdown_op_creates_no_coroutine(self, monkeypatch):
+        # Hold the loop inside _shutdown, stop() while it is held, then
+        # let the loop wind down: stop() must not have made a
+        # ``server.stop()`` coroutine that nothing would await.
+        held = threading.Event()
+        release = threading.Event()
+        stop_calls = []
+        real_stop = OrientationServer.stop
+        real_shutdown = OrientationServer._shutdown
+
+        def recording_stop(server):
+            stop_calls.append(threading.current_thread().name)
+            return real_stop(server)
+
+        async def held_shutdown(server):
+            held.set()
+            release.wait(timeout=30)  # blocks the loop thread
+            await real_shutdown(server)
+
+        monkeypatch.setattr(OrientationServer, "stop", recording_stop)
+        monkeypatch.setattr(OrientationServer, "_shutdown", held_shutdown)
+        thread = ServerThread(_engine(), ServeConfig()).start()
+        with connect(thread.address) as client:
+            client.shutdown()
+        assert held.wait(timeout=30)
+        assert len(stop_calls) == 1  # the shutdown op's own
+
+        loop = thread._loop
+        schedule = loop.call_soon_threadsafe
+
+        def schedule_then_release(*args):
+            handle = schedule(*args)
+            release.set()
+            return handle
+
+        monkeypatch.setattr(loop, "call_soon_threadsafe", schedule_then_release)
+        thread.stop()
+        assert release.is_set()
+        assert not thread._thread.is_alive()
+        assert len(stop_calls) == 1
 
     def test_several_clients_share_one_server(self, served):
         thread, client, engine = served

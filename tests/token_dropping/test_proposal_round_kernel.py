@@ -14,11 +14,15 @@ reference tie-break order) is not their numeric order.
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.token_dropping import ROUNDS_PER_GAME_ROUND, TokenDroppingInstance
+from repro.core.token_dropping import _kernels
 from repro.core.token_dropping._kernels import network_game, proposal_game_kernel
 from repro.core.token_dropping.proposal import proposal_factory
 from repro.graphs.layered import LayeredGraph
@@ -119,3 +123,27 @@ def test_round_budget_is_enforced():
     dense, _ = network_game(network)
     with pytest.raises(RoundLimitExceeded, match="round limit of 4 rounds"):
         proposal_game_kernel(dense, 4)
+
+
+def test_node_generators_are_seeded_on_first_lookup(monkeypatch):
+    seeded = []
+
+    class RecordingRandom(random.Random):
+        def __init__(self, seed):
+            seeded.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(_kernels, "random", SimpleNamespace(Random=RecordingRandom))
+    ids = (5, "x", (1, 2))
+    assert _kernels._node_rngs("min", 3, ids) is None
+    rngs = _kernels._node_rngs("random", 3, ids)
+    assert seeded == []
+
+    # Lookups interleaved with draws continue one stream per node.
+    draws = []
+    for _ in range(5):
+        draws.append(rngs[2].randrange(7))
+        draws.append(rngs[2].randrange(1))
+    fresh = random.Random("3:(1, 2)")
+    assert draws == [fresh.randrange(7 if k % 2 == 0 else 1) for k in range(10)]
+    assert seeded == ["3:(1, 2)"]
