@@ -11,6 +11,11 @@ Reads the event stream a :class:`repro.obs.JsonlSink` produced (e.g. via
 * ``p50`` / ``p95`` — duration percentiles (nearest-rank) across the
   spans of that name.
 
+Every span name with child spans also gets an ``unattributed`` row: its
+self time as a share of its cumulative time, i.e. how much of the
+parent no child span accounts for (a fully traced ``api.build`` reads
+near 0%).
+
 Counters are reported as totals and histogram series as
 count/p50/p95/max — the same nearest-rank percentiles used for spans.
 
@@ -92,8 +97,12 @@ def build_report(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         lambda: {"dur": [], "self": []}
     )
     per_pid: Dict[Any, Dict[str, Any]] = {}
+    parents = set()
     for e in spans:
-        own = e["dur"] - child_time.get((e.get("pid"), e["id"]), 0.0)
+        key = (e.get("pid"), e["id"])
+        if key in child_time:
+            parents.add(e["name"])
+        own = e["dur"] - child_time.get(key, 0.0)
         per_name[e["name"]]["dur"].append(e["dur"])
         per_name[e["name"]]["self"].append(max(own, 0.0))
         pid = e.get("pid")
@@ -116,6 +125,21 @@ def build_report(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         )
     span_rows.sort(key=lambda row: row["cum_seconds"], reverse=True)
 
+    unattributed_rows = [
+        {
+            "name": row["name"],
+            "cum_seconds": row["cum_seconds"],
+            "self_seconds": row["self_seconds"],
+            "share": (
+                row["self_seconds"] / row["cum_seconds"]
+                if row["cum_seconds"] > 0
+                else 0.0
+            ),
+        }
+        for row in span_rows
+        if row["name"] in parents
+    ]
+
     hist_rows = []
     for name in sorted(hists):
         samples = hists[name]
@@ -135,6 +159,7 @@ def build_report(events: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
 
     return {
         "spans": span_rows,
+        "unattributed": unattributed_rows,
         "counters": {name: counters[name] for name in sorted(counters)},
         "histograms": hist_rows,
         "processes": process_rows,
@@ -173,6 +198,20 @@ def render(report: Dict[str, Any], out=None) -> None:
             )
     else:
         print("no spans recorded", file=out)
+
+    if report.get("unattributed"):
+        print(file=out)
+        header = f"{'unattributed in':<24} {'cum':>10} {'self':>10} {'share':>7}"
+        print(header, file=out)
+        print("-" * len(header), file=out)
+        for row in report["unattributed"]:
+            print(
+                f"{row['name']:<24} "
+                f"{_fmt_seconds(row['cum_seconds']):>10} "
+                f"{_fmt_seconds(row['self_seconds']):>10} "
+                f"{row['share']:>7.1%}",
+                file=out,
+            )
 
     processes = report.get("processes", [])
     # One single-process trace needs no attribution table; print it as

@@ -16,7 +16,10 @@ This module re-represents an instance **once**, up front:
   order" coincide and fast-path kernels can reproduce reference results
   exactly;
 * adjacency is stored in flat CSR arrays (:mod:`array` of signed 64-bit
-  ints, exposed as :class:`memoryview`\\ s — no numpy dependency);
+  ints, exposed as :class:`memoryview`\\ s).  The module imports no
+  NumPy: the general-id builders are pure Python, and only the dense
+  int-id builder :meth:`CompactGraph.from_arrays` (with
+  :func:`int_repr_order`) imports it, lazily;
 * the translation is lossless: :meth:`CompactGraph.to_orientation_problem`
   and :meth:`CompactBipartite.to_customer_server_graph` rebuild structures
   that compare equal to the originals.
@@ -65,16 +68,34 @@ def intern_nodes(
     return ids, {node: i for i, node in enumerate(ids)}
 
 
+def int_repr_order(n: int):
+    """The ``repr`` order of the ints ``range(n)``, as NumPy ``int64`` arrays.
+
+    ``(order, rank)``: ``order`` is ``sorted(range(n), key=repr)``, the
+    id of each dense node, and ``rank`` its inverse, from one ``argsort``
+    of the decimal strings.  Shared by the int-id builders; it imports
+    NumPy lazily.
+    """
+    import numpy as np
+
+    order = np.argsort(np.arange(n).astype(str), kind="stable")
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return order, rank
+
+
 def _csr(
     n_rows: int, n_cols: int, rows: Sequence[int], cols: Sequence[int]
 ) -> Tuple[array, array, array]:
     """CSR ``(indptr, indices, source)`` of the arcs ``(rows[k], cols[k])``.
 
-    The CSR builder behind :class:`CompactGraph` and
-    :class:`CompactBipartite` (token games have their own NumPy builder,
-    :func:`~repro.core.token_dropping._kernels.game_from_arrays`): a stable
-    counting sort, first by column and then by row, over flat
-    ``array('q')`` scratch (no per-arc tuples).  Row ``r``'s columns are
+    The CSR builder of the general-id path (:meth:`CompactGraph.from_edges`
+    and :class:`CompactBipartite`; dense int ids have the NumPy
+    :meth:`CompactGraph.from_arrays`).  It stays pure Python because the
+    served ``snapshot`` op reaches it through
+    :meth:`DeltaOverlayGraph.to_compact`.  A stable counting sort, first
+    by column and then by row, over flat ``array('q')`` scratch (no
+    per-arc tuples).  Row ``r``'s columns are
     ``indices[indptr[r]:indptr[r+1]]``, ascending — dense ids are
     ``repr``-sorted, so that is reference order — and ``source[slot]``
     is the input position ``k`` of the arc stored in ``slot``; equal
@@ -401,6 +422,83 @@ class CompactGraph:
         indptr, indices, source = _csr(n, n, edge_u + edge_v, edge_v + edge_u)
         slot_edge = array(INDEX_TYPECODE, (k % m for k in source))
         return cls(node_ids, index_of, indptr, indices, slot_edge, edge_u, edge_v)
+
+    @classmethod
+    def from_arrays(cls, u, v, num_nodes: int) -> "CompactGraph":
+        """Build from the edges ``{u[k], v[k]}`` over the int ids ``range(num_nodes)``.
+
+        The NumPy builder for dense int ids, equal field for field to
+        ``from_edges(zip(u, v), nodes=range(num_nodes))`` and raising its
+        ``OrientationError`` texts for self-loops and duplicate edges (an
+        id outside ``range(num_nodes)`` raises one too).  ``u`` and ``v``
+        are any int sequences.  Canonical keys are ``minimum``/``maximum``
+        (:func:`~repro.core.orientation.problem.edge_key` on ints), and
+        as ints satisfy :meth:`lexicographic_reprs`, sorting the edges by
+        their :func:`int_repr_order` rank pairs sorts them by
+        ``repr((ku, kv))`` without building a string.  Both directions of
+        every edge go into CSR by one sort on the ``(row, column)`` key
+        plus ``bincount``.  NumPy is imported here, not at module level.
+        """
+        import numpy as np
+
+        from repro.core.orientation.problem import OrientationError
+
+        n = num_nodes
+        u = np.asarray(u, dtype=np.int64)
+        v = np.asarray(v, dtype=np.int64)
+        if u.shape != v.shape or u.ndim != 1:
+            raise ValueError("u and v must be flat sequences of equal length")
+        m = len(u)
+        outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if len(outside):
+            k = outside[0]
+            node = int(u[k]) if not 0 <= u[k] < n else int(v[k])
+            raise OrientationError(f"node {node!r} is not in range({n})")
+        loops = np.flatnonzero(u == v)
+        if len(loops):
+            raise OrientationError(
+                f"self-loop on {int(u[loops[0]])!r} is not allowed"
+            )
+
+        order, rank = int_repr_order(n)
+        ku = np.minimum(u, v)
+        kv = np.maximum(u, v)
+        # Rank pairs as one int key ``rank_u * n + rank_v`` (exact in
+        # int64 below n = 3·10⁹): sorting by it is
+        # ``np.lexsort((rank[kv], rank[ku]))``, in half the time.
+        # Equal keys are duplicate edges, which raise, so the order of
+        # ties is never seen.
+        key = rank[ku] * n + rank[kv]
+        by_key = np.argsort(key)
+        key = key[by_key]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if len(dup):
+            e = by_key[dup[0]]
+            raise OrientationError(f"duplicate edge {(int(ku[e]), int(kv[e]))!r}")
+        edge_u, edge_v = np.divmod(key, n)
+
+        # Arc k < m is edge k read u -> v, arc m + k the same edge v -> u.
+        # Every arc's (row, column) is distinct, so the CSR sort has no
+        # ties either.
+        rows = np.concatenate((edge_u, edge_v))
+        cols = np.concatenate((edge_v, edge_u))
+        arcs = np.argsort(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        node_ids = tuple(order.tolist())
+
+        def buf(values) -> array:
+            return array(INDEX_TYPECODE, values.tobytes())
+
+        return cls(
+            node_ids,
+            dict(zip(node_ids, range(n))),
+            buf(indptr),
+            buf(cols[arcs]),
+            buf(np.where(arcs < m, arcs, arcs - m)),
+            buf(edge_u),
+            buf(edge_v),
+        )
 
     @classmethod
     def from_orientation_problem(cls, problem) -> "CompactGraph":

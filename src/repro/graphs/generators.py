@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from array import array
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import networkx as nx
@@ -475,20 +476,21 @@ def random_layered_graph(
     return LayeredGraph(levels=levels, edges=edges)
 
 
-def layered_dag_edge_stream(
+def layered_dag_edge_arrays(
     num_levels: int,
     width: int,
     edge_probability: float,
     *,
     seed: Optional[int | random.Random] = None,
-) -> Iterator[Tuple[int, int]]:
-    """A million-node-scale layered DAG as a lazy ``(child, parent)`` stream.
+) -> Tuple[array, array]:
+    """A million-node-scale layered DAG as two flat ``(child, parent)`` arrays.
 
     The scale counterpart of :func:`random_layered_graph` for instances
     where even the O(L·w²) candidate list is unaffordable: candidates are
     *skipped over* geometrically (one RNG draw per **sampled** edge, not
-    per candidate), so generating the stream costs O(m) time and O(1)
-    memory for any ``num_levels × width``.  Node identifiers are dense
+    per candidate), so generating the edges costs O(m) time and two
+    ``array('q')`` buffers of m ints, for any ``num_levels × width``.
+    Edge ``k`` is ``child[k] -> parent[k]``.  Node identifiers are dense
     ints ``level * width + index`` — at 10^6–10^7 nodes, tuple ids would
     triple the interning cost for no informational gain (the level is
     recoverable as ``node // width``).
@@ -496,7 +498,7 @@ def layered_dag_edge_stream(
     This is a **different instance family** from
     :func:`random_layered_graph` (the RNG discipline differs by design);
     it is cross-validated against the dict reference by feeding the *same
-    stream* to both the streaming and the dict-path builders at small n.
+    edges* to both the array and the dict-path builders at small n.
 
     Each potential edge between adjacent levels is included independently
     with probability ``edge_probability`` via inverse-transform sampling
@@ -507,35 +509,54 @@ def layered_dag_edge_stream(
     """
     _validate_layered_params(num_levels, width, edge_probability, None)
     rng = _make_rng(seed)
+    child = array("q")
+    parent = array("q")
+    if edge_probability <= 0.0:
+        return child, parent
+    if edge_probability >= 1.0:
+        for child_base in range(0, (num_levels - 1) * width, width):
+            for i in range(child_base, child_base + width):
+                child.extend([i] * width)
+                parent.extend(range(child_base + width, child_base + 2 * width))
+        return child, parent
+    block = width * width
+    log_skip = math.log1p(-edge_probability)
+    log = math.log
+    draw = rng.random
+    add_child = child.append
+    add_parent = parent.append
+    for level in range(num_levels - 1):
+        child_base = level * width
+        parent_base = child_base + width
+        # Jump between successes of the per-candidate Bernoulli(p)
+        # process: the gap is Geometric(p), sampled by inverse transform.
+        # 1 - random() lies in (0, 1], keeping the log finite.
+        pos = -1
+        while True:
+            pos += int(log(1.0 - draw()) / log_skip) + 1
+            if pos >= block:
+                break
+            add_child(child_base + pos // width)
+            add_parent(parent_base + pos % width)
+    return child, parent
 
-    def edge_stream() -> Iterator[Tuple[int, int]]:
-        if edge_probability <= 0.0:
-            return
-        block = width * width
-        exhaustive = edge_probability >= 1.0
-        log_skip = 0.0 if exhaustive else math.log1p(-edge_probability)
-        for level in range(num_levels - 1):
-            child_base = level * width
-            parent_base = child_base + width
-            if exhaustive:
-                for i in range(width):
-                    child = child_base + i
-                    for j in range(width):
-                        yield (child, parent_base + j)
-                continue
-            # Jump between successes of the per-candidate Bernoulli(p)
-            # process: the gap is Geometric(p), sampled by inverse
-            # transform.  1 - random() lies in (0, 1], keeping the log
-            # finite.
-            pos = -1
-            while True:
-                gap = int(math.log(1.0 - rng.random()) / log_skip)
-                pos += gap + 1
-                if pos >= block:
-                    break
-                yield (child_base + pos // width, parent_base + pos % width)
 
-    return edge_stream()
+def layered_dag_edge_stream(
+    num_levels: int,
+    width: int,
+    edge_probability: float,
+    *,
+    seed: Optional[int | random.Random] = None,
+) -> Iterator[Tuple[int, int]]:
+    """The edges of :func:`layered_dag_edge_arrays` as ``(child, parent)`` pairs.
+
+    A ``zip`` over the two arrays, for callers that want pairs (the
+    dict-path builders the scale family is cross-validated against).
+    The arrays are drawn in full when this is called.
+    """
+    return zip(
+        *layered_dag_edge_arrays(num_levels, width, edge_probability, seed=seed)
+    )
 
 
 def layered_from_levels(

@@ -25,26 +25,29 @@ nodes, same edges, same seed-determinism) instead of the reference dict
 structure, so benchmarks and engine measures can feed the fast-path
 kernels without re-representing anything.  Orientation builders stream
 their edges into :meth:`CompactGraph.from_edges`, which counting-sorts
-them into CSR.  The compact-only :func:`scale_token_dropping` collects
-its game's edges into two flat ``array('q')`` buffers for
-:func:`~repro.core.token_dropping._kernels.game_from_arrays`, the one
-dense token-game builder.  Token games at the sizes the LOCAL simulator
-runs stay :class:`TokenDroppingInstance` objects: their kernels intern
-the network once and memoize the dense game, built by the same
-function, on it.
+them into CSR.  The compact-only scale family has dense int ids, so it
+samples its edges into two flat ``array('q')`` buffers
+(:func:`~repro.graphs.generators.layered_dag_edge_arrays`):
+:func:`scale_layered_orientation` sorts them into CSR with the NumPy
+:meth:`CompactGraph.from_arrays`, and :func:`scale_token_dropping` hands
+them to :func:`~repro.core.token_dropping._kernels.game_from_arrays`,
+the one dense token-game builder.  Token games at the sizes the LOCAL
+simulator runs stay :class:`TokenDroppingInstance` objects: their
+kernels intern the network once and memoize the dense game, built by
+the same function, on it.
 """
 
 from __future__ import annotations
 
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple, Union
 
 import networkx as nx
 
 from repro.core.orientation.problem import OrientationProblem
-from repro.graphs.compact import CompactBipartite, CompactGraph
+from repro import obs
+from repro.graphs.compact import CompactBipartite, CompactGraph, int_repr_order
 from repro.core.token_dropping.game import (
     TokenDroppingInstance,
     figure2_instance,
@@ -57,7 +60,7 @@ from repro.graphs.generators import (
     bounded_degree_gnp,
     bounded_degree_gnp_edges,
     caterpillar_graph,
-    layered_dag_edge_stream,
+    layered_dag_edge_arrays,
     layered_dag_edges,
     random_bipartite_customer_server,
     random_layered_graph,
@@ -411,19 +414,23 @@ def scale_layered_orientation(
     edge_probability: float,
     seed: int = 0,
 ) -> CompactGraph:
-    """A scale-family layered DAG as a streamed compact orientation instance.
+    """A scale-family layered DAG as a compact orientation instance.
 
-    Geometric-skip sampling plus :meth:`CompactGraph.from_edges` (which
-    consumes its edge iterable into flat arrays and counting-sorts them
-    into CSR) mean nothing larger than the CSR output and one key string
-    per edge is ever held: no edge list, no dict, no networkx graph.
+    Array to CSR: :func:`layered_dag_edge_arrays` samples the edges
+    into two flat ``array('q')`` buffers (span ``graph.generate``) and
+    :meth:`CompactGraph.from_arrays` sorts them into CSR in NumPy (span
+    ``graph.csr``, which also pays a process's first NumPy import).  No
+    edge tuple, string, dict or networkx graph is built, and the result
+    equals ``CompactGraph.from_edges`` on the same edges field for field.
     Node ids are the generator's dense ints ``level * width + index``;
-    isolated nodes are kept via ``nodes=range(n)``.
+    isolated nodes are kept (the ids are all of ``range(n)``).
     """
-    return CompactGraph.from_edges(
-        layered_dag_edge_stream(num_levels, width, edge_probability, seed=seed),
-        nodes=range(num_levels * width),
-    )
+    with obs.span("graph.generate"):
+        child, parent = layered_dag_edge_arrays(
+            num_levels, width, edge_probability, seed=seed
+        )
+    with obs.span("graph.csr"):
+        return CompactGraph.from_arrays(child, parent, num_levels * width)
 
 
 def scale_token_dropping(
@@ -437,35 +444,28 @@ def scale_token_dropping(
     """A scale-family token dropping game built without any dict detour.
 
     Same instance family as :func:`scale_layered_orientation` (same
-    generator, same ids), with levels ``node // width`` and tokens drawn
+    edge arrays, same ids), with levels ``node // width`` and tokens drawn
     from a dedicated ``Random(f"{seed}:tokens")`` stream — edges and
-    tokens are independent, so the laziness of the edge stream cannot
-    perturb the placement.  Dense ids follow the ``repr`` order of the
-    int node ids, keeping the reference tie-break contract: at small n
-    the game arrays equal ``_DenseGame.from_instance`` on the equivalent
-    dict instance (cross-validated in the scale scenario tests).
+    tokens are independent.  Dense ids follow the ``repr`` order of the
+    int node ids (:func:`~repro.graphs.compact.int_repr_order`, the rank
+    :meth:`CompactGraph.from_arrays` uses), keeping the reference
+    tie-break contract: at small n the game arrays equal
+    ``_DenseGame.from_instance`` on the equivalent dict instance
+    (cross-validated in the scale scenario tests).
     """
     if not 0.0 <= token_fraction <= 1.0:
         raise ValueError(f"fraction must lie in [0, 1], got {token_fraction}")
     n = num_levels * width
-    order = sorted(range(n), key=repr)
-    rank = array("q", bytes(8 * n))
-    for dense, node in enumerate(order):
-        rank[node] = dense
-    child = array("q")
-    parent = array("q")
-    for c, p in layered_dag_edge_stream(
+    child, parent = layered_dag_edge_arrays(
         num_levels, width, edge_probability, seed=seed
-    ):
-        child.append(rank[c])
-        parent.append(rank[p])
-    levels = [node // width for node in order]
+    )
+    order, rank = int_repr_order(n)
     token_rng = random.Random(f"{seed}:tokens")
     # One draw per node in repr (= dense) order, like the reference
     # placement helper.
     has_token = [token_rng.random() < token_fraction for _ in range(n)]
-    game, _ = game_from_arrays(n, has_token, levels, child, parent)
-    return CompactTokenGame(game=game, node_ids=tuple(order))
+    game, _ = game_from_arrays(n, has_token, order // width, rank[child], rank[parent])
+    return CompactTokenGame(game=game, node_ids=tuple(order.tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -150,6 +150,21 @@ def test_api_build_root_span_carries_family_and_size(sink):
     assert all(s["parent"] == root["id"] for s in sink.spans() if s is not root)
 
 
+def test_scale_build_child_spans_cover_the_api_build_root(sink):
+    import repro
+
+    params = dict(num_levels=50, width=200, edge_probability=0.01, seed=11)
+    instance = repro.Instance.build("scale-layered", **params)
+    assert instance.num_nodes == 10_000
+    (root,) = sink.spans("api.build")
+    children = [s for s in sink.spans() if s["parent"] == root["id"]]
+    assert [s["name"] for s in children] == ["graph.generate", "graph.csr"]
+    # A structural check: an untraced step of the build shows up as an
+    # uncovered share of the root, whatever the runner's speed.
+    covered = sum(s["dur"] for s in children)
+    assert covered >= 0.95 * root["dur"], (covered, root["dur"])
+
+
 # ----------------------------------------------------------------------
 # Repair loop
 # ----------------------------------------------------------------------
@@ -399,6 +414,37 @@ def test_report_trace_cli_renders_and_emits_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     names = [row["name"] for row in payload["spans"]]
     assert "orientation.phase" in names
+
+
+def test_report_trace_has_an_unattributed_row_per_parent_span(capsys):
+    def span(pid, sid, parent, name, dur):
+        return {
+            "type": "span",
+            "pid": pid,
+            "id": sid,
+            "parent": parent,
+            "name": name,
+            "dur": dur,
+        }
+
+    events = [
+        span(1, 2, 1, "graph.generate", 0.25),
+        span(1, 3, 1, "graph.csr", 0.5),
+        span(1, 1, None, "api.build", 1.0),
+        span(2, 1, None, "api.build", 1.0),  # another process, no children
+        span(1, 4, None, "graph.csr", 0.5),  # a leaf with no parent
+    ]
+    report = report_trace.build_report(events)
+    (row,) = report["unattributed"]
+    assert row["name"] == "api.build"
+    assert row["cum_seconds"] == pytest.approx(2.0)
+    assert row["self_seconds"] == pytest.approx(1.25)
+    assert row["share"] == pytest.approx(0.625)
+
+    report_trace.render(report)
+    rendered = capsys.readouterr().out
+    assert "unattributed in" in rendered
+    assert "62.5%" in rendered
 
 
 def test_percentile_nearest_rank():

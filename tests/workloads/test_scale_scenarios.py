@@ -15,6 +15,7 @@ budget the streaming path undercuts by an order of magnitude.
 
 from __future__ import annotations
 
+import hashlib
 import random
 import time
 
@@ -29,7 +30,7 @@ from repro.core.token_dropping.game import (
     TokenDroppingInstance,
     random_token_placement,
 )
-from repro.graphs.compact import CompactGraph
+from repro.graphs.compact import CSR_FIELDS, CompactGraph
 from repro.graphs.generators import layered_dag_edge_stream
 from repro.graphs.layered import LayeredGraph
 from repro.workloads.scenarios import (
@@ -41,6 +42,7 @@ from repro.workloads.scenarios import (
 #: Small-n members of the scale family (same generator, same id scheme).
 SMALL = dict(num_levels=10, width=40, edge_probability=0.05, seed=3)
 TEN_K = dict(num_levels=50, width=200, edge_probability=0.01, seed=11)
+TEN_K_CSR_SHA256 = "57a06283dcb6924a2b005d810e7cc1b56b9d4bb0ef2ce521c174900c3c119585"
 
 
 def assert_same_compact_graph(a: CompactGraph, b: CompactGraph) -> None:
@@ -96,6 +98,16 @@ class TestScaleOrientation:
         assert_same_compact_graph(
             streamed, CompactGraph.from_edges(edges, nodes=range(n))
         )
+
+    def test_csr_buffers_match_the_golden_digest(self):
+        # sha256 over the five CSR buffers' native int64 bytes, in
+        # CSR_FIELDS order, as the from_edges build of this instance
+        # produced them: the array builder must not move a single slot.
+        graph = scale_layered_orientation(**TEN_K)
+        digest = hashlib.sha256()
+        for field in CSR_FIELDS:
+            digest.update(memoryview(getattr(graph, field)).cast("B"))
+        assert digest.hexdigest() == TEN_K_CSR_SHA256
 
     def test_isolated_nodes_survive(self):
         sparse = scale_layered_orientation(
