@@ -43,9 +43,9 @@ The package is organised as follows:
     (Theorems 4.6, 6.3, 7.4) and indistinguishability utilities.
 
 ``repro.analysis``
-    Experiment harness: parameter sweeps, growth-exponent fitting, and
-    plain-text table reporting used by the benchmark suite and
-    ``scripts/run_experiments.py``.
+    Growth-exponent fitting, summary statistics, and plain-text table
+    reporting over the experiment engine's results, used by
+    ``scripts/run_experiments.py`` and the examples.
 
 ``repro.workloads``
     Named, reproducible workload scenarios used by the examples and

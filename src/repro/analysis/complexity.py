@@ -5,17 +5,16 @@ The benchmark harness measures round counts across parameter sweeps and
 uses this module to
 
 * fit a power law ``rounds ≈ a · x^b`` on a log--log scale and report the
-  exponent ``b`` (experiments compare it against the theorem's exponent),
+  exponent ``b`` (experiments compare it against the theorem's exponent), and
 * check that the measured values never exceed an explicit-constant version
-  of the bound (``max_bound_ratio``), and
-* compare two algorithms' scaling (who wins, and how the gap evolves).
+  of the bound (``max_bound_ratio``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -94,30 +93,3 @@ def max_bound_ratio(
         worst = max(worst, y / b)
     return worst
 
-
-def crossover_point(
-    xs: Sequence[float], ys_a: Sequence[float], ys_b: Sequence[float]
-) -> Tuple[int, float] | None:
-    """First index (and x value) at which series A becomes at least series B.
-
-    Used to report "where the curves cross" in comparison experiments;
-    returns ``None`` when A stays below B over the whole sweep.
-    """
-    if not (len(xs) == len(ys_a) == len(ys_b)):
-        raise ValueError("all series must have the same length")
-    for index, (x, a, b) in enumerate(zip(xs, ys_a, ys_b)):
-        if a >= b:
-            return index, float(x)
-    return None
-
-
-def speedup_series(
-    ys_baseline: Sequence[float], ys_new: Sequence[float]
-) -> list[float]:
-    """Element-wise baseline / new ratios (values > 1 mean the new method wins)."""
-    if len(ys_baseline) != len(ys_new):
-        raise ValueError("series must have the same length")
-    out = []
-    for base, new in zip(ys_baseline, ys_new):
-        out.append(float("inf") if new == 0 else base / new)
-    return out

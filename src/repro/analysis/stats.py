@@ -44,11 +44,3 @@ def summarize(values: Sequence[float]) -> Summary:
         maximum=ordered[-1],
     )
 
-
-def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of positive values (used for ratio aggregation)."""
-    if not values:
-        raise ValueError("cannot take the geometric mean of an empty sequence")
-    if any(v <= 0 for v in values):
-        raise ValueError("geometric mean requires strictly positive values")
-    return math.exp(sum(math.log(v) for v in values) / len(values))

@@ -58,7 +58,6 @@ from repro.core.assignment.problem import (
 )
 from repro.core.assignment.semi_matching import (
     approximation_ratio,
-    assignment_cost,
     greedy_assignment,
     greedy_assignment_reference,
     is_two_approximation,
@@ -82,7 +81,6 @@ __all__ = [
     "PHASE_OVERHEAD_ROUNDS",
     "StableAssignmentResult",
     "approximation_ratio",
-    "assignment_cost",
     "check_stable_assignment",
     "effective_load",
     "greedy_assignment",

@@ -45,11 +45,6 @@ def semi_matching_cost(loads: Mapping[NodeId, int]) -> int:
     return sum(triangular(load) for load in loads.values())
 
 
-def assignment_cost(assignment: Assignment) -> int:
-    """Semi-matching cost of a (complete) assignment."""
-    return assignment.semi_matching_cost()
-
-
 def greedy_assignment(
     graph: Union[CustomerServerGraph, CompactBipartite],
     *,

@@ -85,11 +85,6 @@ class BoundedOrientationResult:
         )
 
 
-def effective(load: int, k: int) -> int:
-    """Effective load under the k-bounded relaxation."""
-    return min(load, k)
-
-
 def bounded_unhappy_edges(orientation: Orientation, k: int = 2) -> List[tuple]:
     """Oriented edges that are unhappy under the k-bounded relaxation.
 

@@ -29,13 +29,11 @@ from repro.core.token_dropping.game import (
     InvalidInstanceError,
     TokenDroppingInstance,
     figure2_instance,
-    instance_from_loads,
     random_token_placement,
 )
 from repro.core.token_dropping.greedy import (
     GREEDY_ORDERS,
     compare_destinations,
-    count_sequential_moves,
     exhaustive_is_stuck,
     greedy_token_dropping,
     greedy_token_dropping_reference,
@@ -70,7 +68,6 @@ from repro.core.token_dropping.traversal import (
     TokenDroppingSolution,
     Traversal,
     ValidationReport,
-    final_occupancy,
     solution_from_paths,
 )
 
@@ -95,13 +92,10 @@ __all__ = [
     "ValidationReport",
     "check_tie_break",
     "compare_destinations",
-    "count_sequential_moves",
     "exhaustive_is_stuck",
     "figure2_instance",
-    "final_occupancy",
     "greedy_token_dropping",
     "greedy_token_dropping_reference",
-    "instance_from_loads",
     "proposal_factory",
     "random_token_placement",
     "reconstruct_solution",

@@ -498,10 +498,12 @@ def three_level_game_kernel(
     Each node draws at most once per game round (level 1 in ACT, levels
     2 and 0 in RESOLVE), so per-node streams make the order across nodes
     irrelevant and :func:`_group_picks` replays the reference draws.
+    A level above 2 raises ``UnsupportedHeightError`` before round 0.
     """
     import numpy as np
 
     from repro.core.orientation._kernels import _csr_slots
+    from repro.core.token_dropping.three_level import _check_level
 
     n = game.num_nodes
     par_ptr = np.frombuffer(game.par_ptr, dtype=np.int64)
@@ -513,6 +515,7 @@ def three_level_game_kernel(
     n_chi = np.diff(chi_ptr)
     edge_child = np.repeat(np.arange(n), n_par)
     level = np.asarray(game.level, dtype=np.int64)
+    _check_level(int(level.max(initial=0)))
     top = level == 2
     bottom = level == 0
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Hashable, Iterable, Optional
+from typing import Dict, FrozenSet, Hashable, Iterable
 
 from repro.graphs.layered import LayeredGraph
 from repro.local_model.network import Network
@@ -252,13 +252,3 @@ def figure2_instance() -> TokenDroppingInstance:
         }
     )
     return TokenDroppingInstance(graph=graph, tokens=tokens)
-
-
-def instance_from_loads(
-    graph: LayeredGraph, tokens: Optional[Iterable[NodeId]] = None
-) -> TokenDroppingInstance:
-    """Convenience constructor used by the orientation/assignment phases.
-
-    Accepts ``tokens=None`` to mean "no tokens" (a trivially solved game).
-    """
-    return TokenDroppingInstance(graph=graph, tokens=tokens or frozenset())

@@ -140,11 +140,6 @@ def greedy_token_dropping_reference(
     )
 
 
-def count_sequential_moves(solution: TokenDroppingSolution) -> int:
-    """Number of single-step moves a sequential schedule of this solution uses."""
-    return solution.total_moves()
-
-
 def compare_destinations(
     a: TokenDroppingSolution, b: TokenDroppingSolution
 ) -> Dict[str, int]:

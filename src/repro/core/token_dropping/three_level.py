@@ -74,6 +74,22 @@ class UnsupportedHeightError(ValueError):
     """Raised when the three-level algorithm is given a taller game."""
 
 
+def _check_level(level: int) -> None:
+    """Raise :class:`UnsupportedHeightError` for a level above 2.
+
+    Both executions call it before their first round: each reference
+    node on its own level, the round kernel on the game's top level.
+    Above level 2 an occupied node can wait forever for an unoccupied
+    child that waits for it, so a taller game would spin to the round
+    limit or halt with an invalid solution.
+    """
+    if level > MAX_SUPPORTED_LEVEL:
+        raise UnsupportedHeightError(
+            f"the three-level algorithm supports levels 0..{MAX_SUPPORTED_LEVEL}, "
+            f"got a node at level {level}"
+        )
+
+
 class ThreeLevelNode(NodeAlgorithm):
     """Per-node state machine for the three-level algorithm."""
 
@@ -88,6 +104,7 @@ class ThreeLevelNode(NodeAlgorithm):
     def on_start(self, ctx: NodeContext) -> None:
         local = ctx.local_input or {}
         self.level = int(local.get(LOCAL_LEVEL, 0))
+        _check_level(self.level)
         self.parents = set(local.get(LOCAL_PARENTS, frozenset()))
         self.children = set(local.get(LOCAL_CHILDREN, frozenset()))
         self.has_token = bool(local.get(LOCAL_HAS_TOKEN, False))
@@ -318,11 +335,6 @@ def _runner(
     trace: Optional[ExecutionTrace],
 ) -> Runner:
     factory = three_level_factory(tie_break=tie_break, seed=seed)
-    if instance.height > MAX_SUPPORTED_LEVEL:
-        raise UnsupportedHeightError(
-            f"the three-level algorithm supports levels 0..{MAX_SUPPORTED_LEVEL}, "
-            f"got an instance of height {instance.height}"
-        )
     if max_rounds is None:
         max_rounds = ROUNDS_PER_GAME_ROUND * theoretical_three_level_bound(instance)
     return Runner(

@@ -275,11 +275,3 @@ def solution_from_paths(
     """Build a solution from raw token → path mappings (for tests/examples)."""
     traversals = {token: Traversal(token, path) for token, path in paths.items()}
     return TokenDroppingSolution(traversals=traversals)
-
-
-def final_occupancy(
-    instance: TokenDroppingInstance, solution: TokenDroppingSolution
-) -> FrozenSet[NodeId]:
-    """The set of occupied nodes after the game ends (the destinations)."""
-    del instance  # kept for signature symmetry with validators
-    return solution.destinations

@@ -14,9 +14,9 @@ The engine separates experiment *specification* from *execution*:
    to an on-disk JSON-lines store as they finish; a re-run (``resume``)
    executes only tasks whose hashes are missing, so interrupted sweeps
    continue where they stopped and unchanged sweeps cost nothing.
-4. **Analyze** — :class:`ResultSet` feeds the existing analysis stack
-   (``repro.analysis``) via ``to_sweep_result()``; nothing downstream
-   needs to know how results were produced.
+4. **Analyze** — :meth:`ResultSet.series` reduces the results to
+   ``(xs, ys)`` per parameter, which ``repro.analysis`` fits and
+   tabulates; nothing downstream needs to know how results were produced.
 
 Typical use::
 
@@ -45,7 +45,7 @@ from repro.engine.executor import (
     run_experiment,
     run_tasks,
 )
-from repro.engine.progress import ProgressReporter, silent_progress
+from repro.engine.progress import ProgressReporter
 from repro.engine.results import ResultSet, TaskResult, result_from_record
 from repro.engine.spec import (
     ExperimentSpec,
@@ -77,5 +77,4 @@ __all__ = [
     "result_from_record",
     "run_experiment",
     "run_tasks",
-    "silent_progress",
 ]

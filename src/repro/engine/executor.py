@@ -63,7 +63,7 @@ def execute_task(task: TaskSpec, measure: Optional[MeasureFn] = None) -> TaskRes
     """Run one task in the current process and time it.
 
     ``measure`` short-circuits reference resolution for in-process callers
-    holding a non-importable callable (the serial path of ``run_sweep``).
+    holding a non-importable callable (the serial path of :func:`run_tasks`).
 
     With observability enabled the measure runs under a captured
     ``engine.task`` span and the events ride back on the result's

@@ -113,6 +113,3 @@ class ProgressReporter:
         except (AttributeError, ValueError):
             pass
 
-
-def silent_progress(_: TaskResult) -> None:
-    """A no-op callback for callers that want no reporting."""

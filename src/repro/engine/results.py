@@ -2,10 +2,8 @@
 
 A :class:`TaskResult` is the flat, JSON-serialisable outcome of one task;
 a :class:`ResultSet` is the ordered collection for a whole experiment.
-``ResultSet.to_sweep_result`` bridges into the existing analysis stack
-(:mod:`repro.analysis.sweep` / :mod:`repro.analysis.stats` /
-:mod:`repro.analysis.reporting`) so tables and power-law fits work
-unchanged on engine output.
+``ResultSet.series`` reduces it to the ``(xs, ys)`` pairs that
+:mod:`repro.analysis` fits power laws to and renders as tables.
 """
 
 from __future__ import annotations
@@ -87,26 +85,18 @@ class ResultSet:
         value: str,
         reduce: Callable[[Sequence[float]], float] = None,
     ) -> tuple:
-        """Aggregate ``value`` per distinct ``x_param`` (mean over seeds)."""
-        return self.to_sweep_result().series(x_param, value, reduce)
+        """Aggregate ``value`` per distinct ``x_param``.
 
-    def to_sweep_result(self):
-        """Convert into the analysis stack's :class:`SweepResult`."""
-        # Imported lazily: analysis.sweep builds on the engine, so a
-        # top-level import here would be circular.
-        from repro.analysis.sweep import SweepRecord, SweepResult
-
-        sweep = SweepResult(name=self.name)
+        Returns ``(xs, ys)`` sorted by x, as floats.  ``reduce`` defaults
+        to the mean over seeds.
+        """
+        if reduce is None:
+            reduce = lambda vals: sum(vals) / len(vals)  # noqa: E731
+        grouped: Dict[Any, List[float]] = {}
         for result in self.results:
-            sweep.append(
-                SweepRecord(
-                    params=dict(result.params),
-                    seed=result.seed,
-                    values=dict(result.values),
-                    elapsed_seconds=result.elapsed_seconds,
-                )
-            )
-        return sweep
+            grouped.setdefault(result.params[x_param], []).append(result.values[value])
+        xs = sorted(grouped)
+        return [float(x) for x in xs], [float(reduce(grouped[x])) for x in xs]
 
     def __len__(self) -> int:
         return len(self.results)

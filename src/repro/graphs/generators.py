@@ -541,24 +541,6 @@ def layered_dag_edge_arrays(
     return child, parent
 
 
-def layered_dag_edge_stream(
-    num_levels: int,
-    width: int,
-    edge_probability: float,
-    *,
-    seed: Optional[int | random.Random] = None,
-) -> Iterator[Tuple[int, int]]:
-    """The edges of :func:`layered_dag_edge_arrays` as ``(child, parent)`` pairs.
-
-    A ``zip`` over the two arrays, for callers that want pairs (the
-    dict-path builders the scale family is cross-validated against).
-    The arrays are drawn in full when this is called.
-    """
-    return zip(
-        *layered_dag_edge_arrays(num_levels, width, edge_probability, seed=seed)
-    )
-
-
 def layered_from_levels(
     level_sizes: Sequence[int],
     edges: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],

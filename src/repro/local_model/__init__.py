@@ -37,12 +37,7 @@ from repro.local_model.node import (
     NodeContext,
     StatelessRelay,
 )
-from repro.local_model.runner import (
-    DEFAULT_MAX_ROUNDS,
-    ExecutionResult,
-    Runner,
-    run_algorithm,
-)
+from repro.local_model.runner import DEFAULT_MAX_ROUNDS, ExecutionResult, Runner
 from repro.local_model.scheduler import SynchronousScheduler
 from repro.local_model.trace import ExecutionTrace, NullTrace, TraceEvent
 
@@ -69,5 +64,4 @@ __all__ = [
     "TopologyError",
     "TraceEvent",
     "UnknownNeighborError",
-    "run_algorithm",
 ]

@@ -177,14 +177,3 @@ class Runner:
             node_id: ctx.output for node_id, ctx in scheduler.contexts.items()
         }
         return ExecutionResult(outputs=outputs, metrics=metrics, trace=self.trace)
-
-
-def run_algorithm(
-    network: Network,
-    algorithm: Any,
-    *,
-    max_rounds: int = DEFAULT_MAX_ROUNDS,
-    trace: Optional[ExecutionTrace] = None,
-) -> ExecutionResult:
-    """Convenience wrapper: ``Runner(network, algorithm, ...).run()``."""
-    return Runner(network, algorithm, max_rounds=max_rounds, trace=trace).run()

@@ -1,4 +1,4 @@
-"""Tests for the analysis harness (sweeps, fits, stats, reporting)."""
+"""Tests for the analysis harness (series, fits, stats, reporting)."""
 
 from __future__ import annotations
 
@@ -10,17 +10,13 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     banner,
-    crossover_point,
     fit_power_law,
     format_table,
-    geometric_mean,
     markdown_table,
     max_bound_ratio,
-    parameter_grid,
-    run_sweep,
-    speedup_series,
     summarize,
 )
+from repro.engine import ExperimentSpec, parameter_grid, run_experiment
 
 
 class TestPowerLawFit:
@@ -79,19 +75,6 @@ class TestBoundsAndComparisons:
         with pytest.raises(ValueError):
             max_bound_ratio([1], [1], bound=lambda x: 0)
 
-    def test_crossover_point(self):
-        xs = [1, 2, 3, 4]
-        assert crossover_point(xs, [1, 2, 3, 4], [10, 3, 2, 1]) == (2, 3.0)
-        assert crossover_point(xs, [0, 0, 0, 0], [1, 1, 1, 1]) is None
-        with pytest.raises(ValueError):
-            crossover_point([1], [1, 2], [1])
-
-    def test_speedup_series(self):
-        assert speedup_series([10, 20], [5, 10]) == [2.0, 2.0]
-        assert speedup_series([1], [0]) == [float("inf")]
-        with pytest.raises(ValueError):
-            speedup_series([1, 2], [1])
-
 
 class TestStats:
     def test_summary(self):
@@ -109,26 +92,20 @@ class TestStats:
         with pytest.raises(ValueError):
             summarize([])
 
-    def test_geometric_mean(self):
-        assert geometric_mean([1, 4]) == pytest.approx(2.0)
-        assert geometric_mean([2, 2, 2]) == pytest.approx(2.0)
-        with pytest.raises(ValueError):
-            geometric_mean([])
-        with pytest.raises(ValueError):
-            geometric_mean([1, 0])
-
 
 class TestSweep:
     def test_parameter_grid(self):
         grid = parameter_grid(a=[1, 2], b=["x"])
         assert grid == [{"a": 1, "b": "x"}, {"a": 2, "b": "x"}]
 
-    def test_run_sweep_and_series(self):
+    def test_run_experiment_and_series(self):
         def measure(*, seed, delta):
             return {"rounds": delta * 10 + seed}
 
-        result = run_sweep(
-            "demo", measure, parameter_grid(delta=[1, 2, 3]), seeds=(0, 1)
+        result = run_experiment(
+            ExperimentSpec(
+                "demo", measure, parameter_grid(delta=[1, 2, 3]), seeds=(0, 1)
+            )
         )
         assert len(result) == 6
         xs, ys = result.series("delta", "rounds")
@@ -138,23 +115,15 @@ class TestSweep:
         filtered = result.filter(delta=2)
         assert len(filtered) == 2
 
-    def test_run_sweep_progress_callback(self):
+    def test_run_experiment_progress_callback(self):
         messages = []
-        run_sweep(
-            "demo",
-            lambda *, seed, x: {"v": x},
-            parameter_grid(x=[1]),
-            seeds=(0,),
+        run_experiment(
+            ExperimentSpec(
+                "demo", lambda *, seed, x: {"v": x}, parameter_grid(x=[1]), seeds=(0,)
+            ),
             progress=messages.append,
         )
         assert len(messages) == 1
-
-    def test_sweep_does_not_swallow_errors(self):
-        def failing(*, seed, x):
-            raise RuntimeError("boom")
-
-        with pytest.raises(RuntimeError):
-            run_sweep("demo", failing, parameter_grid(x=[1]))
 
 
 class TestReporting:

@@ -279,13 +279,22 @@ class TestCacheAndResume:
 
 
 class TestResultsAndProgress:
-    def test_result_set_bridges_to_sweep_result(self):
+    def test_series_means_over_seeds_by_default(self):
         results = run_experiment(TOY_SPEC, jobs=1)
-        sweep = results.to_sweep_result()
-        xs, ys = sweep.series("delta", "rounds")
+        xs, ys = results.series("delta", "rounds")
         assert xs == [1.0, 2.0, 3.0]
         assert ys == [10.5, 20.5, 30.5]
-        assert results.series("delta", "rounds") == (xs, ys)
+        assert all(type(v) is float for v in xs + ys)
+
+    def test_series_sorts_x_and_applies_a_custom_reduce(self):
+        spec = ExperimentSpec(
+            "toy", toy_measure, parameter_grid(delta=[3, 1, 2]), seeds=(0, 1)
+        )
+        results = run_experiment(spec, jobs=1)
+        xs, ys = results.series("delta", "rounds", reduce=max)
+        assert xs == [1.0, 2.0, 3.0]
+        assert ys == [11.0, 21.0, 31.0]
+        assert results.series("delta", "rounds", reduce=len)[1] == [2.0, 2.0, 2.0]
 
     def test_filter_and_values_of(self):
         results = run_experiment(TOY_SPEC, jobs=1)
@@ -364,28 +373,3 @@ class TestResultsAndProgress:
         assert ProgressReporter._format_eta(7200.0) == "2.0h"
         assert ProgressReporter._format_eta(float("inf")) == "?"
 
-
-class TestSweepAdapter:
-    def test_run_sweep_supports_jobs_and_cache(self, tmp_path):
-        from repro.analysis import run_sweep
-
-        grid = parameter_grid(delta=[1, 2])
-        serial = run_sweep("adapter", toy_measure, grid, seeds=(0,), jobs=1)
-        parallel = run_sweep(
-            "adapter", toy_measure, grid, seeds=(0,), jobs=2, cache_dir=str(tmp_path)
-        )
-        assert [r.values for r in parallel.records] == [
-            r.values for r in serial.records
-        ]
-
-        messages = []
-        resumed = run_sweep(
-            "adapter",
-            toy_measure,
-            grid,
-            seeds=(0,),
-            cache_dir=str(tmp_path),
-            progress=messages.append,
-        )
-        assert len(resumed) == 2
-        assert all("[cache]" in message for message in messages)

@@ -16,7 +16,7 @@ import random
 
 import pytest
 
-from repro.analysis import fit_power_law, max_bound_ratio, parameter_grid, run_sweep
+from repro.analysis import fit_power_law, max_bound_ratio
 from repro.core.assignment import run_stable_assignment
 from repro.core.orientation import OrientationProblem, run_stable_orientation
 from repro.core.token_dropping import (
@@ -28,6 +28,7 @@ from repro.core.token_dropping import (
     run_hypergraph_proposal,
     run_proposal_algorithm,
 )
+from repro.engine import ExperimentSpec, parameter_grid, run_experiment
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.graphs.generators import bounded_degree_gnp, random_layered_graph
 from repro.workloads import bounded_degree_token_dropping
@@ -102,8 +103,10 @@ class TestAnalysisPipeline:
                 "bound": instance.theoretical_round_bound(),
             }
 
-        result = run_sweep(
-            "e1-mini", measure, parameter_grid(delta=[2, 4, 6, 8]), seeds=(0, 1)
+        result = run_experiment(
+            ExperimentSpec(
+                "e1-mini", measure, parameter_grid(delta=[2, 4, 6, 8]), seeds=(0, 1)
+            )
         )
         xs, ys = result.series("delta", "game_rounds")
         fit = fit_power_law(xs, ys)

@@ -20,7 +20,6 @@ from repro.local_model import (
     Runner,
     StatelessRelay,
     UnknownNeighborError,
-    run_algorithm,
 )
 
 
@@ -123,11 +122,6 @@ class TestBasicExecution:
         result = Runner(net, EchoNeighbors).run()
         # Each node broadcasts once: degree sum = 2 * edges = 4 messages.
         assert result.metrics.messages_sent == 4
-
-    def test_run_algorithm_convenience(self):
-        net = Network(nodes=[1], local_inputs={1: "only"})
-        result = run_algorithm(net, StatelessRelay)
-        assert result.outputs[1] == "only"
 
 
 class TestSafetyAndErrors:

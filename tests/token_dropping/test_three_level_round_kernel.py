@@ -8,7 +8,7 @@ of two or three levels the two must agree on the per-node outputs, on
 the whole :class:`~repro.local_model.metrics.ExecutionMetrics` (rounds,
 delivered messages and every node's halt round) and, one round short of
 the budget, on the :class:`~repro.local_model.errors.RoundLimitExceeded`
-they raise.
+they raise.  Both refuse a taller game before round 0.
 
 Node ids are ints from 5 up, so from 10 on their ``repr`` order (the
 reference tie-break order) is not their numeric order.
@@ -26,12 +26,14 @@ from repro.core.token_dropping._kernels import (
     three_level_game_kernel,
 )
 from repro.core.token_dropping.three_level import (
+    UnsupportedHeightError,
     theoretical_three_level_bound,
     three_level_factory,
 )
 from repro.graphs.layered import LayeredGraph
 from repro.local_model import Runner
 from repro.local_model.errors import RoundLimitExceeded
+from repro.workloads import random_token_dropping
 
 FIRST_ID = 5
 
@@ -122,32 +124,29 @@ def test_round_budget_one_short_raises_like_the_reference(game, tie_break):
     assert fast.value.active_nodes == reference.value.active_nodes > 0
 
 
-#: Taller networks, where the level-2 rule differs from the proposal
-#: rule: node 2 (level 2) halts once unoccupied although its parent,
-#: node 3, is alive.  In the second game, node 4 (level 4) waits for
-#: its unoccupied child, which waits for it, so both executions run out
-#: of rounds.
+#: Taller networks, which both executions refuse before round 0.
+#: Without that guard the level-2 rule would halt node 2 once unoccupied
+#: although its parent, node 3, is alive, and in the second game node 4
+#: (level 4) would wait for its unoccupied child, which waits for it.
+#: The random height-4 game spun to the round limit on both executions.
 TALLER = [
-    ([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)], [2, 3]),
-    ([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4)], [4]),
+    network_of([0, 1, 2, 3], [(0, 1), (1, 2), (2, 3)], [2, 3])[0],
+    network_of([0, 1, 2, 3, 4], [(0, 1), (1, 2), (2, 3), (3, 4)], [4])[0],
+    random_token_dropping(
+        num_levels=5, width=4, edge_probability=0.6, token_fraction=0.5, seed=0
+    ).to_network(include_levels=True),
 ]
 
 
 @pytest.mark.parametrize("tie_break", ["min", "max", "random"])
-@pytest.mark.parametrize("game", TALLER)
-def test_taller_networks_follow_the_reference(game, tie_break):
-    network, _ = network_of(*game)
+@pytest.mark.parametrize("network", TALLER)
+def test_taller_networks_are_refused_like_the_reference(network, tie_break):
     factory = three_level_factory(tie_break=tie_break, seed=2)
-
-    def play(run):
-        try:
-            result = run()
-        except RoundLimitExceeded as exc:
-            return exc.limit, exc.active_nodes
-        return result.outputs, result.metrics
-
-    runner = Runner(network, factory, max_rounds=60)
-    assert play(runner.run) == play(runner.run_reference)
+    runner = Runner(network, factory, max_rounds=300)
+    with pytest.raises(UnsupportedHeightError):
+        runner.run()
+    with pytest.raises(UnsupportedHeightError):
+        runner.run_reference()
 
 
 def test_pass_log_of_the_shuttle_game():

@@ -31,7 +31,7 @@ from repro.core.token_dropping.game import (
     random_token_placement,
 )
 from repro.graphs.compact import CSR_FIELDS, CompactGraph
-from repro.graphs.generators import layered_dag_edge_stream
+from repro.graphs.generators import layered_dag_edge_arrays
 from repro.graphs.layered import LayeredGraph
 from repro.workloads.scenarios import (
     SCALE_TIER_PARAMS,
@@ -57,42 +57,42 @@ def assert_same_compact_graph(a: CompactGraph, b: CompactGraph) -> None:
 
 class TestEdgeStreamGenerator:
     def test_deterministic_and_duplicate_free(self):
-        first = list(layered_dag_edge_stream(**TEN_K))
-        second = list(layered_dag_edge_stream(**TEN_K))
+        first = list(zip(*layered_dag_edge_arrays(**TEN_K)))
+        second = list(zip(*layered_dag_edge_arrays(**TEN_K)))
         assert first == second
         assert len(set(first)) == len(first)
 
     def test_edges_connect_adjacent_levels(self):
         width = SMALL["width"]
-        for child, parent in layered_dag_edge_stream(**SMALL):
+        for child, parent in zip(*layered_dag_edge_arrays(**SMALL)):
             assert parent // width == child // width + 1
 
     def test_probability_extremes(self):
-        assert list(layered_dag_edge_stream(3, 4, 0.0, seed=1)) == []
-        full = list(layered_dag_edge_stream(3, 4, 1.0, seed=1))
+        assert list(zip(*layered_dag_edge_arrays(3, 4, 0.0, seed=1))) == []
+        full = list(zip(*layered_dag_edge_arrays(3, 4, 1.0, seed=1)))
         assert len(full) == 2 * 16
         assert len(set(full)) == len(full)
 
     def test_density_tracks_probability(self):
         # Geometric-skip sampling must reproduce the Bernoulli density:
         # 49 * 200 * 200 candidates at p=0.01 give ~19,600 edges.
-        m = sum(1 for _ in layered_dag_edge_stream(**TEN_K))
+        m = sum(1 for _ in zip(*layered_dag_edge_arrays(**TEN_K)))
         expected = 49 * 200 * 200 * TEN_K["edge_probability"]
         assert 0.9 * expected < m < 1.1 * expected
 
     def test_rejects_invalid_parameters(self):
         with pytest.raises(ValueError):
-            list(layered_dag_edge_stream(0, 4, 0.5))
+            list(zip(*layered_dag_edge_arrays(0, 4, 0.5)))
         with pytest.raises(ValueError):
-            list(layered_dag_edge_stream(3, 0, 0.5))
+            list(zip(*layered_dag_edge_arrays(3, 0, 0.5)))
         with pytest.raises(ValueError):
-            list(layered_dag_edge_stream(3, 4, 1.5))
+            list(zip(*layered_dag_edge_arrays(3, 4, 1.5)))
 
 
 class TestScaleOrientation:
     def test_stream_equals_dict_path_at_ten_thousand_nodes(self):
         streamed = scale_layered_orientation(**TEN_K)
-        edges = list(layered_dag_edge_stream(**TEN_K))
+        edges = list(zip(*layered_dag_edge_arrays(**TEN_K)))
         n = TEN_K["num_levels"] * TEN_K["width"]
         assert streamed.num_nodes == n == 10_000
         assert_same_compact_graph(
@@ -129,7 +129,7 @@ class TestScaleTokenDropping:
         n = SMALL["num_levels"] * SMALL["width"]
         levels = {node: node // SMALL["width"] for node in range(n)}
         graph = LayeredGraph(
-            levels=levels, edges=list(layered_dag_edge_stream(**SMALL))
+            levels=levels, edges=list(zip(*layered_dag_edge_arrays(**SMALL)))
         )
         tokens = random_token_placement(
             graph, 0.6, random.Random(f"{SMALL['seed']}:tokens")
