@@ -224,6 +224,19 @@ class TestCacheAndResume:
         assert second.cached_count == len(TOY_SPEC)
         assert [r.values for r in second] == [r.values for r in first]
 
+    def test_parallel_run_fills_the_cache_a_resume_reports_as_cached(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        serial = run_experiment(TOY_SPEC, jobs=1)
+        parallel = run_experiment(TOY_SPEC, jobs=2, cache=cache)
+        assert [r.values for r in parallel] == [r.values for r in serial]
+
+        seen = []
+        resumed = run_experiment(TOY_SPEC, jobs=1, cache=cache, progress=seen.append)
+        assert len(resumed) == len(TOY_SPEC)
+        assert len(seen) == len(TOY_SPEC)
+        assert all(result.cached for result in seen)
+        assert [r.values for r in resumed] == [r.values for r in serial]
+
     def test_changed_param_is_a_cache_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_experiment(TOY_SPEC, jobs=1, cache=cache)

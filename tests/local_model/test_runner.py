@@ -99,6 +99,12 @@ class TestBasicExecution:
         assert result.outputs == {1: "a", 2: "b"}
         assert result.metrics.terminated
 
+    def test_lone_node_without_edges_halts_with_its_input(self):
+        net = Network(nodes=[1], local_inputs={1: "only"})
+        result = Runner(net, StatelessRelay).run()
+        assert result.outputs == {1: "only"}
+        assert result.metrics.messages_sent == 0
+
     def test_echo_neighbors_single_round(self):
         net = Network(
             edges=[(1, 2), (2, 3)], local_inputs={1: "x", 2: "y", 3: "z"}
