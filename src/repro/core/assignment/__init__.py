@@ -43,10 +43,8 @@ from repro.core.assignment.best_response import (
     best_response_dynamics_reference,
 )
 from repro.core.assignment.bounded import (
-    is_bounded_stable,
     maximal_matching_via_bounded_assignment,
     run_bounded_stable_assignment,
-    theoretical_bounded_round_bound,
     verify_maximal_matching,
 )
 from repro.core.assignment.problem import (
@@ -85,7 +83,6 @@ __all__ = [
     "effective_load",
     "greedy_assignment",
     "greedy_assignment_reference",
-    "is_bounded_stable",
     "is_two_approximation",
     "load_histogram",
     "maximal_matching_via_bounded_assignment",
@@ -94,7 +91,6 @@ __all__ = [
     "run_bounded_stable_assignment",
     "run_stable_assignment",
     "semi_matching_cost",
-    "theoretical_bounded_round_bound",
     "theoretical_phase_bound",
     "theoretical_round_bound",
     "triangular",

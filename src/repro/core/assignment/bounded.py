@@ -29,19 +29,9 @@ from repro.core.assignment.algorithm import (
     StableAssignmentResult,
     run_stable_assignment,
 )
-from repro.core.assignment.problem import Assignment
 from repro.graphs.bipartite import CustomerServerGraph
 
 NodeId = Hashable
-
-
-def theoretical_bounded_round_bound(
-    graph: CustomerServerGraph, constant: int = 16
-) -> int:
-    """A concrete O(C·S²) bound on the total game rounds (Theorem 7.5)."""
-    c = graph.max_customer_degree() + 1
-    s = graph.max_server_degree() + 1
-    return constant * c * s**2 + constant
 
 
 def run_bounded_stable_assignment(
@@ -66,29 +56,6 @@ def run_bounded_stable_assignment(
         seed=seed,
         check_invariants=check_invariants,
     )
-
-
-def is_bounded_stable(assignment: Assignment, k: int = 2) -> bool:
-    """Check the k-bounded stability condition directly from its definition.
-
-    Independent of :meth:`Assignment.is_stable`: a customer is unhappy iff
-    it chose a server with load ``ℓ`` but has a neighbour of load at most
-    ``min(k, ℓ) − 2``.  Used in tests to cross-validate the effective-load
-    formulation.
-    """
-    graph = assignment.graph
-    if not assignment.is_complete():
-        return False
-    for customer in graph.customers:
-        server = assignment.server_of(customer)
-        own = assignment.load(server)
-        threshold = min(k, own) - 2
-        for other in graph.servers_of(customer):
-            if other == server:
-                continue
-            if assignment.load(other) <= threshold:
-                return False
-    return True
 
 
 # ----------------------------------------------------------------------

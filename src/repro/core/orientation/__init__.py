@@ -70,7 +70,6 @@ __getattr__ = lazy_attributes(
             "bounded_unhappy_edges",
             "run_bounded_stable_orientation",
             "run_bounded_stable_orientation_reference",
-            "theoretical_bounded_orientation_round_bound",
         ),
         "repro.core.orientation.phases": (
             "PHASE_OVERHEAD_ROUNDS",
@@ -84,7 +83,6 @@ __getattr__ = lazy_attributes(
         "repro.core.orientation.sequential": (
             "FLIP_POLICIES",
             "SequentialRunStats",
-            "flip_chain_length",
             "sequential_flip_algorithm",
             "sequential_flip_algorithm_reference",
         ),
@@ -107,7 +105,6 @@ __all__ = [
     "bounded_unhappy_edges",
     "run_bounded_stable_orientation",
     "run_bounded_stable_orientation_reference",
-    "theoretical_bounded_orientation_round_bound",
     "OrientationError",
     "OrientationProblem",
     "PHASE_OVERHEAD_ROUNDS",
@@ -119,7 +116,6 @@ __all__ = [
     "arbitrary_complete_orientation",
     "check_stable",
     "edge_key",
-    "flip_chain_length",
     "run_stable_orientation",
     "run_stable_orientation_reference",
     "sequential_flip_algorithm",

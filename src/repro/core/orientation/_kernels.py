@@ -764,26 +764,15 @@ def stable_orientation_kernel(
 def _coin_flips(rng: random.Random, count: int) -> np.ndarray:
     """``count`` draws of ``rng.random() < 0.5`` at once, as a bool array.
 
-    ``random.Random.random()`` is MT19937's ``genrand_res53``: two 32-bit
-    words ``a, b`` give ``((a >> 5) * 2**26 + (b >> 6)) / 2**53``.
-    Loading ``rng``'s state into :class:`numpy.random.MT19937` and reading
-    ``random_raw(2 * count)`` yields the same words in the same order, and
-    the formula is exact in ``float64``.  NumPy's state after the draw is
-    handed back with ``rng.setstate``, so ``rng`` continues exactly as if
-    it had made the ``count`` calls itself.
+    The draws replay ``rng``'s MT19937 stream in NumPy
+    (:mod:`repro._mt19937`), and ``rng`` continues exactly as if it had
+    made the ``count`` calls itself.
     """
-    import numpy as np
+    from repro._mt19937 import hand_back, numpy_bits, res53
 
-    version, (*key, pos), gauss_next = rng.getstate()
-    bits = np.random.MT19937()
-    bits.state = {
-        "bit_generator": "MT19937",
-        "state": {"key": np.array(key, dtype=np.uint32), "pos": pos},
-    }
-    words = bits.random_raw(2 * count)
-    after = bits.state["state"]
-    rng.setstate((version, (*after["key"].tolist(), after["pos"]), gauss_next))
-    draws = ((words[0::2] >> 5) * 2**26 + (words[1::2] >> 6)) / 2**53
+    bits = numpy_bits(rng)
+    draws = res53(bits.random_raw(2 * count))
+    hand_back(rng, bits)
     return draws < 0.5
 
 

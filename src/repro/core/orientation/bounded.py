@@ -246,16 +246,3 @@ def _assignment_view(result: BoundedOrientationResult) -> StableAssignmentResult
         k=result.k,
         per_phase=result.per_phase,
     )
-
-
-def theoretical_bounded_orientation_round_bound(
-    problem: OrientationProblem, constant: int = 16
-) -> int:
-    """A concrete O(Δ³) round budget for the relaxed orientation problem.
-
-    With C = 2 (edges have two endpoints) and S = Δ the Theorem 7.5 budget
-    O(C·S²) specialises to O(Δ²) token-dropping rounds per O(Δ) phases,
-    i.e. O(Δ³) overall, matching the figure quoted in Section 1.4.
-    """
-    delta = problem.max_degree() + 1
-    return constant * delta**3 + constant

@@ -223,14 +223,3 @@ def sequential_flip_algorithm_reference(
 def _check_policy(policy: str) -> None:
     if policy not in FLIP_POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {FLIP_POLICIES}")
-
-
-def flip_chain_length(
-    problem: Union[OrientationProblem, CompactGraph],
-    *,
-    policy: str = "first",
-    seed: int = 0,
-) -> int:
-    """Convenience wrapper returning only the number of flips performed."""
-    _, stats = sequential_flip_algorithm(problem, policy=policy, seed=seed)
-    return stats.flips

@@ -33,7 +33,6 @@ from repro.core.token_dropping.game import (
 )
 from repro.core.token_dropping.greedy import (
     GREEDY_ORDERS,
-    compare_destinations,
     exhaustive_is_stuck,
     greedy_token_dropping,
     greedy_token_dropping_reference,
@@ -91,7 +90,6 @@ __all__ = [
     "UnsupportedHeightError",
     "ValidationReport",
     "check_tie_break",
-    "compare_destinations",
     "exhaustive_is_stuck",
     "figure2_instance",
     "greedy_token_dropping",

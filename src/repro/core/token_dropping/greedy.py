@@ -140,31 +140,6 @@ def greedy_token_dropping_reference(
     )
 
 
-def compare_destinations(
-    a: TokenDroppingSolution, b: TokenDroppingSolution
-) -> Dict[str, int]:
-    """Summarise how two solutions differ (used in ablation reports).
-
-    Returns a dict with the number of tokens whose destination agrees,
-    differs, and the total move counts of each solution.  Token dropping
-    has many valid solutions, so this is a descriptive comparison, not a
-    correctness check.
-    """
-    agree = sum(
-        1
-        for token, traversal in a.traversals.items()
-        if token in b.traversals
-        and b.traversals[token].destination == traversal.destination
-    )
-    return {
-        "tokens": len(a.traversals),
-        "same_destination": agree,
-        "different_destination": len(a.traversals) - agree,
-        "moves_a": a.total_moves(),
-        "moves_b": b.total_moves(),
-    }
-
-
 def exhaustive_is_stuck(
     instance: TokenDroppingInstance, solution: TokenDroppingSolution
 ) -> bool:

@@ -44,9 +44,7 @@ __getattr__ = lazy_attributes(
             "caterpillar_graph",
             "complete_bipartite",
             "cycle_graph",
-            "grid_graph",
             "high_girth_regular_graph",
-            "layered_from_levels",
             "path_graph",
             "perfect_dary_tree",
             "random_bipartite_customer_server",
@@ -62,7 +60,6 @@ __getattr__ = lazy_attributes(
             "check_max_degree",
             "check_perfect_dary_tree",
             "check_simple_graph",
-            "degree_histogram",
             "graph_girth",
             "is_regular",
             "tree_heights",
@@ -90,12 +87,9 @@ __all__ = [
     "check_simple_graph",
     "complete_bipartite",
     "cycle_graph",
-    "degree_histogram",
     "graph_girth",
-    "grid_graph",
     "high_girth_regular_graph",
     "is_regular",
-    "layered_from_levels",
     "path_graph",
     "perfect_dary_tree",
     "random_bipartite_customer_server",

@@ -72,15 +72,23 @@ def int_repr_order(n: int):
     """The ``repr`` order of the ints ``range(n)``, as NumPy ``int64`` arrays.
 
     ``(order, rank)``: ``order`` is ``sorted(range(n), key=repr)``, the
-    id of each dense node, and ``rank`` its inverse, from one ``argsort``
-    of the decimal strings.  Shared by the int-id builders; it imports
+    id of each dense node, and ``rank`` its inverse.  No string is
+    built: with ``D`` the digit count of ``n - 1``, padding ``x`` of
+    ``L`` digits with zeros to ``x·10^(D-L)`` compares it as a string,
+    and among equal paddings (``1``, ``10``, ``100``) the shorter string
+    comes first, so one ``argsort`` of ``x·10^(D-L)·(D+1) + L`` is the
+    decimal-string order.  Shared by the int-id builders; it imports
     NumPy lazily.
     """
     import numpy as np
 
-    order = np.argsort(np.arange(n).astype(str), kind="stable")
+    digits = len(str(max(n - 1, 0)))
+    powers = 10 ** np.arange(digits + 1, dtype=np.int64)
+    ids = np.arange(n, dtype=np.int64)
+    length = 1 + np.searchsorted(powers[1:], ids, side="right")
+    order = np.argsort(ids * powers[digits - length] * (digits + 1) + length)
     rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank[order] = ids
     return order, rank
 
 
@@ -437,7 +445,9 @@ class CompactGraph:
         their :func:`int_repr_order` rank pairs sorts them by
         ``repr((ku, kv))`` without building a string.  Both directions of
         every edge go into CSR by one sort on the ``(row, column)`` key
-        plus ``bincount``.  NumPy is imported here, not at module level.
+        plus ``bincount``.  The :meth:`lexicographic_reprs` memo is set,
+        as it holds for every int.  NumPy is imported here, not at module
+        level.
         """
         import numpy as np
 
@@ -488,9 +498,11 @@ class CompactGraph:
         node_ids = tuple(order.tolist())
 
         def buf(values) -> array:
-            return array(INDEX_TYPECODE, values.tobytes())
+            out = array(INDEX_TYPECODE)
+            out.frombytes(memoryview(values).cast("B"))
+            return out
 
-        return cls(
+        graph = cls(
             node_ids,
             dict(zip(node_ids, range(n))),
             buf(indptr),
@@ -499,6 +511,10 @@ class CompactGraph:
             buf(edge_u),
             buf(edge_v),
         )
+        # An int's repr holds only digits and "-", all greater than ",":
+        # predicate P holds without scanning n repr strings.
+        graph.derived["lexicographic_reprs"] = True
+        return graph
 
     @classmethod
     def from_orientation_problem(cls, problem) -> "CompactGraph":

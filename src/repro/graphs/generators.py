@@ -22,7 +22,7 @@ import itertools
 import math
 import random
 from array import array
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Tuple
 
 import networkx as nx
 
@@ -62,13 +62,6 @@ def star_graph(leaves: int) -> nx.Graph:
     if leaves < 1:
         raise ValueError(f"star needs at least one leaf, got {leaves}")
     return nx.star_graph(leaves)
-
-
-def grid_graph(rows: int, cols: int) -> nx.Graph:
-    """A ``rows x cols`` grid with integer-tuple node labels (Δ ≤ 4)."""
-    if rows < 1 or cols < 1:
-        raise ValueError(f"grid dimensions must be positive, got {rows}x{cols}")
-    return nx.grid_2d_graph(rows, cols)
 
 
 def caterpillar_graph(spine: int, legs_per_node: int) -> nx.Graph:
@@ -476,6 +469,33 @@ def random_layered_graph(
     return LayeredGraph(levels=levels, edges=edges)
 
 
+#: The most draws :func:`layered_dag_edge_arrays` replays at once; it
+#: bounds the NumPy temporaries to a few dozen MB whatever the size.
+_MAX_CHUNK_DRAWS = 1 << 20
+
+
+def _geometric_gaps(r, log_skip: float, block: int):
+    """Candidate gaps ``min(int(log(1 - r) / log_skip), block) + 1``.
+
+    The inverse-transform Geometric(p) gap for each uniform draw ``r``
+    (a float64 array), with ``log_skip = log1p(-p)``.  ``np.log`` and
+    ``math.log`` may round differently, so the quotient can differ in its
+    last bits; every quotient within ``1e-9 * max(q, 1)`` of an integer,
+    where a last-bit difference could move the truncation, is recomputed
+    with ``math.log``.  The gaps therefore equal the scalar formula
+    exactly.  Clamping the quotient at ``block`` keeps the gaps in
+    ``int64``; a gap of ``block + 1`` ends any level.
+    """
+    import numpy as np
+
+    q = np.minimum(np.log(1.0 - r) / log_skip, block)
+    near = np.flatnonzero(np.abs(q - np.rint(q)) <= 1e-9 * np.maximum(q, 1.0))
+    log = math.log
+    for k, draw in zip(near.tolist(), r[near].tolist()):
+        q[k] = min(log(1.0 - draw) / log_skip, block)
+    return q.astype(np.int64) + 1
+
+
 def layered_dag_edge_arrays(
     num_levels: int,
     width: int,
@@ -506,6 +526,18 @@ def layered_dag_edge_arrays(
     degree is controlled by ``edge_probability`` directly (mean total
     degree ≈ ``2 · width · edge_probability`` away from the boundary
     levels).
+
+    The sampler is defined by the scalar loop: per level, from position
+    ``-1``, add ``int(log(1 - rng.random()) / log1p(-p)) + 1`` until the
+    position reaches ``width²``; every position below it is an edge, and
+    the draw that passes it ends the level.  It runs in NumPy (imported
+    here): ``rng``'s ``random()`` stream is replayed
+    (:mod:`repro._mt19937`) in chunks of at most
+    :data:`_MAX_CHUNK_DRAWS` draws, :func:`_geometric_gaps` turns the
+    draws into the loop's exact gaps, a ``cumsum`` gives the positions,
+    and a ``searchsorted`` finds where each level ends.  ``rng`` is
+    handed back in the state of exactly ``edges + num_levels - 1``
+    draws, as the loop would leave it.
     """
     _validate_layered_params(num_levels, width, edge_probability, None)
     rng = _make_rng(seed)
@@ -519,41 +551,50 @@ def layered_dag_edge_arrays(
                 child.extend([i] * width)
                 parent.extend(range(child_base + width, child_base + 2 * width))
         return child, parent
+    import numpy as np
+
+    from repro._mt19937 import hand_back, numpy_bits, res53
+
     block = width * width
     log_skip = math.log1p(-edge_probability)
-    log = math.log
-    draw = rng.random
-    add_child = child.append
-    add_parent = parent.append
-    for level in range(num_levels - 1):
-        child_base = level * width
-        parent_base = child_base + width
-        # Jump between successes of the per-candidate Bernoulli(p)
-        # process: the gap is Geometric(p), sampled by inverse transform.
-        # 1 - random() lies in (0, 1], keeping the log finite.
-        pos = -1
-        while True:
-            pos += int(log(1.0 - draw()) / log_skip) + 1
-            if pos >= block:
+    levels = num_levels - 1
+    # A level takes block·p draws on average for its edges, plus the one
+    # that ends it.  Positions summed over a chunk stay below 2**62.
+    per_level = block * edge_probability + 1.0
+    max_chunk = min(_MAX_CHUNK_DRAWS, max(1, 2**62 // (block + 1)))
+    bits = numpy_bits(rng)
+    level = 0
+    offset = -1  # the current level's position is offset + reach[k]
+    while level < levels:
+        expected = (levels - level) * per_level
+        count = min(max_chunk, int(expected + 4.0 * math.sqrt(expected)) + 16)
+        before = bits.state
+        draws = res53(bits.random_raw(2 * count))
+        reach = np.cumsum(_geometric_gaps(draws, log_skip, block))
+        # Number candidate c of level l as l·block + c: a draw k in the
+        # chunk's j-th level samples candidate bases[j] + reach[k].
+        bases = [level * block + offset]
+        ends: List[int] = []
+        while level + len(ends) < levels:
+            # The first draw whose position reaches the block ends the level.
+            end = int(reach.searchsorted(block - offset))
+            if end == count:
                 break
-            add_child(child_base + pos // width)
-            add_parent(parent_base + pos % width)
+            ends.append(end)
+            offset = -1 - int(reach[end])
+            bases.append((level + len(ends)) * block + offset)
+        level += len(ends)
+        used = ends[-1] + 1 if level == levels else count
+        edges_per_level = np.diff([-1, *ends, used]) - 1
+        candidate = np.delete(reach[:used], ends) + np.repeat(bases, edges_per_level)
+        row, column = np.divmod(candidate, width)
+        child.frombytes(memoryview(row).cast("B"))
+        parent.frombytes(memoryview((row // width + 1) * width + column).cast("B"))
+        if level < levels:
+            offset += int(reach[-1])
+        elif used < count:
+            # Rewind to just after the last level's final draw.
+            bits.state = before
+            bits.random_raw(2 * used)
+    hand_back(rng, bits)
     return child, parent
-
-
-def layered_from_levels(
-    level_sizes: Sequence[int],
-    edges: Sequence[Tuple[Tuple[int, int], Tuple[int, int]]],
-) -> LayeredGraph:
-    """Build a layered graph from explicit level sizes and (child, parent) edges.
-
-    Convenience for hand-built examples (e.g. reproducing Figure 2): node
-    ``(level, index)`` exists for every ``index < level_sizes[level]``.
-    """
-    levels: Dict[NodeId, int] = {}
-    for level, size in enumerate(level_sizes):
-        if size < 0:
-            raise ValueError(f"level sizes must be non-negative, got {size}")
-        for index in range(size):
-            levels[(level, index)] = level
-    return LayeredGraph(levels=levels, edges=edges)

@@ -169,11 +169,3 @@ def check_perfect_dary_tree(graph: nx.Graph, degree: int, root: NodeId) -> int:
                 f"expected {degree}"
             )
     return depth
-
-
-def degree_histogram(graph: nx.Graph) -> Dict[int, int]:
-    """Return ``{degree: count}`` for the graph (useful in workload reports)."""
-    histogram: Dict[int, int] = {}
-    for _, degree in graph.degree():
-        histogram[degree] = histogram.get(degree, 0) + 1
-    return dict(sorted(histogram.items()))

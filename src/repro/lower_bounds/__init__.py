@@ -27,7 +27,6 @@ from repro.lower_bounds.constructions import (
 )
 from repro.lower_bounds.indistinguishability import (
     radius_t_view,
-    view_signature,
     views_isomorphic,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "matching_from_height2_solution",
     "radius_t_view",
     "theorem63_instance_pair",
-    "view_signature",
     "views_isomorphic",
 ]

@@ -14,7 +14,7 @@ for the radii the proof relies on.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Tuple
+from typing import Dict, Hashable
 
 import networkx as nx
 
@@ -64,22 +64,3 @@ def views_isomorphic(
         view_a, view_b, node_match=node_match
     )
     return matcher.is_isomorphic()
-
-
-def view_signature(graph: nx.Graph, node: NodeId, t: int) -> Tuple:
-    """A cheap isomorphism-invariant fingerprint of a t-radius view.
-
-    Not a complete invariant, but sufficient to distinguish views that
-    differ in per-distance node/edge counts or degree multisets -- used to
-    fail fast in sweeps before running the exact matcher.
-    """
-    view = radius_t_view(graph, node, t)
-    per_distance: Dict[int, int] = {}
-    for _, attrs in view.nodes(data=True):
-        per_distance[attrs["dist"]] = per_distance.get(attrs["dist"], 0) + 1
-    degree_multiset = tuple(sorted(d for _, d in view.degree()))
-    return (
-        tuple(sorted(per_distance.items())),
-        view.number_of_edges(),
-        degree_multiset,
-    )

@@ -1,7 +1,6 @@
 """Text and DOT rendering of games, orientations, and assignments."""
 
 from repro.render.ascii_art import (
-    load_bar_chart,
     render_assignment,
     render_layered_game,
     render_orientation,
@@ -10,7 +9,6 @@ from repro.render.ascii_art import (
 from repro.render.dot import orientation_to_dot, token_dropping_to_dot
 
 __all__ = [
-    "load_bar_chart",
     "orientation_to_dot",
     "render_assignment",
     "render_layered_game",

@@ -98,16 +98,3 @@ def render_assignment(assignment: Assignment, max_rows: int = 50) -> str:
         + ", ".join(f"{load}:{count}" for load, count in sorted(histogram.items()))
     )
     return "\n".join(lines)
-
-
-def load_bar_chart(loads: dict, width: int = 40) -> str:
-    """A horizontal bar chart of server loads (one row per server)."""
-    if not loads:
-        return "(no servers)"
-    peak = max(loads.values()) or 1
-    lines = []
-    for server in sorted(loads, key=repr):
-        load = loads[server]
-        bar = "#" * max(0, round(width * load / peak))
-        lines.append(f"{str(server):>12} | {bar} {load}")
-    return "\n".join(lines)

@@ -26,7 +26,7 @@ structure, so benchmarks and engine measures can feed the fast-path
 kernels without re-representing anything.  Orientation builders stream
 their edges into :meth:`CompactGraph.from_edges`, which counting-sorts
 them into CSR.  The compact-only scale family has dense int ids, so it
-samples its edges into two flat ``array('q')`` buffers
+samples its edges in NumPy into two flat ``array('q')`` buffers
 (:func:`~repro.graphs.generators.layered_dag_edge_arrays`):
 :func:`scale_layered_orientation` sorts them into CSR with the NumPy
 :meth:`CompactGraph.from_arrays`, and :func:`scale_token_dropping` hands
@@ -417,9 +417,10 @@ def scale_layered_orientation(
     """A scale-family layered DAG as a compact orientation instance.
 
     Array to CSR: :func:`layered_dag_edge_arrays` samples the edges
-    into two flat ``array('q')`` buffers (span ``graph.generate``) and
-    :meth:`CompactGraph.from_arrays` sorts them into CSR in NumPy (span
-    ``graph.csr``, which also pays a process's first NumPy import).  No
+    in NumPy into two flat ``array('q')`` buffers (span
+    ``graph.generate``, which also pays a process's first NumPy import)
+    and :meth:`CompactGraph.from_arrays` sorts them into CSR (span
+    ``graph.csr``).  No
     edge tuple, string, dict or networkx graph is built, and the result
     equals ``CompactGraph.from_edges`` on the same edges field for field.
     Node ids are the generator's dense ints ``level * width + index``;

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.core.assignment import (
     approximation_ratio,
-    is_bounded_stable,
     is_two_approximation,
     maximal_matching_via_bounded_assignment,
     optimal_cost,
@@ -23,6 +22,25 @@ from repro.graphs.generators import (
     complete_bipartite,
     random_bipartite_customer_server,
 )
+
+
+def is_bounded_stable(assignment, k=2):
+    """The k-bounded stability condition, checked from its definition.
+
+    Independent of :meth:`Assignment.is_stable`: a customer is unhappy iff
+    it chose a server with load ``ℓ`` but has a neighbour of load at most
+    ``min(k, ℓ) − 2``.  Cross-validates the effective-load formulation.
+    """
+    graph = assignment.graph
+    if not assignment.is_complete():
+        return False
+    for customer in graph.customers:
+        server = assignment.server_of(customer)
+        threshold = min(k, assignment.load(server)) - 2
+        for other in graph.servers_of(customer):
+            if other != server and assignment.load(other) <= threshold:
+                return False
+    return True
 
 
 def workloads():

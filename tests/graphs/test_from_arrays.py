@@ -81,12 +81,27 @@ def test_accepts_numpy_and_array_inputs():
         assert_same_fields(CompactGraph.from_arrays(wrap(u), wrap(v), n), expected)
 
 
-@pytest.mark.parametrize("n", [0, 1, 9, 10, 11, 100, 1234])
+#: Every digit boundary up to 10⁵ (0, 1, 2, 9, 10, 11, 99, 100, 101, …).
+DIGIT_BOUNDARIES = sorted(
+    {0, 1234} | {10**k + d for k in range(6) for d in (-1, 0, 1)}
+)
+
+
+@pytest.mark.parametrize("n", DIGIT_BOUNDARIES)
 def test_int_repr_order_is_sorted_by_repr(n):
     order, rank = int_repr_order(n)
     expected = sorted(range(n), key=repr)
     assert order.tolist() == expected
     assert [expected[r] for r in rank.tolist()] == list(range(n))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 11, 1234])
+def test_lexicographic_reprs_memo_equals_a_fresh_scan(n):
+    u = list(range(n - 1))
+    graph = CompactGraph.from_arrays(u, [x + 1 for x in u], n)
+    memo = graph.derived["lexicographic_reprs"]
+    graph.derived.clear()
+    assert graph.lexicographic_reprs() is memo is True
 
 
 def raised(build):

@@ -13,12 +13,9 @@ from repro.graphs import (
     check_perfect_dary_tree,
     complete_bipartite,
     cycle_graph,
-    degree_histogram,
     graph_girth,
-    grid_graph,
     high_girth_regular_graph,
     is_regular,
-    layered_from_levels,
     path_graph,
     perfect_dary_tree,
     random_bipartite_customer_server,
@@ -57,11 +54,6 @@ class TestBasicTopologies:
         g = star_graph(7)
         assert g.degree(0) == 7
         assert max(d for _, d in g.degree()) == 7
-
-    def test_grid(self):
-        g = grid_graph(3, 4)
-        assert g.number_of_nodes() == 12
-        assert max(d for _, d in g.degree()) <= 4
 
     def test_caterpillar(self):
         g = caterpillar_graph(spine=4, legs_per_node=3)
@@ -208,16 +200,6 @@ class TestLayeredGenerators:
             random_layered_graph(3, 0, 0.5)
         with pytest.raises(ValueError):
             random_layered_graph(3, 3, 1.5)
-
-    def test_layered_from_levels(self):
-        lg = layered_from_levels([2, 2], edges=[((0, 0), (1, 0)), ((0, 1), (1, 1))])
-        assert len(lg) == 4
-        assert lg.num_edges() == 2
-
-    def test_degree_histogram(self):
-        g = star_graph(4)
-        hist = degree_histogram(g)
-        assert hist == {1: 4, 4: 1}
 
 
 class TestGeneratorProperties:

@@ -19,7 +19,6 @@ from repro.core.orientation import (
     OrientationProblem,
     arbitrary_complete_orientation,
     check_stable,
-    flip_chain_length,
     run_stable_orientation,
     run_stable_orientation_reference,
     sequential_flip_algorithm,
@@ -91,7 +90,8 @@ class TestSequentialFlip:
         # endpoint, so "towards max" orients them all outward-to-centre
         # depends on labels); just verify stability and a sane flip count.
         problem = PROBLEMS["star"]
-        flips = flip_chain_length(problem)
+        _, stats = sequential_flip_algorithm(problem)
+        flips = stats.flips
         assert 0 <= flips <= problem.num_edges() ** 2
 
     def test_unknown_policy_rejected(self):

@@ -11,7 +11,6 @@ from repro.core.orientation import (
     bounded_unhappy_edges,
     run_bounded_stable_orientation,
     run_stable_orientation,
-    theoretical_bounded_orientation_round_bound,
 )
 from repro.core.orientation.problem import Orientation
 from repro.graphs.generators import bounded_degree_gnp, perfect_dary_tree, star_graph
@@ -84,9 +83,10 @@ class TestBoundedOrientationAlgorithm:
             bounded_degree_gnp(30, 0.3, 6, seed=5)
         )
         result = run_bounded_stable_orientation(problem, seed=2)
-        assert result.game_rounds <= theoretical_bounded_orientation_round_bound(
-            problem
-        )
+        # Theorem 7.5's O(C·S²) rounds per phase with C = 2 and S = Δ,
+        # over O(Δ) phases: O(Δ³) overall (Section 1.4).
+        delta = problem.max_degree() + 1
+        assert result.game_rounds <= 16 * delta**3 + 16
 
     def test_full_stability_implies_bounded_stability(self):
         problem = OrientationProblem.from_networkx(

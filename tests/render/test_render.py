@@ -7,7 +7,6 @@ from repro.core.orientation import Orientation, OrientationProblem
 from repro.core.token_dropping import figure2_instance, run_proposal_algorithm
 from repro.graphs.bipartite import CustomerServerGraph
 from repro.render import (
-    load_bar_chart,
     orientation_to_dot,
     render_assignment,
     render_layered_game,
@@ -69,12 +68,6 @@ class TestAsciiRendering:
         text = render_assignment(assignment, max_rows=3)
         assert "more customers" in text
         assert "histogram" in text
-
-    def test_load_bar_chart(self):
-        chart = load_bar_chart({"a": 4, "b": 2, "c": 0})
-        assert chart.count("\n") == 2
-        assert "####" in chart
-        assert load_bar_chart({}) == "(no servers)"
 
 
 class TestDotExport:

@@ -23,7 +23,6 @@ from repro.core.assignment import (
 from repro.core.orientation import (
     DynamicOrientation,
     OrientationProblem,
-    flip_chain_length,
     run_bounded_stable_orientation,
     run_bounded_stable_orientation_reference,
     run_stable_orientation,
@@ -63,7 +62,6 @@ SINGLE_PATH = [
     greedy_assignment,
     best_response_dynamics,
     sequential_flip_algorithm,
-    flip_chain_length,
     synchronous_repair_orientation,
 ]
 

@@ -14,7 +14,6 @@ from repro.core.token_dropping import (
     InvalidHypergraphInstanceError,
     TokenDroppingInstance,
     UnsupportedHeightError,
-    compare_destinations,
     exhaustive_is_stuck,
     greedy_token_dropping,
     random_token_placement,
@@ -105,17 +104,6 @@ class TestGreedyBaseline:
         instance = TokenDroppingInstance(graph, tokens=set())
         with pytest.raises(ValueError):
             greedy_token_dropping(instance, order="bogus")
-
-    def test_compare_destinations_summary(self):
-        graph = LayeredGraph(
-            levels={"a": 0, "b": 1, "c": 2}, edges=[("a", "b"), ("b", "c")]
-        )
-        instance = TokenDroppingInstance(graph, tokens={"c"})
-        s1 = greedy_token_dropping(instance)
-        s2 = greedy_token_dropping(instance, order="lowest_level")
-        summary = compare_destinations(s1, s2)
-        assert summary["tokens"] == 1
-        assert summary["same_destination"] + summary["different_destination"] == 1
 
 
 class TestHypergraphGame:

@@ -16,9 +16,12 @@ budget the streaming path undercuts by an order of magnitude.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 import time
+from array import array
 
+import numpy as np
 import pytest
 
 from repro.core.orientation._kernels import stable_orientation_kernel
@@ -31,7 +34,7 @@ from repro.core.token_dropping.game import (
     random_token_placement,
 )
 from repro.graphs.compact import CSR_FIELDS, CompactGraph
-from repro.graphs.generators import layered_dag_edge_arrays
+from repro.graphs.generators import _geometric_gaps, layered_dag_edge_arrays
 from repro.graphs.layered import LayeredGraph
 from repro.workloads.scenarios import (
     SCALE_TIER_PARAMS,
@@ -87,6 +90,117 @@ class TestEdgeStreamGenerator:
             list(zip(*layered_dag_edge_arrays(3, 0, 0.5)))
         with pytest.raises(ValueError):
             list(zip(*layered_dag_edge_arrays(3, 4, 1.5)))
+
+
+def reference_edge_arrays(num_levels, width, edge_probability, rng):
+    """The scalar geometric-skip loop :func:`layered_dag_edge_arrays` replays.
+
+    Per level, from position -1, add ``int(log(1 - random()) / log1p(-p))
+    + 1`` until the position reaches ``width²``: each position below it is
+    an edge, and the draw that passes it ends the level.
+    """
+    child, parent = array("q"), array("q")
+    block = width * width
+    log_skip = math.log1p(-edge_probability)
+    for level in range(num_levels - 1):
+        pos = -1
+        while True:
+            pos += int(math.log(1.0 - rng.random()) / log_skip) + 1
+            if pos >= block:
+                break
+            child.append(level * width + pos // width)
+            parent.append((level + 1) * width + pos % width)
+    return child, parent
+
+
+def scalar_gap(r, log_skip, block):
+    return min(int(math.log(1.0 - r) / log_skip), block) + 1
+
+
+#: The replay grid; the scalar oracle is kept to ~250k draws a case, so
+#: the widest, densest shapes run only as far as that allows.
+GRID = [
+    (levels, width, p)
+    for width in (1, 2, 40, 2000)
+    for p in (1e-4, 0.05, 0.9, 0.999999)
+    for levels in (1, 2, 50)
+    if (levels - 1) * (width * width * p + 1) <= 250_000
+]
+
+
+class TestGeneratorReplay:
+    @pytest.mark.parametrize("levels, width, p", GRID)
+    def test_arrays_and_continued_stream_equal_the_scalar_loop(self, levels, width, p):
+        replay_rng, loop_rng = random.Random(7), random.Random(7)
+        expected = reference_edge_arrays(levels, width, p, loop_rng)
+        assert layered_dag_edge_arrays(levels, width, p, seed=replay_rng) == expected
+        assert replay_rng.random() == loop_rng.random()
+
+    def test_int_seed_equals_a_random_passed_in(self):
+        passed_in = dict(SMALL, seed=random.Random(SMALL["seed"]))
+        assert layered_dag_edge_arrays(**SMALL) == layered_dag_edge_arrays(**passed_in)
+
+    def test_draws_span_several_chunks(self, monkeypatch):
+        from repro.graphs import generators
+
+        monkeypatch.setattr(generators, "_MAX_CHUNK_DRAWS", 64)
+        replay_rng, loop_rng = random.Random(3), random.Random(3)
+        args = (SMALL["num_levels"], SMALL["width"], SMALL["edge_probability"])
+        expected = reference_edge_arrays(*args, loop_rng)
+        assert layered_dag_edge_arrays(*args, seed=replay_rng) == expected
+        assert replay_rng.random() == loop_rng.random()
+
+    @pytest.mark.parametrize("p, block", [(1e-4, 1), (0.05, 1600), (0.999999, 4)])
+    def test_gap_at_the_ends_of_the_unit_interval(self, p, block):
+        draws = [0.0, 1.0 - 2.0**-53]
+        log_skip = math.log1p(-p)
+        gaps = _geometric_gaps(np.array(draws), log_skip, block)
+        assert gaps.tolist() == [scalar_gap(r, log_skip, block) for r in draws]
+
+    def test_gap_on_exact_integer_quotients(self):
+        # p = 1/2 and r = 1 - 2^-k give log(2^-k) / log(1/2) = k exactly,
+        # where a last-bit difference in the log would move the gap.
+        draws = [1.0 - 2.0**-k for k in range(1, 54)]
+        log_skip = math.log1p(-0.5)
+        gaps = _geometric_gaps(np.array(draws), log_skip, 1600)
+        assert gaps.tolist() == [scalar_gap(r, log_skip, 1600) for r in draws]
+        assert gaps.tolist() == list(range(2, 55))
+
+    def test_gap_survives_a_log_one_ulp_off(self, monkeypatch):
+        # A vector log that rounds one ulp towards zero puts each exact
+        # quotient k just below k; the guard must recompute it.
+        exact_log = np.log
+        monkeypatch.setattr(np, "log", lambda x: np.nextafter(exact_log(x), 0.0))
+        draws = [1.0 - 2.0**-k for k in range(1, 54)]
+        gaps = _geometric_gaps(np.array(draws), math.log1p(-0.5), 1600)
+        assert gaps.tolist() == list(range(2, 55))
+
+    #: sha256 of ``child`` then ``parent`` bytes, and the next
+    #: ``random()`` of the ``Random(seed)`` passed in, for the 100k tier's
+    #: shape at three graph seeds, as the scalar loop produced them.
+    HUNDRED_K = {
+        1: (
+            "e851f15e0cec9e890fef66e8c8fcd687942d0e062087b3d3c107334bdbb72eb9",
+            0.4679914658594657,
+        ),
+        5: (
+            "24c961f8f5bca7ae25a6ea0eedf99a0a34ddd65ec75dd4e8862959f9eb18d8d1",
+            0.25146886987299444,
+        ),
+        11: (
+            "8a40bea0f5bbed727d4e7ba25b1362799619b1460163f18cf7e7fc6a7ea45f9e",
+            0.7826804671046702,
+        ),
+    }
+
+    @pytest.mark.parametrize("seed", sorted(HUNDRED_K))
+    def test_100k_arrays_match_the_golden_digest(self, seed):
+        params = dict(SCALE_TIER_PARAMS["100k"], seed=random.Random(seed))
+        rng = params["seed"]
+        child, parent = layered_dag_edge_arrays(**params)
+        digest = hashlib.sha256(memoryview(child).cast("B"))
+        digest.update(memoryview(parent).cast("B"))
+        assert (digest.hexdigest(), rng.random()) == self.HUNDRED_K[seed]
 
 
 class TestScaleOrientation:
