@@ -537,7 +537,10 @@ def layered_dag_edge_arrays(
     draws into the loop's exact gaps, a ``cumsum`` gives the positions,
     and a ``searchsorted`` finds where each level ends.  ``rng`` is
     handed back in the state of exactly ``edges + num_levels - 1``
-    draws, as the loop would leave it.
+    draws, as the loop would leave it.  The level split costs a few µs
+    of Python per level, so narrow shapes with many levels and about one
+    edge per level (width 1, 10^5 levels) build ~3x slower than the
+    scalar loop would; at width 10 and up the replay is faster.
     """
     _validate_layered_params(num_levels, width, edge_probability, None)
     rng = _make_rng(seed)

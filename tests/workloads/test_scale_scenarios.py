@@ -45,7 +45,12 @@ from repro.workloads.scenarios import (
 #: Small-n members of the scale family (same generator, same id scheme).
 SMALL = dict(num_levels=10, width=40, edge_probability=0.05, seed=3)
 TEN_K = dict(num_levels=50, width=200, edge_probability=0.01, seed=11)
-TEN_K_CSR_SHA256 = "57a06283dcb6924a2b005d810e7cc1b56b9d4bb0ef2ce521c174900c3c119585"
+#: sha256 over the five CSR buffers' native int64 bytes, in CSR_FIELDS
+#: order, as the from_edges build of each instance produced them.
+CSR_SHA256 = {
+    "10k": "57a06283dcb6924a2b005d810e7cc1b56b9d4bb0ef2ce521c174900c3c119585",
+    "100k": "86b5d2ec680b5b6769976f489bb75f519adb4538af5df035fade21e6cbf81c67",
+}
 
 
 def assert_same_compact_graph(a: CompactGraph, b: CompactGraph) -> None:
@@ -213,15 +218,15 @@ class TestScaleOrientation:
             streamed, CompactGraph.from_edges(edges, nodes=range(n))
         )
 
-    def test_csr_buffers_match_the_golden_digest(self):
-        # sha256 over the five CSR buffers' native int64 bytes, in
-        # CSR_FIELDS order, as the from_edges build of this instance
-        # produced them: the array builder must not move a single slot.
-        graph = scale_layered_orientation(**TEN_K)
+    @pytest.mark.parametrize("tier", sorted(CSR_SHA256))
+    def test_csr_buffers_match_the_golden_digest(self, tier):
+        # The array builder must not move a single slot.
+        params = TEN_K if tier == "10k" else SCALE_TIER_PARAMS[tier]
+        graph = scale_layered_orientation(**params)
         digest = hashlib.sha256()
         for field in CSR_FIELDS:
             digest.update(memoryview(getattr(graph, field)).cast("B"))
-        assert digest.hexdigest() == TEN_K_CSR_SHA256
+        assert digest.hexdigest() == CSR_SHA256[tier]
 
     def test_isolated_nodes_survive(self):
         sparse = scale_layered_orientation(
