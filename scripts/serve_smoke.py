@@ -3,13 +3,13 @@
 
 Starts ``python -m repro serve`` as a subprocess on an ephemeral port,
 drives a short closed-loop trace over loopback TCP — point queries,
-coalesced update batches, a snapshot, a restore-and-compare — then
-restarts a second server with ``--from-snapshot`` and requires its
-counts and point answers to equal the first server's.  Both servers are
-shut down over the wire and must exit cleanly.  This is the deployment
-path end to end: argument parsing, the solve-then-serve startup, the
-restart-from-snapshot startup, the frame codec, the coalescing updater,
-and the snapshot op.
+coalesced update batches, a join with a tuple id, a snapshot, a
+restore-and-compare — then restarts a second server with
+``--from-snapshot`` and requires its counts and point answers to equal
+the first server's.  Both servers are shut down over the wire and must
+exit cleanly.  This is the deployment path end to end: argument
+parsing, the solve-then-serve startup, the restart-from-snapshot
+startup, the frame codec, the coalescing updater, and the snapshot op.
 
 Usage (CI runs exactly this)::
 
@@ -28,6 +28,8 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.core.orientation import NodeJoin  # noqa: E402
+from repro.graphs.compact import ArraySnapshot  # noqa: E402
 from repro.serve import ServeClient, load_state  # noqa: E402
 from repro.workloads import serve_smoke, serve_smoke_trace  # noqa: E402
 
@@ -113,14 +115,25 @@ def main() -> int:
         assert client.assignment_of(u, v) in (u, v)
         assert client.load_of(u) >= 0
 
+        # A tuple id beside the int ids: the snapshot stores the ints in
+        # its int64 section and only this id as repr text.
+        joined = ("smoke", 0)
+        receipt = client.update([NodeJoin(joined, (u, v))])
+        assert receipt["applied"] == 1, receipt
+        assert client.assignment_of(joined, u) in (joined, u)
+
         with tempfile.TemporaryDirectory() as tmp:
             # Snapshot over the wire, restore locally, compare a point query.
             path = Path(tmp) / "smoke.rprosnp"
             receipt = client.snapshot(path)
             assert receipt["bytes"] > 0, receipt
+            with ArraySnapshot(path) as snap:
+                spec = snap.meta["node_ids"]
+            assert spec["encoding"] == "split", spec
             restored = load_state(path)
-            assert restored.updates_applied == len(trace)
+            assert restored.updates_applied == len(trace) + 1
             assert restored.load_of(u) == client.load_of(u)
+            assert restored.load_of(joined) == client.load_of(joined)
 
             # Restart from the snapshot through the CLI: the second server
             # must answer exactly like the first.
@@ -130,6 +143,8 @@ def main() -> int:
             live = restored.solved_arrays()[0]
             expected = _answers(client, live)
             assert _answers(client2, live) == expected, expected
+            assert client2.load_of(joined) == client.load_of(joined)
+            assert client2.assignment_of(u, joined) == client.assignment_of(u, joined)
             _shutdown(proc2, client2)
 
         _shutdown(proc, client)
@@ -139,8 +154,8 @@ def main() -> int:
                 proc.kill()
                 proc.wait()
     print(
-        "serve smoke OK: queries, coalesced updates, snapshot, "
-        "restart from snapshot, shutdown"
+        "serve smoke OK: queries, coalesced updates, tuple-id join, "
+        "snapshot, restart from snapshot, shutdown"
     )
     return 0
 

@@ -643,14 +643,9 @@ class DynamicOrientation(_SeededEngine):
         )
         if pristine:
             return base, list(self._heads), list(self._load)
-        graph = overlay.to_compact()
-        ids = overlay.node_ids
-        index_of = graph.index_of
-        heads = [0] * graph.num_edges
-        for e in overlay.live_edge_indices():
-            u_id = ids[overlay.edge_u[e]]
-            v_id = ids[overlay.edge_v[e]]
-            heads[graph.edge_index(u_id, v_id)] = index_of[ids[self._heads[e]]]
+        graph, dense, edges = overlay.to_compact()
+        head = self._heads
+        heads = [dense[head[e]] for e in edges]
         load = [0] * graph.num_nodes
         for h in heads:
             load[h] += 1

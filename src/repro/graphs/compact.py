@@ -92,6 +92,14 @@ def int_repr_order(n: int):
     return order, rank
 
 
+def _lexicographic(reprs: Sequence[str]) -> bool:
+    """Predicate P of :meth:`CompactGraph.lexicographic_reprs` on ``reprs``."""
+    return all(
+        a < b and (not b.startswith(a) or b[len(a)] > ",")
+        for a, b in zip(reprs, reprs[1:])
+    )
+
+
 def _csr(
     n_rows: int, n_cols: int, rows: Sequence[int], cols: Sequence[int]
 ) -> Tuple[array, array, array]:
@@ -313,7 +321,6 @@ class CompactGraph:
         "edge_v",
         "derived",
         "_problem",
-        "_edge_index",
     )
 
     def __init__(
@@ -338,7 +345,6 @@ class CompactGraph:
         #: immutable, so derived structures are computed at most once.
         self.derived: Dict[str, object] = {}
         self._problem = None
-        self._edge_index: Optional[Dict[Tuple[NodeId, NodeId], int]] = None
 
     # -- construction ---------------------------------------------------
     @classmethod
@@ -352,17 +358,14 @@ class CompactGraph:
         same node and edge order, without building the reference
         representation or any per-edge dict or tuple list, so
         million-edge streams fit: endpoints are interned first-seen into
-        growing ``array('q')`` buffers as the stream is consumed, edges
-        are ordered by the ``repr`` of their canonical key (assembled
-        from per-node ``repr`` strings cached once per node), and both
-        directions of every edge are counting-sorted into CSR by
-        :func:`_csr`.
+        growing ``array('q')`` buffers as the stream is consumed, and
+        :meth:`_from_index_pairs` orders the nodes and edges and builds
+        the CSR.
         """
-        from repro.core.orientation.problem import OrientationError, edge_key
+        from repro.core.orientation.problem import edge_key
 
         tmp_index: Dict[NodeId, int] = {}
         tmp_nodes: List[NodeId] = []
-        tmp_reprs: List[str] = []
 
         def intern(node: NodeId) -> int:
             i = tmp_index.get(node)
@@ -370,7 +373,6 @@ class CompactGraph:
                 i = len(tmp_nodes)
                 tmp_index[node] = i
                 tmp_nodes.append(node)
-                tmp_reprs.append(repr(node))
             return i
 
         for node in nodes:
@@ -381,25 +383,63 @@ class CompactGraph:
             ku, kv = edge_key(u, v)
             stream_u.append(intern(ku))
             stream_v.append(intern(kv))
+        del tmp_index
+        return cls._from_index_pairs(tmp_nodes, stream_u, stream_v)[0]
+
+    @classmethod
+    def _from_index_pairs(
+        cls,
+        nodes: Sequence[NodeId],
+        stream_u: Sequence[int],
+        stream_v: Sequence[int],
+    ) -> Tuple["CompactGraph", array, array]:
+        """The general-id builder behind :meth:`from_edges` and
+        :meth:`DeltaOverlayGraph.to_compact`.
+
+        ``nodes`` are the ids in any order, and input edge ``k`` is
+        ``(nodes[stream_u[k]], nodes[stream_v[k]])`` in canonical :func:`~repro.core.orientation.problem.edge_key`
+        order.  Returns ``(graph, rank, order)``: ``rank[i]`` is the dense
+        id of ``nodes[i]`` and graph edge ``e`` is input edge ``order[e]``.
+
+        The nodes are ranked by ``repr``, computed once per node (a
+        stable sort, so ties keep input order, like the reference dict's
+        insertion order).  The edges sort by the ``repr`` of their canonical key: when predicate
+        P of :meth:`lexicographic_reprs` holds on the sorted reprs, that
+        is the order of the int keys ``rank_u * n + rank_v``, and no
+        string is built; otherwise each key is assembled as ``"(" +
+        R[u] + ", " + R[v] + ")"`` from the per-node reprs.  Duplicate
+        edges then sit in runs of equal keys and raise, and both
+        directions of every edge are counting-sorted into CSR by
+        :func:`_csr`.
+        """
+        from repro.core.orientation.problem import OrientationError
+
+        n = len(nodes)
         m = len(stream_u)
+        reprs = list(map(repr, nodes))
+        node_order = sorted(range(n), key=reprs.__getitem__)
+        rank = _zeros(n)
+        for dense, i in enumerate(node_order):
+            rank[i] = dense
+        lexicographic = _lexicographic([reprs[i] for i in node_order])
 
-        # Exactly ``repr((ku, kv))`` of each canonical key, assembled
-        # from the cached per-node reprs; sorting by it gives the
-        # reference edge order (sorted() is stable, so ties keep
-        # first-seen order like the reference dict's insertion order).
-        edge_strs = [
-            "(" + tmp_reprs[stream_u[e]] + ", " + tmp_reprs[stream_v[e]] + ")"
-            for e in range(m)
-        ]
-        order = sorted(range(m), key=edge_strs.__getitem__)
+        def key_str(k: int) -> str:
+            return "(" + reprs[stream_u[k]] + ", " + reprs[stream_v[k]] + ")"
 
-        # Duplicates now sit inside runs of equal key strings (a run is
-        # almost always a single edge; distinct nodes can share a repr
-        # only for pathological id types).
+        if lexicographic:
+            keys = [rank[u] * n + rank[v] for u, v in zip(stream_u, stream_v)]
+        else:
+            keys = [key_str(k) for k in range(m)]
+        order = array(INDEX_TYPECODE, sorted(range(m), key=keys.__getitem__))
+
+        # A run of equal keys is almost always a single edge.  Int keys
+        # are equal only for a duplicate pair; distinct nodes can share a
+        # key string only for pathological id types, so runs are checked
+        # pair by pair.
         k = 0
         while k < m:
             j = k + 1
-            while j < m and edge_strs[order[j]] == edge_strs[order[k]]:
+            while j < m and keys[order[j]] == keys[order[k]]:
                 j += 1
             if j - k > 1:
                 run_pairs = set()
@@ -407,29 +447,28 @@ class CompactGraph:
                     e = order[t]
                     pair = (stream_u[e], stream_v[e])
                     if pair in run_pairs:
-                        raise OrientationError("duplicate edge " + edge_strs[e])
+                        raise OrientationError("duplicate edge " + key_str(e))
                     run_pairs.add(pair)
             k = j
+        del keys
 
-        n = len(tmp_nodes)
-        node_order = sorted(range(n), key=tmp_reprs.__getitem__)
-        node_ids = tuple(tmp_nodes[i] for i in node_order)
-        index_of = {node: i for i, node in enumerate(node_ids)}
-        rank = _zeros(n)
-        for dense, i in enumerate(node_order):
-            rank[i] = dense
-
-        edge_u = _zeros(m)
-        edge_v = _zeros(m)
-        for e, k in enumerate(order):
-            edge_u[e] = rank[stream_u[k]]
-            edge_v[e] = rank[stream_v[k]]
-        del stream_u, stream_v, edge_strs, order, tmp_reprs, tmp_index, rank
-
+        node_ids = tuple(nodes[i] for i in node_order)
+        edge_u = array(INDEX_TYPECODE, (rank[stream_u[k]] for k in order))
+        edge_v = array(INDEX_TYPECODE, (rank[stream_v[k]] for k in order))
         # Arc k < m is edge k read u -> v, arc m + k the same edge v -> u.
         indptr, indices, source = _csr(n, n, edge_u + edge_v, edge_v + edge_u)
         slot_edge = array(INDEX_TYPECODE, (k % m for k in source))
-        return cls(node_ids, index_of, indptr, indices, slot_edge, edge_u, edge_v)
+        graph = cls(
+            node_ids,
+            dict(zip(node_ids, range(n))),
+            indptr,
+            indices,
+            slot_edge,
+            edge_u,
+            edge_v,
+        )
+        graph.derived["lexicographic_reprs"] = lexicographic
+        return graph, rank, order
 
     @classmethod
     def from_arrays(cls, u, v, num_nodes: int) -> "CompactGraph":
@@ -583,21 +622,41 @@ class CompactGraph:
         """
         cached = self.derived.get("lexicographic_reprs")
         if cached is None:
-            reprs = list(map(repr, self.node_ids))
-            cached = all(
-                a < b and (not b.startswith(a) or b[len(a)] > ",")
-                for a, b in zip(reprs, reprs[1:])
-            )
+            cached = _lexicographic(list(map(repr, self.node_ids)))
             self.derived["lexicographic_reprs"] = cached
         return cached
 
     def edge_index(self, u: NodeId, v: NodeId) -> int:
-        """Edge index of the undirected edge {u, v} (original ids)."""
+        """Edge index of the undirected edge {u, v} (original ids).
+
+        One bisect in ``u``'s CSR row (:meth:`_csr_edge`), so no per-edge
+        map is kept.  Raises ``KeyError`` for a missing edge and
+        :class:`~repro.core.orientation.problem.OrientationError` for a
+        self-loop, like :func:`~repro.core.orientation.problem.edge_key`.
+        """
         from repro.core.orientation.problem import edge_key
 
-        if self._edge_index is None:
-            self._edge_index = {key: e for e, key in enumerate(self.edge_keys())}
-        return self._edge_index[edge_key(u, v)]
+        key = edge_key(u, v)
+        ui = self.index_of.get(u)
+        vi = self.index_of.get(v)
+        e = -1 if ui is None or vi is None else self._csr_edge(ui, vi)
+        if e < 0:
+            raise KeyError(key)
+        return e
+
+    def _csr_edge(self, ui: int, vi: int) -> int:
+        """Edge index of the dense pair {ui, vi}, or ``-1`` if there is none.
+
+        A CSR row holds its columns ascending, so this is one bisect for
+        ``vi`` in row ``ui`` and a ``slot_edge`` read.
+        """
+        ptr = self.indptr
+        indices = self.indices
+        hi = ptr[ui + 1]
+        s = bisect_left(indices, vi, ptr[ui], hi)
+        if s < hi and indices[s] == vi:
+            return self.slot_edge[s]
+        return -1
 
     # -- snapshots ------------------------------------------------------
     def snapshot_sections(self) -> Dict[str, array]:
@@ -785,15 +844,9 @@ class DeltaOverlayGraph:
         base = self.base
         n = base.num_nodes
         if ui < n and vi < n:
-            # One bisect for vi in ui's ascending CSR row.
-            ptr = base.indptr
-            indices = base.indices
-            hi = ptr[ui + 1]
-            s = bisect_left(indices, vi, ptr[ui], hi)
-            if s < hi and indices[s] == vi:
-                e = base.slot_edge[s]
-                if self.edge_alive[e]:
-                    return e
+            e = base._csr_edge(ui, vi)
+            if e >= 0 and self.edge_alive[e]:
+                return e
         return self._extra_edge.get((ui, vi) if ui < vi else (vi, ui), -1)
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:
@@ -943,12 +996,31 @@ class DeltaOverlayGraph:
         self.sum_sq_degree += (d + delta) * (d + delta) - d * d
 
     # -- materialization ------------------------------------------------
-    def to_compact(self) -> CompactGraph:
-        """Materialize the live graph as a fresh (repr-sorted) CompactGraph."""
-        return CompactGraph.from_edges(
-            self.edge_keys(),
-            nodes=[self.node_ids[i] for i in self.live_node_indices()],
+    def to_compact(self) -> Tuple[CompactGraph, array, List[int]]:
+        """Materialize the live graph as a fresh (repr-sorted) CompactGraph.
+
+        Returns ``(graph, dense, edges)``: ``dense[i]`` is the graph's
+        dense id of live overlay node ``i`` (``-1`` for a dead slot) and
+        ``edges[e]`` the overlay edge index of graph edge ``e``.  The
+        graph equals ``CompactGraph.from_edges(self.edge_keys(),
+        nodes=live ids)`` field for field; it is built by the same
+        builder straight from the stored canonical endpoints, with no
+        per-edge key tuple.
+        """
+        live = self.live_node_indices()
+        position = array(INDEX_TYPECODE, [-1]) * len(self.node_ids)
+        for p, i in enumerate(live):
+            position[i] = p
+        nodes = [self.node_ids[i] for i in live]
+        live_edges = self.live_edge_indices()
+        eu, ev = self.edge_u, self.edge_v
+        graph, rank, order = CompactGraph._from_index_pairs(
+            nodes,
+            array(INDEX_TYPECODE, (position[eu[e]] for e in live_edges)),
+            array(INDEX_TYPECODE, (position[ev[e]] for e in live_edges)),
         )
+        dense = array(INDEX_TYPECODE, (rank[p] if p >= 0 else -1 for p in position))
+        return graph, dense, [live_edges[k] for k in order]
 
     def to_orientation_problem(self):
         """Materialize the live graph as a reference OrientationProblem."""

@@ -197,12 +197,17 @@ class TestDeltaOverlayGraph:
         overlay.remove_edge(0, 1)
         overlay.add_node("n")
         overlay.add_edge("n", 2)
-        rebuilt = overlay.to_compact()
+        rebuilt, dense, edges = overlay.to_compact()
         fresh = CompactGraph.from_edges(
             [(1, 2), (2, 3), (0, 3), ("n", 2)], nodes=[0, 1, 2, 3, "n"]
         )
         assert rebuilt.edge_keys() == fresh.edge_keys()
         assert rebuilt.node_ids == fresh.node_ids
+        ids = overlay.node_ids
+        assert [rebuilt.node_ids[d] for d in dense] == ids
+        assert [
+            (ids[overlay.edge_u[e]], ids[overlay.edge_v[e]]) for e in edges
+        ] == list(rebuilt.edge_keys())
 
     def test_degree_bookkeeping_stays_exact(self):
         overlay = DeltaOverlayGraph(self._base())

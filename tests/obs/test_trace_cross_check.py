@@ -165,6 +165,29 @@ def test_scale_build_child_spans_cover_the_api_build_root(sink):
     assert covered >= 0.95 * root["dur"], (covered, root["dur"])
 
 
+def test_snapshot_save_child_spans_cover_the_save_root(sink, tmp_path):
+    from repro.serve.snapshot import save_state
+    from repro.workloads.churn import churn_trace
+    from repro.workloads.scenarios import scale_layered_orientation
+
+    graph = scale_layered_orientation(
+        num_levels=50, width=200, edge_probability=0.01, seed=11
+    )
+    engine = DynamicOrientation(graph, seed=1)
+    engine.apply_batch(churn_trace(graph, num_updates=400, seed=1))
+    assert any(type(x) is tuple for x in engine._overlay.node_ids)
+    save_state(engine, tmp_path / "state.rprosnp")
+    (root,) = sink.spans("serve.snapshot.save")
+    children = [s for s in sink.spans() if s["parent"] == root["id"]]
+    assert [s["name"] for s in children] == [
+        "snapshot.export",
+        "snapshot.encode_ids",
+        "snapshot.write",
+    ]
+    covered = sum(s["dur"] for s in children)
+    assert covered >= 0.95 * root["dur"], (covered, root["dur"])
+
+
 # ----------------------------------------------------------------------
 # Repair loop
 # ----------------------------------------------------------------------

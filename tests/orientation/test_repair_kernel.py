@@ -130,10 +130,10 @@ def test_rank_setup_leaves_only_the_keys_the_scale_bench_drops():
     # ``benchmarks/bench_scale.py::test_scale_repair`` pops exactly these
     # two memo keys before every round, so that each round pays the rank
     # setup a cold ``repro.solve`` pays; a third key would be silently
-    # carried over between rounds.
+    # carried over between rounds.  The builder sets the predicate P memo.
     graph = CompactGraph.from_edges(
         [(i, i + 1) for i in range(39)] + [(i, i + 5) for i in range(35)]
     )
-    assert not graph.derived
+    assert graph.derived == {"lexicographic_reprs": True}
     repair_kernel(graph, seed=1)
     assert set(graph.derived) == {"lexicographic_reprs", "directed_ranks"}

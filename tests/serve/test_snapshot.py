@@ -8,6 +8,7 @@ stream position is part of the state).
 
 from __future__ import annotations
 
+import ast
 from array import array
 
 import pytest
@@ -27,6 +28,7 @@ from repro.serve.snapshot import (
     save_state,
 )
 from repro.workloads import churn_smoke, churn_smoke_trace
+from repro.workloads.churn import churn_trace
 from repro.workloads.scenarios import scale_layered_orientation
 
 pytestmark = pytest.mark.integration
@@ -46,6 +48,27 @@ def _ring_engine(ids):
     edges = [(ids[i], ids[(i + 1) % len(ids)]) for i in range(len(ids))]
     edges.append((ids[0], ids[2]))
     return DynamicOrientation(CompactGraph.from_edges(edges), seed=3)
+
+
+def _write_repr_layout(engine, path):
+    """Write ``engine`` with every node id as ``repr`` text in the meta.
+
+    The layout of files written before the ``section`` and ``split``
+    encodings existed.
+    """
+    solved, heads, load = engine.solved_arrays()
+    sections = dict(solved.snapshot_sections())
+    sections["heads"] = array("q", heads)
+    sections["load"] = array("q", load)
+    meta = {
+        "kind": STATE_KIND,
+        "num_nodes": solved.num_nodes,
+        "num_edges": solved.num_edges,
+        "seed": engine.seed,
+        "updates_applied": engine.updates_applied,
+        "node_ids": {"encoding": "repr", "text": repr(tuple(solved.node_ids))},
+    }
+    write_array_snapshot(path, sections, meta=meta)
 
 
 def _full_state(dynamic):
@@ -146,13 +169,70 @@ class TestRoundTrip:
         engine = _ring_engine(ids)
         path = tmp_path / "other.rprosnp"
         meta = save_state(engine, path)
-        assert meta["node_ids"]["encoding"] == "repr"
+        # Beside plain int64 ids (which stay in the section) the others
+        # are split off; with none, every id is repr text.
+        mixed = any(type(x) is int and x < 2**63 for x in ids)
+        assert meta["node_ids"]["encoding"] == ("split" if mixed else "repr")
         restored = load_state(path)
         assert _full_state(restored) == _full_state(engine)
         restored_ids = restored.solved_arrays()[0].node_ids
         assert [type(x) for x in restored_ids] == [
             type(x) for x in engine.solved_arrays()[0].node_ids
         ]
+
+    def test_mixed_ids_split_between_the_section_and_repr_text(self, tmp_path):
+        # A churned scale engine: int ids plus ("churn", k) joins.  Only
+        # the joins go through repr text; the ints stay in the section.
+        graph = scale_layered_orientation(
+            num_levels=6, width=40, edge_probability=0.05, seed=2
+        )
+        engine = DynamicOrientation(graph, seed=2)
+        engine.apply_batch(churn_trace(graph, num_updates=80, seed=3))
+        node_ids = engine.solved_arrays()[0].node_ids
+        joins = [i for i, x in enumerate(node_ids) if type(x) is not int]
+        assert joins and len(joins) < len(node_ids)
+        path = tmp_path / "mixed.rprosnp"
+        spec = save_state(engine, path)["node_ids"]
+        assert spec["encoding"] == "split"
+        assert spec["positions"] == joins
+        assert ast.literal_eval(spec["text"]) == tuple(node_ids[i] for i in joins)
+        with ArraySnapshot(path) as snap:
+            section = list(snap.section(NODE_IDS_SECTION))
+        assert len(section) == len(node_ids)
+        assert all(section[i] == x for i, x in enumerate(node_ids) if i not in joins)
+        restored = load_state(path)
+        assert _full_state(restored) == _full_state(engine)
+        restored_ids = restored.solved_arrays()[0].node_ids
+        assert [type(x) for x in restored_ids] == [type(x) for x in node_ids]
+
+    def test_mixed_ids_in_the_repr_layout_still_load(self, tmp_path):
+        # Older files carry every id of a churned engine as repr text.
+        graph = scale_layered_orientation(
+            num_levels=6, width=40, edge_probability=0.05, seed=2
+        )
+        engine = DynamicOrientation(graph, seed=2)
+        engine.apply_batch(churn_trace(graph, num_updates=80, seed=3))
+        path = tmp_path / "legacy.rprosnp"
+        _write_repr_layout(engine, path)
+        restored = load_state(path)
+        assert _full_state(restored) == _full_state(engine)
+
+    @pytest.mark.parametrize(
+        "positions", [[0], [0, 1, 2], [1, 1], [-1, 1], [1, 4], [0.0, 1]]
+    )
+    def test_split_positions_must_match_the_repr_ids(self, tmp_path, positions):
+        engine = _ring_engine([0, ("a", 1), ("b", 2), 3])
+        path = tmp_path / "mixed.rprosnp"
+        meta = save_state(engine, path)
+        assert meta["node_ids"]["positions"] == [0, 1]
+        spec = dict(meta["node_ids"], positions=positions)
+        with ArraySnapshot(path) as snap:
+            sections = {
+                name: array("q", snap.section(name)) for name in snap.section_names()
+            }
+        write_array_snapshot(path, sections, meta=dict(meta, node_ids=spec))
+        with pytest.raises(SnapshotError):
+            load_state(path)
 
     def test_bool_ids_never_take_the_range_shortcut(self, tmp_path):
         # (False, True) compares equal to (0, 1) but must restore as bools.
@@ -173,20 +253,8 @@ class TestRoundTrip:
         engine = DynamicOrientation(graph, seed=2)
         ids = graph.node_ids
         engine.apply_batch([EdgeDelete(ids[graph.edge_u[0]], ids[graph.edge_v[0]])])
-        solved, heads, load = engine.solved_arrays()
-        sections = dict(solved.snapshot_sections())
-        sections["heads"] = array("q", heads)
-        sections["load"] = array("q", load)
-        meta = {
-            "kind": STATE_KIND,
-            "num_nodes": solved.num_nodes,
-            "num_edges": solved.num_edges,
-            "seed": engine.seed,
-            "updates_applied": engine.updates_applied,
-            "node_ids": {"encoding": "repr", "text": repr(tuple(solved.node_ids))},
-        }
         path = tmp_path / "legacy.rprosnp"
-        write_array_snapshot(path, sections, meta=meta)
+        _write_repr_layout(engine, path)
         restored = load_state(path)
         assert _full_state(restored) == _full_state(engine)
 

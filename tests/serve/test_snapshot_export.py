@@ -1,0 +1,206 @@
+"""The snapshot export of a churned engine, against the string-keyed path.
+
+:meth:`DynamicOrientation.solved_arrays` rebuilds the live graph through
+:meth:`DeltaOverlayGraph.to_compact`, which hands the stored canonical
+endpoints to the rank-pair builder behind :meth:`CompactGraph.from_edges`
+and maps heads through the returned edge order.  The oracle here is the
+path it replaced: ``from_edges`` over the overlay's canonical key tuples,
+then one lookup per live edge in a dict of the rebuilt graph's edge keys.
+The node and edge order are also checked against the reference
+:class:`OrientationProblem` (``repr``-sorted strings), so the oracle does
+not lean on the builder under test.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from array import array
+
+import pytest
+
+from repro.core.orientation import DynamicOrientation
+from repro.core.orientation.problem import OrientationError, OrientationProblem
+from repro.graphs.compact import CSR_FIELDS, CompactGraph
+from repro.workloads import churn_smoke, churn_smoke_trace
+from repro.workloads.churn import churn_trace
+from repro.workloads.scenarios import scale_layered_orientation
+
+pytestmark = pytest.mark.integration
+
+
+def _string_keyed_export(engine):
+    """``(graph, heads, load)`` rebuilt the way the export used to be."""
+    overlay = engine._overlay
+    ids = overlay.node_ids
+    live = [ids[i] for i in overlay.live_node_indices()]
+    graph = CompactGraph.from_edges(overlay.edge_keys(), nodes=live)
+    edge_of = {key: e for e, key in enumerate(graph.edge_keys())}
+    problem = OrientationProblem(overlay.edge_keys(), nodes=live)
+    assert graph.node_ids == problem.nodes
+    assert graph.edge_keys() == problem.edges
+    heads = [0] * graph.num_edges
+    for e in overlay.live_edge_indices():
+        key = (ids[overlay.edge_u[e]], ids[overlay.edge_v[e]])
+        heads[edge_of[key]] = graph.index_of[ids[engine._heads[e]]]
+    load = [0] * graph.num_nodes
+    for h in heads:
+        load[h] += 1
+    return graph, heads, load
+
+
+def _flat(graph, heads, load):
+    return (
+        graph.node_ids,
+        *(list(getattr(graph, field)) for field in CSR_FIELDS),
+        list(heads),
+        list(load),
+    )
+
+
+def assert_export_matches_oracle(engine):
+    got = engine.solved_arrays()
+    assert _flat(*got) == _flat(*_string_keyed_export(engine))
+    # The restored graph is a fresh build, so its edge lookup must agree.
+    graph = got[0]
+    for e, (u, v) in enumerate(graph.edge_keys()):
+        assert graph.edge_index(v, u) == e
+
+
+def _churned(graph, updates, *, seed=1):
+    engine = DynamicOrientation(graph, seed=seed)
+    trace = churn_trace(graph, num_updates=updates, seed=seed, mix="mixed")
+    for lo in range(0, len(trace), 8):
+        engine.apply_batch(trace[lo : lo + 8])
+    return engine
+
+
+def _has_tuple_ids(engine):
+    return any(isinstance(x, tuple) for x in engine.solved_arrays()[0].node_ids)
+
+
+def export_digest(engine) -> str:
+    """sha256 of the five CSR buffers, the node ids, heads and load."""
+    graph, heads, load = engine.solved_arrays()
+    h = hashlib.sha256()
+    for field in CSR_FIELDS:
+        h.update(memoryview(array("q", getattr(graph, field))).cast("B"))
+    h.update(repr(graph.node_ids).encode())
+    h.update(memoryview(array("q", heads)).cast("B"))
+    h.update(memoryview(array("q", load)).cast("B"))
+    return h.hexdigest()
+
+
+class Node:
+    """An id whose ``repr`` breaks predicate P: ``a`` is a prefix of ``a!``."""
+
+    def __init__(self, name):
+        self.name = name
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return isinstance(other, Node) and other.name == self.name
+
+    def __hash__(self):
+        return hash(self.name)
+
+
+class TestExportMatchesTheStringKeyedPath:
+    @pytest.mark.parametrize("updates", [60, None], ids=["60", "full-trace"])
+    def test_churn_smoke(self, updates):
+        instance = churn_smoke(compact=True)
+        engine = DynamicOrientation(instance, seed=5)
+        trace = churn_smoke_trace(instance)
+        engine.apply_batch(trace[:updates])
+        assert _has_tuple_ids(engine)
+        assert_export_matches_oracle(engine)
+
+    def test_scale_layered_with_churn_joins(self):
+        graph = scale_layered_orientation(
+            num_levels=8, width=60, edge_probability=0.05, seed=3
+        )
+        engine = _churned(graph, 300)
+        assert _has_tuple_ids(engine)
+        exported = engine.solved_arrays()[0]
+        assert exported.derived["lexicographic_reprs"] is True
+        assert_export_matches_oracle(engine)
+
+    def test_str_ids(self):
+        names = [f"n{i}" for i in range(40)]
+        edges = [(names[i], names[(i * 7 + 3) % 40]) for i in range(40)]
+        edges += [(names[i], names[i + 1]) for i in range(39)]
+        graph = CompactGraph.from_edges(
+            {tuple(sorted(e)) for e in edges if e[0] != e[1]}, nodes=names
+        )
+        engine = _churned(graph, 120)
+        assert_export_matches_oracle(engine)
+
+    def test_ids_that_fail_predicate_p_take_the_string_keys(self):
+        # "(a!, b)" sorts before "(a, b)" as a string, while the rank pair
+        # of a! (rank 1) sorts after that of a (rank 0): only string keys
+        # give the reference order here.
+        a, a_bang, b, c = Node("a"), Node("a!"), Node("b"), Node("c")
+        graph = CompactGraph.from_edges([(a, b), (a_bang, b), (a, c), (b, c)])
+        assert graph.derived["lexicographic_reprs"] is False
+        assert graph.edge_keys()[:2] == ((a_bang, b), (a, b))
+        engine = DynamicOrientation(graph, seed=2)
+        no_leaves = {"insert": 1.0, "delete": 1.0, "join": 1.0}
+        trace = churn_trace(graph, num_updates=20, seed=4, mix=no_leaves)
+        engine.apply_batch(trace)
+        exported = engine.solved_arrays()[0]
+        assert exported.derived["lexicographic_reprs"] is False
+        assert exported.lexicographic_reprs() is False
+        assert_export_matches_oracle(engine)
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 2), (3, 2), (2, 1)],
+            [
+                (Node("a"), Node("b")),
+                (Node("b"), Node("a!")),
+                (Node("b"), Node("a")),
+            ],
+        ],
+        ids=["int-keys", "string-keys"],
+    )
+    def test_duplicate_edge_is_still_rejected(self, edges):
+        with pytest.raises(OrientationError) as got:
+            CompactGraph.from_edges(edges)
+        with pytest.raises(OrientationError) as reference:
+            OrientationProblem(edges)
+        assert str(got.value) == str(reference.value)
+
+    def test_churned_scale_export_is_pinned(self):
+        # Taken from the string-keyed export: 10^4 nodes, 400 mixed churn
+        # updates in 8-delta batches.
+        graph = scale_layered_orientation(
+            num_levels=50, width=200, edge_probability=0.01, seed=11
+        )
+        engine = _churned(graph, 400)
+        assert (engine.num_nodes, engine.num_edges) == (9995, 19432)
+        assert _has_tuple_ids(engine)
+        assert export_digest(engine) == (
+            "46ae49a767cf8bd9a53bd37d1fb60266ab21c56a1758f79e5c6c0c6c6f76bd19"
+        )
+
+
+class TestCompactEdgeIndex:
+    def test_missing_edges_raise_key_error(self):
+        graph = CompactGraph.from_edges([(1, 2), (2, 3)], nodes=[4])
+        assert graph.edge_index(3, 2) == graph.edge_keys().index((2, 3))
+        for u, v in [(1, 3), (1, 4), (1, 99), (98, 99)]:
+            with pytest.raises(KeyError):
+                graph.edge_index(u, v)
+
+    def test_self_loop_raises_like_edge_key(self):
+        graph = CompactGraph.from_edges([(1, 2)])
+        with pytest.raises(OrientationError):
+            graph.edge_index(1, 1)
+
+    def test_no_per_edge_map_is_kept(self):
+        graph = CompactGraph.from_edges([(1, 2), (2, 3)])
+        graph.edge_index(1, 2)
+        assert not hasattr(graph, "_edge_index")
+        assert "edge_keys" not in graph.derived
