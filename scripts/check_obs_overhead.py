@@ -43,7 +43,6 @@ from repro.workloads import orientation_smoke
 _INSTRUMENTED_MODULES = (
     "repro.local_model.runner",
     "repro.core.orientation._kernels",
-    "repro.core.orientation._unhappy",
     "repro.core.orientation.incremental",
     "repro.engine.executor",
 )

@@ -130,22 +130,24 @@ def main() -> int:
             with ArraySnapshot(path) as snap:
                 spec = snap.meta["node_ids"]
             assert spec["encoding"] == "split", spec
-            restored = load_state(path)
-            assert restored.updates_applied == len(trace) + 1
-            assert restored.load_of(u) == client.load_of(u)
-            assert restored.load_of(joined) == client.load_of(joined)
+            with load_state(path) as restored:
+                assert restored.updates_applied == len(trace) + 1
+                assert restored.load_of(u) == client.load_of(u)
+                assert restored.load_of(joined) == client.load_of(joined)
 
-            # Restart from the snapshot through the CLI: the second server
-            # must answer exactly like the first.
-            proc2, host2, port2 = _start_server(["--from-snapshot", str(path)])
-            procs.append(proc2)
-            client2 = ServeClient(host2, port2, timeout=30)
-            live = restored.solved_arrays()[0]
-            expected = _answers(client, live)
-            assert _answers(client2, live) == expected, expected
-            assert client2.load_of(joined) == client.load_of(joined)
-            assert client2.assignment_of(u, joined) == client.assignment_of(u, joined)
-            _shutdown(proc2, client2)
+                # Restart from the snapshot through the CLI: the second
+                # server must answer exactly like the first.
+                proc2, host2, port2 = _start_server(["--from-snapshot", str(path)])
+                procs.append(proc2)
+                client2 = ServeClient(host2, port2, timeout=30)
+                live = restored.solved_arrays()[0]
+                expected = _answers(client, live)
+                assert _answers(client2, live) == expected, expected
+                assert client2.load_of(joined) == client.load_of(joined)
+                assert client2.assignment_of(u, joined) == client.assignment_of(
+                    u, joined
+                )
+                _shutdown(proc2, client2)
 
         _shutdown(proc, client)
     finally:
@@ -153,6 +155,7 @@ def main() -> int:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+            proc.stdout.close()
     print(
         "serve smoke OK: queries, coalesced updates, tuple-id join, "
         "snapshot, restart from snapshot, shutdown"

@@ -441,10 +441,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         await server.serve_forever()
         print("server stopped")
 
-    try:
-        asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive exit
-        print("interrupted")
+    # Closing releases a restored engine's snapshot mapping.
+    with dynamic:
+        try:
+            asyncio.run(_run())
+        except KeyboardInterrupt:  # pragma: no cover - interactive exit
+            print("interrupted")
     return 0
 
 

@@ -2,9 +2,8 @@
 
 The paper's objects are static, but a production load balancer sees
 customers arrive and leave and servers fail continuously.  This module
-runs the synchronous repair baseline incrementally, over the
-``repr``-keyed unhappy-edge tracker of
-:mod:`repro.core.orientation._unhappy`, as a first-class dynamic API:
+runs the synchronous repair baseline incrementally, as a first-class
+dynamic API:
 
 :class:`DynamicOrientation` wraps a solved (stable, complete)
 orientation and supports :meth:`~DynamicOrientation.apply` for four
@@ -32,18 +31,25 @@ Between updates the orientation is stable, so every live edge is happy.
 A delta changes loads only at its *frontier* (the endpoints of the
 inserted/deleted edges), and an edge's happiness depends only on its
 endpoint loads — so an edge not incident to the frontier cannot have
-become unhappy.  Seeding the repair loop's unhappy-edge tracker from
-the frontier alone therefore finds **exactly** the set a full O(m)
-rescan would, and from there each conflict-free flip refreshes only the
-O(Δ) edges around its two endpoints.  Per-update work is proportional
-to the size of the affected region, not to the size of the graph.
+become unhappy.  Refreshing the edges incident to the frontier alone
+therefore finds **exactly** the unhappy set a full O(m) rescan would.
+The repair iteration is then the reference's: sort the unhappy edges by
+``repr((tail, head))``, shuffle with the update's seeded RNG, flip a
+greedy conflict-free batch, and refresh only the O(Δ) edges around each
+flipped edge's two endpoints (a flip changes exactly those two loads).
+Per-update work is proportional to the size of the affected region, not
+to the size of the graph.  The frontiers are a handful of edges, so this
+loop is plain Python over lists (NumPy's per-call overhead would
+dominate, and the served path stays NumPy-free); the batch
+:func:`~repro.core.orientation._kernels.repair_kernel` runs the same
+iteration on NumPy arrays with integer rank keys of its own.
 
 The engine and its oracle
 -------------------------
 :class:`DynamicOrientation` is the incremental engine: a
 :class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node views
-without rebuilding CSR arrays, and the repair loop runs over the
-frontier-seeded tracker.
+without rebuilding CSR arrays, and the engine keeps the unhappy edges
+of the running repair itself.
 
 :class:`ScratchDynamicOrientation` is its oracle: after each delta it
 rebuilds the mutated
@@ -61,12 +67,12 @@ hundreds of seeded churn traces by
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
 from repro import obs
-from repro.core.orientation._unhappy import UnhappyEdgeTracker, run_repair_loop
 from repro.core.orientation.problem import (
     Orientation,
     OrientationProblem,
@@ -189,23 +195,6 @@ def _reject_self_loop(u: NodeId, v: NodeId) -> None:
     """
     if u == v:
         raise DeltaError(f"self-loop on {u!r} is not allowed")
-
-
-def _tails_of(heads: List[int], eu, ev) -> List[int]:
-    """The dense tail of every edge; ``ValueError`` if a head is not an endpoint."""
-    tails: List[int] = []
-    append = tails.append
-    for h, u, v in zip(heads, eu, ev):
-        if h == v:
-            append(u)
-        elif h == u:
-            append(v)
-        else:
-            raise ValueError(
-                f"head {h} of edge {len(tails)} is not one of its endpoints "
-                f"({u}, {v})"
-            )
-    return tails
 
 
 # ----------------------------------------------------------------------
@@ -373,8 +362,9 @@ class DynamicOrientation(_SeededEngine):
     """A stable orientation that absorbs edge/node churn locally.
 
     A :class:`~repro.graphs.compact.DeltaOverlayGraph` mutates edge/node
-    views without rebuilding CSR arrays, and the repair loop runs
-    over the frontier-seeded unhappy-edge tracker.
+    views without rebuilding CSR arrays.  The engine stores each edge's
+    head only: the tail is the other endpoint, ``edge_u[e] + edge_v[e] -
+    heads[e]`` on the overlay's endpoint lists.
 
     Parameters
     ----------
@@ -394,6 +384,10 @@ class DynamicOrientation(_SeededEngine):
     After construction — and after every :meth:`apply` — the wrapped
     orientation is stable; :meth:`apply` returns the
     :class:`UpdateStats` of the local re-stabilization it ran.
+
+    An engine restored by :func:`~repro.serve.snapshot.load_state` reads
+    its graph from a memory-mapped snapshot file; :meth:`close` (or a
+    ``with`` block) releases it.
     """
 
     def __init__(
@@ -419,31 +413,31 @@ class DynamicOrientation(_SeededEngine):
             from repro.core.orientation._kernels import repair_kernel
 
             heads, load, _ = repair_kernel(base, seed=seed)
-        tails = _tails_of(heads, base.edge_u, base.edge_v)
-        self._start(base, heads, tails, load, seed=seed, updates_applied=0)
+        self._start(base, heads, load, seed=seed, updates_applied=0)
 
     def _start(
         self,
         base: CompactGraph,
         heads: List[int],
-        tails: List[int],
         load: List[int],
         *,
         seed: int,
         updates_applied: int,
     ) -> None:
-        """Take ownership of the ``heads``, ``tails`` and ``load`` lists."""
+        """Take ownership of the ``heads`` and ``load`` lists."""
         self._seed = seed
         self._updates = updates_applied
         self._overlay = DeltaOverlayGraph(base)
         self._heads = heads
-        self._tails = tails
         self._load = load
-        # Unhappy edges keyed by their repr((tail, head)) strings (the
-        # reference's order), formatted only while an edge is unhappy.
-        # Strings rather than global ranks: ranks shift when edges are
-        # inserted, the per-edge strings never do.
-        self._tracker = UnhappyEdgeTracker(heads, tails, load, self._overlay.node_ids)
+        #: Unhappy edge -> its ``repr((tail, head))`` string, the
+        #: reference's sort key, formatted only while the edge is unhappy.
+        #: Strings rather than global ranks: ranks shift when edges are
+        #: inserted, the per-edge strings never do.
+        self._unhappy: Dict[int, str] = {}
+        #: The ArraySnapshot a restored engine's graph is mapped from
+        #: (attached by ``load_state``); released by :meth:`close`.
+        self._snapshot = None
 
     # -- trusted construction ------------------------------------------
     @classmethod
@@ -466,9 +460,11 @@ class DynamicOrientation(_SeededEngine):
         seed stream, so a restored engine replays future deltas exactly
         like the engine it was saved from.
 
-        Endpoint/load consistency is always checked; ``validate=True``
-        additionally runs the O(m) stability check the locality guarantee
-        depends on.  No dict round-trip is ever taken.
+        Endpoint/load consistency is always checked, in one pass over
+        the overlay's endpoint lists (Python lists iterate faster than the
+        snapshot's memoryviews); ``validate=True`` additionally runs the
+        O(m) stability check the locality guarantee depends on.  No dict
+        round-trip is ever taken.
         """
         with obs.span(
             "engine.start",
@@ -482,27 +478,51 @@ class DynamicOrientation(_SeededEngine):
                 raise ValueError(
                     f"heads has {len(heads)} entries for {graph.num_edges} edges"
                 )
-            tails = _tails_of(heads, graph.edge_u, graph.edge_v)
             derived = [0] * graph.num_nodes
-            for h in heads:
-                derived[h] += 1
-            if load is None:
-                load = derived
-            else:
-                load = list(load)
-                if load != derived:
-                    raise ValueError("load array disagrees with the heads array")
-            if validate:
-                for e, (h, t) in enumerate(zip(heads, tails)):
-                    if load[h] - load[t] > 1:
-                        raise ValueError(
-                            "orientation is not stable: edge "
-                            f"{e} has badness {load[h] - load[t]}"
-                        )
             self._start(
-                graph, heads, tails, load, seed=seed, updates_applied=updates_applied
+                graph, heads, derived, seed=seed, updates_applied=updates_applied
             )
+            eu, ev = self._overlay.edge_u, self._overlay.edge_v
+            # The endpoint check runs before the count, so a head out of
+            # range raises this ValueError rather than an IndexError.
+            for e, h, u, v in zip(itertools.count(), heads, eu, ev):
+                if h != u and h != v:
+                    raise ValueError(
+                        f"head {h} of edge {e} is not one of its endpoints "
+                        f"({u}, {v})"
+                    )
+                derived[h] += 1
+            if load is not None and list(load) != derived:
+                raise ValueError("load array disagrees with the heads array")
+            if validate:
+                for e, h, u, v in zip(itertools.count(), heads, eu, ev):
+                    badness = derived[h] - derived[u + v - h]
+                    if badness > 1:
+                        raise ValueError(
+                            f"orientation is not stable: edge {e} has badness "
+                            f"{badness}"
+                        )
         return self
+
+    # -- lifecycle -------------------------------------------------------
+    def close(self) -> None:
+        """Release the snapshot mapping of a restored engine.
+
+        The graph's CSR buffers are views into that mapping, so the
+        engine must not be used afterwards.  A no-op for an engine that
+        was not restored, and on a second call.  While a caller still
+        holds a view into the mapping (say a ``neighbors()`` slice), the
+        ``BufferError`` propagates and a later call can retry.
+        """
+        if self._snapshot is not None:
+            self._snapshot.close()
+            self._snapshot = None
+
+    def __enter__(self) -> "DynamicOrientation":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- structural mutation -------------------------------------------
     def _insert_edge(self, u: NodeId, v: NodeId) -> int:
@@ -513,15 +533,13 @@ class DynamicOrientation(_SeededEngine):
         key = (ids[ui], ids[vi])
         head_id = _choose_head(key, self._load[ui], self._load[vi])
         head = ui if head_id == ids[ui] else vi
-        tail = vi if head == ui else ui
         self._heads.append(head)
-        self._tails.append(tail)
         self._load[head] += 1
         return e
 
     def _remove_edge_slot(self, e: int) -> None:
         self._load[self._heads[e]] -= 1
-        self._tracker.discard(e)
+        self._unhappy.pop(e, None)
 
     def _mutate(self, delta: Delta) -> Tuple[set, int, int]:
         """Apply the structural change; returns (frontier, inserted, removed)."""
@@ -568,6 +586,25 @@ class DynamicOrientation(_SeededEngine):
         raise TypeError(f"not a delta: {delta!r}")
 
     # -- re-stabilization ----------------------------------------------
+    def _refresh(self, x: int) -> None:
+        """Re-key every live edge incident to dense node ``x``.
+
+        An edge's key is formatted from its *current* direction, so a key
+        never goes stale however often the edge is refreshed.
+        """
+        overlay = self._overlay
+        eu, ev, ids = overlay.edge_u, overlay.edge_v, overlay.node_ids
+        heads = self._heads
+        load = self._load
+        unhappy = self._unhappy
+        for e in overlay.incident_edges(x):
+            h = heads[e]
+            t = eu[e] + ev[e] - h
+            if load[h] - load[t] > 1:
+                unhappy[e] = repr((ids[t], ids[h]))
+            else:
+                unhappy.pop(e, None)
+
     def _restabilize(
         self, frontier: set, update_seed: int
     ) -> Tuple[int, RepairRunStats]:
@@ -577,23 +614,73 @@ class DynamicOrientation(_SeededEngine):
         edges are all dead); the locality argument of the module
         docstring extends to batches because any edge whose endpoint
         loads changed is incident to some frontier node.
+
+        The shuffle permutes the key-sorted edge list exactly like the
+        reference's shuffle of the repr-sorted tuple list (``shuffle``'s
+        stream consumption depends only on the length), so the flip sets
+        and the returned stats match the dict reference bit for bit.
         """
         overlay = self._overlay
         alive = overlay.node_alive
-        tracker = self._tracker
         live = [x for x in frontier if alive[x]]
+        refresh = self._refresh
         for x in live:
-            tracker.refresh(overlay.incident_edges(x))
-        repair = RepairRunStats(initial_unhappy=len(tracker))
-        run_repair_loop(
-            tracker,
-            num_nodes=len(self._load),
-            refresh_incident=lambda x: tracker.refresh(overlay.incident_edges(x)),
-            rng=random.Random(update_seed),
-            stats=repair,
-            max_iterations=overlay.sum_sq_degree + 1,
-            rounds_per_iteration=ROUNDS_PER_REPAIR_ITERATION,
-        )
+            refresh(x)
+        unhappy = self._unhappy
+        repair = RepairRunStats(initial_unhappy=len(unhappy))
+        # Safety valve mirroring the reference path's Σ deg(v)² + 1.
+        max_iterations = overlay.sum_sq_degree + 1
+        rng = random.Random(update_seed)
+        eu, ev = overlay.edge_u, overlay.edge_v
+        heads = self._heads
+        load = self._load
+        # Hoisted: three disabled-metric calls per iteration would still be
+        # three wasted function calls each time around.  The conflict
+        # bitmap is allocated once per run and wiped per iteration by
+        # clearing only the entries the selection marked.
+        traced = obs.enabled()
+        used = bytearray(len(load))
+        while unhappy:
+            if repair.iterations >= max_iterations:
+                raise RuntimeError(
+                    f"repair loop exceeded {max_iterations} iterations; "
+                    "the potential argument guarantees this cannot happen"
+                )
+
+            # Greedy conflict-free selection: no node participates in two
+            # flips.
+            batch = sorted(unhappy, key=unhappy.__getitem__)
+            rng.shuffle(batch)
+            selected: List[int] = []
+            for e in batch:
+                h = heads[e]
+                t = eu[e] + ev[e] - h
+                if used[t] or used[h]:
+                    continue
+                selected.append(e)
+                used[t] = 1
+                used[h] = 1
+
+            for e in selected:
+                h = heads[e]
+                t = eu[e] + ev[e] - h
+                used[t] = used[h] = 0
+                heads[e] = t
+                load[h] -= 1
+                load[t] += 1
+
+            for e in selected:
+                refresh(eu[e])
+                refresh(ev[e])
+
+            repair.iterations += 1
+            repair.communication_rounds += ROUNDS_PER_REPAIR_ITERATION
+            repair.total_flips += len(selected)
+            repair.flips_per_iteration.append(len(selected))
+            if traced:
+                obs.add("repair.iterations")
+                obs.observe("repair.unhappy_edges", len(batch))
+                obs.observe("repair.flips_per_iteration", len(selected))
         return len(live), repair
 
     # -- queries --------------------------------------------------------
@@ -670,10 +757,12 @@ class DynamicOrientation(_SeededEngine):
 
     def unhappy_edges(self) -> List[Tuple[NodeId, NodeId]]:
         """Unhappy (tail, head) pairs — empty after every apply()."""
-        ids = self._overlay.node_ids
+        overlay = self._overlay
+        eu, ev, ids = overlay.edge_u, overlay.edge_v, overlay.node_ids
         out = []
-        for e in self._overlay.live_edge_indices():
-            h, t = self._heads[e], self._tails[e]
+        for e in overlay.live_edge_indices():
+            h = self._heads[e]
+            t = eu[e] + ev[e] - h
             if self._load[h] - self._load[t] > 1:
                 out.append((ids[t], ids[h]))
         return sorted(out, key=repr)

@@ -16,8 +16,8 @@ the reproduction operates on:
   instance families used in the paper's arguments and our experiments
   (d-regular graphs, perfect d-ary trees, random bipartite workloads,
   paths, cycles, grids, ...);
-* :mod:`repro.graphs.validation` -- structural checks (simplicity, degree
-  bounds, bipartiteness, girth) used to validate generated instances and
+* :mod:`repro.graphs.validation` -- structural checks (degree bounds,
+  regularity, girth, trees) used to validate generated instances and
   lower-bound constructions.
 """
 
@@ -54,12 +54,10 @@ __getattr__ = lazy_attributes(
         ),
         "repro.graphs.validation": (
             "GraphValidationError",
-            "check_bipartite",
             "check_girth_at_least",
             "check_is_tree",
             "check_max_degree",
             "check_perfect_dary_tree",
-            "check_simple_graph",
             "graph_girth",
             "is_regular",
             "tree_heights",
@@ -79,12 +77,10 @@ __all__ = [
     "LayeredGraph",
     "bounded_degree_gnp",
     "caterpillar_graph",
-    "check_bipartite",
     "check_girth_at_least",
     "check_is_tree",
     "check_max_degree",
     "check_perfect_dary_tree",
-    "check_simple_graph",
     "complete_bipartite",
     "cycle_graph",
     "graph_girth",

@@ -3,7 +3,7 @@
 These checks back two kinds of uses:
 
 * tests assert that generators produce what they promise (regularity,
-  degree caps, bipartiteness, girth);
+  degree caps, girth);
 * the lower-bound experiments verify the *premises* of the paper's
   indistinguishability arguments (e.g. "Δ-regular with girth ≥ Δ + 1",
   "perfect Δ-ary tree") before measuring anything on the instance.
@@ -12,7 +12,7 @@ These checks back two kinds of uses:
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, Optional, Set, Tuple
+from typing import Dict, Hashable, Optional
 
 import networkx as nx
 
@@ -21,19 +21,6 @@ NodeId = Hashable
 
 class GraphValidationError(ValueError):
     """Raised when a graph fails a structural check."""
-
-
-def check_simple_graph(graph: nx.Graph) -> None:
-    """Assert the graph is simple and undirected (no self-loops, no multi-edges).
-
-    ``networkx.Graph`` cannot represent parallel edges, so only self-loops
-    need an explicit check; directedness is rejected by type.
-    """
-    if graph.is_directed():
-        raise GraphValidationError("expected an undirected graph")
-    loops = list(nx.selfloop_edges(graph))
-    if loops:
-        raise GraphValidationError(f"graph contains self-loop(s): {loops[:5]}")
 
 
 def check_max_degree(graph: nx.Graph, max_degree: int) -> None:
@@ -56,16 +43,6 @@ def is_regular(graph: nx.Graph, degree: Optional[int] = None) -> bool:
     if degree is not None:
         return degrees == {degree}
     return True
-
-
-def check_bipartite(graph: nx.Graph) -> Tuple[Set[NodeId], Set[NodeId]]:
-    """Return a bipartition of the graph or raise if none exists."""
-    if not nx.is_bipartite(graph):
-        raise GraphValidationError("graph is not bipartite")
-    left, right = (
-        nx.bipartite.sets(graph) if graph.number_of_nodes() else (set(), set())
-    )
-    return set(left), set(right)
 
 
 def graph_girth(graph: nx.Graph, cap: Optional[int] = None) -> float:

@@ -33,8 +33,10 @@ the path.  What is mapped and what is copied:
 Node ids are stored in one of four encodings, picked at save time.  A
 *plain int* is an ``int`` (``bool`` excluded) that fits in int64:
 
-* ``range`` — the ids are exactly ``0 .. n-1`` as plain ints; only
-  ``n`` is stored;
+* ``range`` — the ids are exactly ``0 .. n-1`` as plain ints, in
+  dense order; only ``n`` is stored.  Node ids are interned in ``repr``
+  order, which puts ``10`` before ``2``, so this holds only for
+  ``n <= 10``; a larger ``0 .. n-1`` instance takes ``section``;
 * ``section`` — every id is a plain int; the table is an ``array('q')``
   section named ``node_ids``, read back with one ``tuple()`` call;
 * ``split`` — some ids are plain ints and some are not (a churned int
@@ -186,7 +188,9 @@ def load_state(path, *, validate: bool = True) -> DynamicOrientation:
     """Rebuild a serving engine from a :func:`save_state` file.
 
     The returned engine keeps the underlying :class:`ArraySnapshot` mapping
-    open for its lifetime (the graph's CSR buffers are views into it).
+    open (the graph's CSR buffers are views into it) until its
+    :meth:`~repro.core.orientation.incremental.DynamicOrientation.close`,
+    which a ``with load_state(path) as engine:`` block calls on exit.
     ``validate=False`` skips the O(m) stability re-check for trusted files.
     """
     with obs.span("serve.snapshot.load", validate=validate) as sp:

@@ -209,17 +209,22 @@ class TestSolvedArraysRoundTrip:
         )
         engine = DynamicOrientation(graph, seed=1)
         _, heads, load = engine.solved_arrays()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^heads has .* entries for .* edges$"):
             DynamicOrientation.from_solved_arrays(graph, heads[:-1], load)
         bad_load = list(load)
         if bad_load:
             bad_load[0] += 1
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^load array disagrees with the heads"):
             DynamicOrientation.from_solved_arrays(graph, heads, bad_load)
         bad_heads = list(heads)
         bad_heads[0] = graph.num_nodes + 5
-        with pytest.raises(ValueError):
+        u, v = graph.edge_u[0], graph.edge_v[0]
+        with pytest.raises(ValueError) as info:
             DynamicOrientation.from_solved_arrays(graph, bad_heads, None)
+        assert str(info.value) == (
+            f"head {graph.num_nodes + 5} of edge 0 is not one of its endpoints "
+            f"({u}, {v})"
+        )
 
     def test_validate_flag_rejects_unstable_heads(self):
         graph = sensor_network_orientation(
@@ -234,13 +239,40 @@ class TestSolvedArraysRoundTrip:
         for slot in range(start, end):
             bad_heads[graph.slot_edge[slot]] = 0
         if engine.unhappy_edges() == [] and end - start >= 3:
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="^orientation is not stable: edge "):
                 DynamicOrientation.from_solved_arrays(graph, bad_heads, None)
             # validate=False lets the same arrays through.
             clone = DynamicOrientation.from_solved_arrays(
                 graph, bad_heads, None, validate=False
             )
             assert clone.load_of(graph.node_ids[0]) == end - start
+
+
+class TestRepairValve:
+    def test_incremental_repair_loop_valve_raises(self):
+        # Delta 5 of the smoke trace is an insert that needs exactly one
+        # repair iteration.  With the overlay's Σ deg² lowered so that the
+        # valve (Σ deg² + 1) reads 0 after the insert, the loop must
+        # refuse to start that iteration.
+        trace = _trace(6)
+        delta = trace[5]
+        assert isinstance(delta, EdgeInsert)
+        twin = _engine()
+        twin.apply_batch(trace[:5])
+        assert twin.apply(delta).repair.iterations == 1
+
+        engine = _engine()
+        engine.apply_batch(trace[:5])
+        overlay = engine._overlay
+        du, dv = (overlay.degrees[overlay.index_of[x]] for x in (delta.u, delta.v))
+        # The insert adds (d + 1)² - d² = 2d + 1 for each endpoint.
+        overlay.sum_sq_degree = -1 - (2 * du + 1) - (2 * dv + 1)
+        with pytest.raises(RuntimeError) as info:
+            engine.apply(delta)
+        assert str(info.value) == (
+            "repair loop exceeded 0 iterations; "
+            "the potential argument guarantees this cannot happen"
+        )
 
 
 class TestBatchTraceFamilies:

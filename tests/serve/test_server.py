@@ -391,15 +391,15 @@ class TestSnapshotOp:
         path = tmp_path / "served.rprosnp"
         receipt = client.snapshot(path)
         assert receipt["bytes"] > 0
-        restored = load_state(path)
-        with ServerThread(restored, ServeConfig()) as thread2:
-            with connect(thread2.address) as client2:
-                assert client2.stats()["updates_applied"] == 30
-                graph = engine.solved_arrays()[0]
-                u = graph.node_ids[graph.edge_u[0]]
-                v = graph.node_ids[graph.edge_v[0]]
-                assert client2.assignment_of(u, v) == client.assignment_of(u, v)
-                assert client2.load_of(u) == client.load_of(u)
+        with load_state(path) as restored:
+            with ServerThread(restored, ServeConfig()) as thread2:
+                with connect(thread2.address) as client2:
+                    assert client2.stats()["updates_applied"] == 30
+                    graph = engine.solved_arrays()[0]
+                    u = graph.node_ids[graph.edge_u[0]]
+                    v = graph.node_ids[graph.edge_v[0]]
+                    assert client2.assignment_of(u, v) == client.assignment_of(u, v)
+                    assert client2.load_of(u) == client.load_of(u)
 
     def test_snapshot_to_bad_path_is_an_error(self, served, tmp_path):
         _, client, _ = served

@@ -96,27 +96,27 @@ class TestRoundTrip:
         meta = save_state(engine, path)
         assert meta["kind"] == STATE_KIND
         assert meta["updates_applied"] == updates
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
 
     def test_restored_engine_replays_the_same_future(self, tmp_path):
         engine, trace = _solved_engine(60)
         path = tmp_path / "state.rprosnp"
         save_state(engine, path)
-        restored = load_state(path)
-        for delta in trace[60:120]:
-            assert restored.apply(delta) == engine.apply(delta)
-        assert restored.loads() == engine.loads()
-        assert not restored.unhappy_edges()
+        with load_state(path) as restored:
+            for delta in trace[60:120]:
+                assert restored.apply(delta) == engine.apply(delta)
+            assert restored.loads() == engine.loads()
+            assert not restored.unhappy_edges()
 
     def test_restored_engine_accepts_batches(self, tmp_path):
         engine, trace = _solved_engine(30)
         path = tmp_path / "state.rprosnp"
         save_state(engine, path)
-        restored = load_state(path)
-        assert restored.apply_batch(trace[30:60]) == engine.apply_batch(
-            trace[30:60]
-        )
+        with load_state(path) as restored:
+            assert restored.apply_batch(trace[30:60]) == engine.apply_batch(
+                trace[30:60]
+            )
 
     def test_dense_int_ids_use_the_range_encoding(self, tmp_path):
         # Interning is repr-sorted, so ids 0..9 land in numeric order and
@@ -128,8 +128,8 @@ class TestRoundTrip:
         path = tmp_path / "dense.rprosnp"
         meta = save_state(engine, path)
         assert meta["node_ids"] == {"encoding": "range", "n": graph.num_nodes}
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
 
     def test_scale_family_round_trips_via_section_encoding(self, tmp_path):
         # The scale family's ids are ints in repr order (0, 1, 10, ...), so
@@ -143,8 +143,8 @@ class TestRoundTrip:
         assert meta["node_ids"] == {"encoding": "section", "n": graph.num_nodes}
         with ArraySnapshot(path) as snap:
             assert list(snap.section(NODE_IDS_SECTION)) == list(graph.node_ids)
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
 
     def test_negative_and_large_int_ids_use_the_section(self, tmp_path):
         ids = [-(2**63), -7, 3, 2**40, 2**63 - 1]
@@ -152,9 +152,9 @@ class TestRoundTrip:
         path = tmp_path / "ints.rprosnp"
         meta = save_state(engine, path)
         assert meta["node_ids"]["encoding"] == "section"
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
-        assert all(type(x) is int for x in restored.solved_arrays()[0].node_ids)
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
+            assert all(type(x) is int for x in restored.solved_arrays()[0].node_ids)
 
     @pytest.mark.parametrize(
         "ids",
@@ -173,12 +173,12 @@ class TestRoundTrip:
         # are split off; with none, every id is repr text.
         mixed = any(type(x) is int and x < 2**63 for x in ids)
         assert meta["node_ids"]["encoding"] == ("split" if mixed else "repr")
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
-        restored_ids = restored.solved_arrays()[0].node_ids
-        assert [type(x) for x in restored_ids] == [
-            type(x) for x in engine.solved_arrays()[0].node_ids
-        ]
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
+            restored_ids = restored.solved_arrays()[0].node_ids
+            assert [type(x) for x in restored_ids] == [
+                type(x) for x in engine.solved_arrays()[0].node_ids
+            ]
 
     def test_mixed_ids_split_between_the_section_and_repr_text(self, tmp_path):
         # A churned scale engine: int ids plus ("churn", k) joins.  Only
@@ -200,10 +200,10 @@ class TestRoundTrip:
             section = list(snap.section(NODE_IDS_SECTION))
         assert len(section) == len(node_ids)
         assert all(section[i] == x for i, x in enumerate(node_ids) if i not in joins)
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
-        restored_ids = restored.solved_arrays()[0].node_ids
-        assert [type(x) for x in restored_ids] == [type(x) for x in node_ids]
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
+            restored_ids = restored.solved_arrays()[0].node_ids
+            assert [type(x) for x in restored_ids] == [type(x) for x in node_ids]
 
     def test_mixed_ids_in_the_repr_layout_still_load(self, tmp_path):
         # Older files carry every id of a churned engine as repr text.
@@ -214,8 +214,8 @@ class TestRoundTrip:
         engine.apply_batch(churn_trace(graph, num_updates=80, seed=3))
         path = tmp_path / "legacy.rprosnp"
         _write_repr_layout(engine, path)
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
 
     @pytest.mark.parametrize(
         "positions", [[0], [0, 1, 2], [1, 1], [-1, 1], [1, 4], [0.0, 1]]
@@ -240,9 +240,10 @@ class TestRoundTrip:
         path = tmp_path / "bools.rprosnp"
         meta = save_state(engine, path)
         assert meta["node_ids"]["encoding"] == "repr"
-        restored = load_state(path)
-        assert restored.solved_arrays()[0].node_ids == (False, True)
-        assert [type(x) for x in restored.solved_arrays()[0].node_ids] == [bool, bool]
+        with load_state(path) as restored:
+            node_ids = restored.solved_arrays()[0].node_ids
+        assert node_ids == (False, True)
+        assert [type(x) for x in node_ids] == [bool, bool]
 
     def test_int_ids_in_the_repr_layout_still_load(self, tmp_path):
         # Files written before the section encoding carry int ids as repr
@@ -255,8 +256,8 @@ class TestRoundTrip:
         engine.apply_batch([EdgeDelete(ids[graph.edge_u[0]], ids[graph.edge_v[0]])])
         path = tmp_path / "legacy.rprosnp"
         _write_repr_layout(engine, path)
-        restored = load_state(path)
-        assert _full_state(restored) == _full_state(engine)
+        with load_state(path) as restored:
+            assert _full_state(restored) == _full_state(engine)
 
     def test_missing_node_id_section_is_rejected(self, tmp_path):
         graph = scale_layered_orientation(
@@ -280,8 +281,8 @@ class TestRoundTrip:
         engine, _ = _solved_engine(10)
         path = tmp_path / "state.rprosnp"
         save_state(engine, path)
-        restored = load_state(path, validate=False)
-        assert restored.loads() == engine.loads()
+        with load_state(path, validate=False) as restored:
+            assert restored.loads() == engine.loads()
 
 
 class TestFileFormat:
@@ -289,11 +290,31 @@ class TestFileFormat:
         engine, _ = _solved_engine(0)
         path = tmp_path / "state.rprosnp"
         save_state(engine, path)
+        with load_state(path) as restored:
+            graph = restored.solved_arrays()[0]
+            # The CSR buffers are views into the mapping, not copies.
+            assert isinstance(graph.indptr, memoryview)
+            assert restored._snapshot is not None
+
+    def test_close_releases_the_mapping(self, tmp_path):
+        engine, _ = _solved_engine(0)
+        path = tmp_path / "state.rprosnp"
+        save_state(engine, path)
         restored = load_state(path)
         graph = restored.solved_arrays()[0]
-        # The CSR buffers are views into the mapping, not copies.
-        assert isinstance(graph.indptr, memoryview)
-        assert restored._snapshot is not None
+        row = graph.neighbors(0)
+        with pytest.raises(BufferError):
+            restored.close()  # the row still points into the mapping
+        del row
+        restored.close()
+        assert restored._snapshot is None
+        with pytest.raises(ValueError, match="released memoryview"):
+            graph.indptr[0]
+        restored.close()  # idempotent
+        # An engine that was not restored has nothing to release.
+        with engine:
+            pass
+        assert engine.load_of(engine.solved_arrays()[0].node_ids[0]) >= 0
 
     def test_kernel_run_over_mmap_sections_matches_array_run(self, tmp_path):
         """The phase kernel reads memoryview CSR exactly like ``array`` CSR."""
