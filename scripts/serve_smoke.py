@@ -3,7 +3,8 @@
 
 Starts ``python -m repro serve`` as a subprocess on an ephemeral port,
 drives a short closed-loop trace over loopback TCP — point queries,
-coalesced update batches, a join with a tuple id, a snapshot, a
+coalesced update batches, a refused ``NaN`` join, a join with a tuple
+id, a snapshot, a
 restore-and-compare — then restarts a second server with
 ``--from-snapshot`` and requires its counts and point answers to equal
 the first server's.  Both servers are shut down over the wire and must
@@ -115,6 +116,13 @@ def main() -> int:
         assert client.assignment_of(u, v) in (u, v)
         assert client.load_of(u) >= 0
 
+        # A NaN id is not JSON: the server refuses the frame and keeps
+        # serving the same connection.
+        nan_join = {"kind": "node-join", "node": float("nan"), "attach": []}
+        reply = client.request({"op": "update", "deltas": [nan_join]})
+        assert reply["ok"] is False, reply
+        assert client.load_of(u) >= 0
+
         # A tuple id beside the int ids: the snapshot stores the ints in
         # its int64 section and only this id as repr text.
         joined = ("smoke", 0)
@@ -157,7 +165,8 @@ def main() -> int:
                 proc.wait()
             proc.stdout.close()
     print(
-        "serve smoke OK: queries, coalesced updates, tuple-id join, "
+        "serve smoke OK: queries, coalesced updates, refused NaN join, "
+        "tuple-id join, "
         "snapshot, restart from snapshot, shutdown"
     )
     return 0

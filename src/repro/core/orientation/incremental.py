@@ -69,6 +69,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Tuple, Union
 
@@ -83,7 +84,12 @@ from repro.core.orientation.repair import (
     RepairRunStats,
     synchronous_repair_orientation_reference,
 )
-from repro.graphs.compact import CompactGraph, DeltaError, DeltaOverlayGraph
+from repro.graphs.compact import (
+    INDEX_TYPECODE,
+    CompactGraph,
+    DeltaError,
+    DeltaOverlayGraph,
+)
 
 NodeId = Hashable
 
@@ -711,32 +717,57 @@ class DynamicOrientation(_SeededEngine):
         e = self._overlay.edge_index(u, v)
         return self._overlay.node_ids[self._heads[e]]
 
-    def solved_arrays(self) -> Tuple[CompactGraph, List[int], List[int]]:
-        """Materialize the current state as ``(graph, heads, load)`` arrays.
-
-        The snapshot export: a canonical (repr-sorted) ``CompactGraph``
-        of the live nodes/edges plus dense heads and loads, suitable for
-        :meth:`from_solved_arrays`.  When no update has structurally
-        changed the instance the base graph is returned as-is (no
-        rebuild).
-        """
+    def _pristine(self) -> bool:
+        """Whether no update has structurally changed the base graph."""
         overlay = self._overlay
         base = overlay.base
-        pristine = (
+        return (
             len(overlay.node_ids) == base.num_nodes
             and len(overlay.edge_u) == base.num_edges
             and overlay.num_live_nodes == base.num_nodes
             and overlay.num_live_edges == base.num_edges
         )
-        if pristine:
-            return base, list(self._heads), list(self._load)
-        graph, dense, edges = overlay.to_compact()
-        head = self._heads
-        heads = [dense[head[e]] for e in edges]
-        load = [0] * graph.num_nodes
-        for h in heads:
-            load[h] += 1
-        return graph, heads, load
+
+    def export_sections(
+        self,
+    ) -> Tuple[Tuple[NodeId, ...], Dict[str, array], Optional[bool]]:
+        """The current state as snapshot sections, with no graph object.
+
+        Returns ``(node_ids, sections, lexicographic)``: the ``repr``-sorted
+        live ids, the five :data:`~repro.graphs.compact.CSR_FIELDS`
+        buffers plus ``heads`` and ``load`` as ``array('q')`` (the base
+        graph's own buffers while no update has structurally changed it),
+        and whether predicate P of
+        :meth:`~repro.graphs.compact.CompactGraph.lexicographic_reprs`
+        holds on the ids (``None`` when not known).  A churned state is
+        merged from the base CSR and the overlay by
+        :meth:`~repro.graphs.compact.DeltaOverlayGraph.export_sections`.
+        """
+        overlay = self._overlay
+        if self._pristine():
+            base = overlay.base
+            sections = base.snapshot_sections()
+            sections["heads"] = array(INDEX_TYPECODE, self._heads)
+            sections["load"] = array(INDEX_TYPECODE, self._load)
+            return base.node_ids, sections, base.derived.get("lexicographic_reprs")
+        return overlay.export_sections(self._heads, self._load)
+
+    def solved_arrays(self) -> Tuple[CompactGraph, array, array]:
+        """The current state as ``(graph, heads, load)`` flat arrays.
+
+        Suitable for :meth:`from_solved_arrays`: a canonical (repr-sorted)
+        ``CompactGraph`` of the live nodes/edges wrapping the sections of
+        :meth:`export_sections`, plus dense heads and loads.  When no
+        update has structurally changed the instance the base graph is
+        returned as-is.
+        """
+        if self._pristine():
+            heads = array(INDEX_TYPECODE, self._heads)
+            return self._overlay.base, heads, array(INDEX_TYPECODE, self._load)
+        node_ids, sections, lexicographic = self.export_sections()
+        graph = CompactGraph.from_buffers(node_ids, sections)
+        graph.derived["lexicographic_reprs"] = lexicographic
+        return graph, sections["heads"], sections["load"]
 
     def orientation(self) -> Orientation:
         """Export the current state as a reference Orientation (O(n + m))."""
@@ -901,11 +932,13 @@ class ScratchDynamicOrientation(_SeededEngine):
             raise DeltaError(f"no live edge {key!r}")
         return head
 
-    def solved_arrays(self) -> Tuple[CompactGraph, List[int], List[int]]:
+    def solved_arrays(self) -> Tuple[CompactGraph, array, array]:
         graph = CompactGraph.from_edges(self._heads.keys(), nodes=self._nodes)
         index_of = graph.index_of
-        heads = [index_of[self._heads[key]] for key in graph.edge_keys()]
-        load = [0] * graph.num_nodes
+        heads = array(
+            INDEX_TYPECODE, (index_of[self._heads[key]] for key in graph.edge_keys())
+        )
+        load = array(INDEX_TYPECODE, bytes(heads.itemsize * graph.num_nodes))
         for h in heads:
             load[h] += 1
         return graph, heads, load

@@ -33,9 +33,9 @@ and the ``*_reference`` functions keep the dict paths as oracles.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
-from itertools import accumulate
-from operator import sub
+from bisect import bisect_left, bisect_right
+from itertools import accumulate, compress, tee
+from operator import mul, sub
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
@@ -92,12 +92,49 @@ def int_repr_order(n: int):
     return order, rank
 
 
-def _lexicographic(reprs: Sequence[str]) -> bool:
-    """Predicate P of :meth:`CompactGraph.lexicographic_reprs` on ``reprs``."""
-    return all(
-        a < b and (not b.startswith(a) or b[len(a)] > ",")
-        for a, b in zip(reprs, reprs[1:])
-    )
+def _precedes(a: str, b: str) -> bool:
+    """Predicate P of :meth:`CompactGraph.lexicographic_reprs` on one pair."""
+    return a < b and (not b.startswith(a) or b[len(a)] > ",")
+
+
+def _lexicographic(reprs: Iterable[str]) -> bool:
+    """Predicate P on every adjacent pair of ``reprs`` (streamed; the
+    :func:`_precedes` test, inlined)."""
+    a, b = tee(reprs)
+    next(b, None)
+    return all(x < y and (not y.startswith(x) or y[len(x)] > ",") for x, y in zip(a, b))
+
+
+def _repr_cut(ids: Sequence[NodeId], r: str, lo: int) -> int:
+    """The first index ``>= lo`` of the ``repr``-sorted ``ids`` whose repr
+    exceeds ``r``: a bisect that probes ``lo`` first, as consecutive
+    sorted joins mostly share one cut."""
+    hi = len(ids)
+    if lo < hi and r < repr(ids[lo]):
+        return lo
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if r < repr(ids[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _splice(run: array, where: Sequence[int], values: Sequence[int]) -> array:
+    """``run`` with each ``values[t]`` inserted before ``run[where[t]]``.
+
+    ``where`` is ascending; values with equal ``where`` keep their order.
+    """
+    out = array(INDEX_TYPECODE)
+    q = 0
+    for w, x in zip(where, values):
+        if w > q:
+            out += run[q:w]
+            q = w
+        out.append(x)
+    out += run[q:]
+    return out
 
 
 def _csr(
@@ -108,8 +145,10 @@ def _csr(
     The CSR builder of the general-id path (:meth:`CompactGraph.from_edges`
     and :class:`CompactBipartite`; dense int ids have the NumPy
     :meth:`CompactGraph.from_arrays`).  It stays pure Python because the
-    served ``snapshot`` op reaches it through
-    :meth:`DeltaOverlayGraph.to_compact`.  A stable counting sort, first
+    served ``snapshot`` op still reaches it, through
+    :meth:`DeltaOverlayGraph.to_compact`, for ids that fail predicate P
+    (every other churned export merges the base CSR instead, in
+    :meth:`DeltaOverlayGraph.export_sections`).  A stable counting sort, first
     by column and then by row, over flat ``array('q')`` scratch (no
     per-arc tuples).  Row ``r``'s columns are
     ``indices[indptr[r]:indptr[r+1]]``, ascending — dense ids are
@@ -149,6 +188,10 @@ def _csr(
 #: The five flat CSR buffers of a :class:`CompactGraph`, in snapshot
 #: section order.
 CSR_FIELDS = ("indptr", "indices", "slot_edge", "edge_u", "edge_v")
+
+#: The sections of a solved state: the CSR buffers, then the head of
+#: every edge and the load of every node.
+SECTION_ORDER = CSR_FIELDS + ("heads", "load")
 
 
 class SnapshotError(ValueError):
@@ -622,7 +665,7 @@ class CompactGraph:
         """
         cached = self.derived.get("lexicographic_reprs")
         if cached is None:
-            cached = _lexicographic(list(map(repr, self.node_ids)))
+            cached = _lexicographic(map(repr, self.node_ids))
             self.derived["lexicographic_reprs"] = cached
         return cached
 
@@ -799,10 +842,10 @@ class DeltaOverlayGraph:
         #: which is amortized O(1) per kill.
         self._extra_dead: Dict[int, int] = {}
         ptr = base.indptr
-        self.degrees: List[int] = [ptr[i + 1] - ptr[i] for i in range(n)]
+        self.degrees: List[int] = list(map(sub, ptr[1:], ptr[:-1]))
         #: Σ deg(v)² over live nodes, maintained incrementally (sizes the
         #: repair loop's safety valve without an O(n) rescan per update).
-        self.sum_sq_degree = sum(d * d for d in self.degrees)
+        self.sum_sq_degree = sum(map(mul, self.degrees, self.degrees))
         #: (smaller, larger) dense endpoint pair -> live *inserted* edge
         #: index; live base edges are found through the CSR instead.
         self._extra_edge: Dict[Tuple[int, int], int] = {}
@@ -996,6 +1039,180 @@ class DeltaOverlayGraph:
         self.sum_sq_degree += (d + delta) * (d + delta) - d * d
 
     # -- materialization ------------------------------------------------
+    def export_sections(
+        self, heads: Sequence[int], load: Sequence[int]
+    ) -> Tuple[Tuple[NodeId, ...], Dict[str, array], bool]:
+        """The live graph and a solved state on it as snapshot sections.
+
+        ``heads[e]`` is the overlay node an overlay edge points to and
+        ``load[i]`` the load of overlay node ``i``.  Returns ``(node_ids,
+        sections, lexicographic)``: ``node_ids`` and the five
+        :data:`CSR_FIELDS` sections are those of
+        ``CompactGraph.from_edges(self.edge_keys(), nodes=live ids)``,
+        ``sections["heads"]`` and ``sections["load"]`` carry ``heads`` and
+        ``load`` into its dense ids, and ``lexicographic`` is whether
+        predicate P of :meth:`CompactGraph.lexicographic_reprs` holds on
+        ``node_ids``.
+
+        The sections are merged from the base CSR and the overlay, the
+        base-plus-delta merge of an LSM tree (O'Neil et al., "The
+        log-structured merge-tree", Acta Informatica 1996), with no
+        :class:`CompactGraph` or id dict built.  When P
+        holds on the base it holds on every subsequence of the base
+        order, so the live base ids keep their relative order and only
+        the pairs next to a joined id need checking.  Under P the edges
+        are in rank-pair order, which a monotone remap of the ids keeps:
+        the live base edges and CSR rows are copied through the remaps,
+        and only the joined nodes and inserted edges are sorted and
+        spliced in.  Where P fails, :meth:`to_compact` rebuilds the live
+        graph.
+        """
+        merged = self._merge(heads, load)
+        if merged is not None:
+            return merged
+        graph, dense, edges = self.to_compact()
+        sections = graph.snapshot_sections()
+        sections["heads"] = out = array(
+            INDEX_TYPECODE, map(dense.__getitem__, map(heads.__getitem__, edges))
+        )
+        sections["load"] = counts = _zeros(graph.num_nodes)
+        for h in out:
+            counts[h] += 1
+        return graph.node_ids, sections, graph.derived["lexicographic_reprs"]
+
+    def _merge(self, heads: Sequence[int], load: Sequence[int]):
+        """:meth:`export_sections` by merging, or ``None`` where P fails."""
+        base = self.base
+        if not base.lexicographic_reprs():
+            return None
+        ids, alive = self.node_ids, self.node_alive
+        n_b, m_b = base.num_nodes, base.num_edges
+
+        # Nodes: each live joined id goes after the ``cut[j]`` base ids
+        # (live or dead) whose repr is smaller.
+        reprs = {i: repr(ids[i]) for i in compress(range(n_b, len(ids)), alive[n_b:])}
+        joined = sorted(reprs, key=reprs.__getitem__)
+        cut: Dict[int, int] = {}
+        b = 0
+        for j in joined:
+            b = cut[j] = _repr_cut(base.node_ids, reprs[j], b)
+        live_base = array(INDEX_TYPECODE, compress(range(n_b), alive))
+        where = [bisect_left(live_base, cut[j]) for j in joined]
+        order = _splice(live_base, where, joined)
+        del live_base
+        n = len(order)
+
+        def rep(i: int) -> str:
+            return reprs[i] if i >= n_b else repr(ids[i])
+
+        for t, w in enumerate(where):
+            p = w + t
+            for a, c in ((p - 1, p), (p, p + 1)):
+                if a < 0 or c >= n:
+                    continue
+                if not _precedes(rep(order[a]), rep(order[c])):
+                    return None
+        dense = array(INDEX_TYPECODE, [-1]) * len(ids)
+        for p, i in enumerate(order):
+            dense[i] = p
+
+        # Edges: the live base edges keep their (rank-pair) order under
+        # ``dense``; each inserted edge is placed by bisecting the
+        # remapped ``edge_u`` run, then ``edge_v`` among equal ``edge_u``.
+        eu, ev, edge_alive = self.edge_u, self.edge_v, self.edge_alive
+        base_alive = edge_alive[:m_b]
+
+        def run(node_of: Sequence[int]) -> array:
+            """``dense[node_of[e]]`` over the live base edges ``e``."""
+            return array(
+                INDEX_TYPECODE, compress(map(dense.__getitem__, node_of), base_alive)
+            )
+
+        run_u, run_v = run(base.edge_u), run(base.edge_v)
+        inserted = array(
+            INDEX_TYPECODE,
+            sorted(
+                compress(range(m_b, len(eu)), edge_alive[m_b:]),
+                key=lambda e: dense[eu[e]] * n + dense[ev[e]],
+            ),
+        )
+        du = array(INDEX_TYPECODE, (dense[eu[e]] for e in inserted))
+        dv = array(INDEX_TYPECODE, (dense[ev[e]] for e in inserted))
+        where = array(INDEX_TYPECODE)
+        for x, y in zip(du, dv):
+            lo = bisect_left(run_u, x)
+            where.append(bisect_left(run_v, y, lo, bisect_right(run_u, x, lo)))
+        sections = {
+            "edge_u": _splice(run_u, where, du),
+            "edge_v": _splice(run_v, where, dv),
+            "heads": _splice(
+                run(heads),
+                where,
+                array(INDEX_TYPECODE, (dense[heads[e]] for e in inserted)),
+            ),
+        }
+        del run_u, run_v
+        edges = _splice(
+            array(INDEX_TYPECODE, compress(range(m_b), base_alive)), where, inserted
+        )
+        m = len(edges)
+        renumber = array(INDEX_TYPECODE, [-1]) * len(eu)
+        for k, e in enumerate(edges):
+            renumber[e] = k
+        del edges
+
+        # CSR rows: the live base slots stream through the remaps, and
+        # the two arcs of each inserted edge, sorted by (row, column), are
+        # spliced in at their slots.  An arc is one int,
+        # ``(row * n + column) * m + k``.
+        slot_edge = base.slot_edge
+        slot_alive = bytes(map(edge_alive.__getitem__, slot_edge))
+        slots = array(
+            INDEX_TYPECODE, compress(map(renumber.__getitem__, slot_edge), slot_alive)
+        )
+        cols = array(
+            INDEX_TYPECODE, compress(map(dense.__getitem__, base.indices), slot_alive)
+        )
+        del slot_alive
+        base_degree = self.degrees[:n_b]
+        arcs = []
+        for e, x, y in zip(inserted, du, dv):
+            k = renumber[e]
+            arcs.append((x * n + y) * m + k)
+            arcs.append((y * n + x) * m + k)
+            for i in (eu[e], ev[e]):
+                if i < n_b:
+                    base_degree[i] -= 1
+        del renumber, inserted, du, dv
+        arcs.sort()
+        # start[i]: the live base slots in the base rows before row i.
+        start = array(INDEX_TYPECODE, accumulate(base_degree, initial=0))
+        del base_degree
+        where = array(INDEX_TYPECODE)
+        arc_cols = array(INDEX_TYPECODE)
+        arc_edges = array(INDEX_TYPECODE)
+        for arc in arcs:
+            key, k = divmod(arc, m)
+            row, col = divmod(key, n)
+            x = order[row]
+            if x < n_b:
+                where.append(bisect_left(cols, col, start[x], start[x + 1]))
+            else:
+                where.append(start[cut[x]])
+            arc_cols.append(col)
+            arc_edges.append(k)
+        del arcs
+        sections["slot_edge"] = _splice(slots, where, arc_edges)
+        del slots
+        sections["indices"] = _splice(cols, where, arc_cols)
+        del cols
+        sections["indptr"] = array(
+            INDEX_TYPECODE, accumulate(map(self.degrees.__getitem__, order), initial=0)
+        )
+        sections["load"] = array(INDEX_TYPECODE, map(load.__getitem__, order))
+        node_ids = tuple(map(ids.__getitem__, order))
+        return node_ids, {f: sections[f] for f in SECTION_ORDER}, True
+
     def to_compact(self) -> Tuple[CompactGraph, array, List[int]]:
         """Materialize the live graph as a fresh (repr-sorted) CompactGraph.
 
@@ -1005,7 +1222,8 @@ class DeltaOverlayGraph:
         graph equals ``CompactGraph.from_edges(self.edge_keys(),
         nodes=live ids)`` field for field; it is built by the same
         builder straight from the stored canonical endpoints, with no
-        per-edge key tuple.
+        per-edge key tuple.  It is :meth:`export_sections`' path for ids
+        that fail predicate P, where the merge does not apply.
         """
         live = self.live_node_indices()
         position = array(INDEX_TYPECODE, [-1]) * len(self.node_ids)

@@ -42,6 +42,7 @@ __all__ = [
     "encode_frame",
     "node_to_wire",
     "read_frame",
+    "read_frame_bytes",
     "wire_to_node",
 ]
 
@@ -72,20 +73,33 @@ def encode_frame(payload) -> bytes:
     return _LEN.pack(len(blob)) + blob
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+#: Python's ``json`` accepts ``NaN``, ``Infinity`` and ``-Infinity``,
+#: which are not JSON; a ``NaN`` node id would be applied and then fail
+#: every snapshot.  One module-level decoder, as ``json.loads(blob, **kw)``
+#: would build a decoder per frame.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def decode_payload(blob: bytes):
     """Parse one frame's payload bytes (shared by async and sync readers)."""
     try:
-        return json.loads(blob)
+        # The text step of ``json.loads`` on bytes.
+        return _DECODER.decode(blob.decode(json.detect_encoding(blob), "surrogatepass"))
     except ValueError as exc:
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from exc
 
 
-async def read_frame(reader) -> Optional[object]:
-    """Read one frame from an :class:`asyncio.StreamReader`.
+async def read_frame_bytes(reader) -> Optional[bytes]:
+    """Read one frame's payload bytes from an :class:`asyncio.StreamReader`.
 
-    Returns the decoded payload, or ``None`` on a clean EOF at a frame
-    boundary; raises :class:`ProtocolError` on truncation or oversized
-    lengths.
+    Returns ``None`` on a clean EOF at a frame boundary; raises
+    :class:`ProtocolError` on truncation or oversized lengths, after
+    which the stream is out of step.  A payload that then fails
+    :func:`decode_payload` leaves the stream at the next frame.
     """
     import asyncio
 
@@ -101,10 +115,20 @@ async def read_frame(reader) -> Optional[object]:
             f"frame length {length} exceeds {MAX_FRAME_BYTES}"
         )
     try:
-        blob = await reader.readexactly(length)
+        return await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid frame") from exc
-    return decode_payload(blob)
+
+
+async def read_frame(reader) -> Optional[object]:
+    """Read one frame from an :class:`asyncio.StreamReader`.
+
+    Returns the decoded payload, or ``None`` on a clean EOF at a frame
+    boundary; raises :class:`ProtocolError` on truncation, oversized
+    lengths or a payload that is not JSON.
+    """
+    blob = await read_frame_bytes(reader)
+    return None if blob is None else decode_payload(blob)
 
 
 # ----------------------------------------------------------------------

@@ -33,12 +33,14 @@ from typing import List, Optional, Tuple
 
 from repro import obs
 from repro.core.orientation.incremental import DeltaError, DynamicOrientation
+from repro.graphs.compact import SnapshotError
 from repro.serve.protocol import (
     ProtocolError,
+    decode_payload,
     delta_from_wire,
     encode_frame,
     node_to_wire,
-    read_frame,
+    read_frame_bytes,
     wire_to_node,
 )
 
@@ -218,16 +220,24 @@ class OrientationServer:
         try:
             while True:
                 try:
-                    message = await read_frame(reader)
+                    blob = await read_frame_bytes(reader)
                 except ProtocolError as exc:
                     writer.write(
                         encode_frame({"ok": False, "error": str(exc)})
                     )
                     await writer.drain()
                     break
-                if message is None:
+                if blob is None:
                     break
-                response, close = await self._dispatch(message)
+                try:
+                    message = decode_payload(blob)
+                except ProtocolError as exc:
+                    # The frame was read whole, so the next one is intact.
+                    self.counters["errors"] += 1
+                    obs.add("serve.errors")
+                    response, close = {"ok": False, "error": str(exc)}, False
+                else:
+                    response, close = await self._dispatch(message)
                 writer.write(encode_frame(response))
                 await writer.drain()
                 if close:
@@ -303,7 +313,7 @@ class OrientationServer:
                     await self.stop()
                     return {"ok": True, "stopping": True}, True
                 raise ProtocolError(f"unknown op {op!r}")
-            except (ProtocolError, DeltaError, KeyError, OSError) as exc:
+            except (ProtocolError, DeltaError, SnapshotError, KeyError, OSError) as exc:
                 self.counters["errors"] += 1
                 obs.add("serve.errors")
                 return {"ok": False, "error": str(exc)}, False

@@ -57,6 +57,13 @@ class TestFrames:
         with pytest.raises(ProtocolError):
             decode_payload(b"not json")
 
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_not_json(self, constant):
+        # Python's json accepts these; the wire does not.
+        with pytest.raises(ProtocolError, match=f"{constant} is not a JSON number"):
+            decode_payload(f'{{"node": [1, {constant}]}}'.encode())
+        assert decode_payload(b'{"node": [1, 2.5e3]}') == {"node": [1, 2500.0]}
+
 
 class TestNodeWire:
     @pytest.mark.parametrize(

@@ -416,6 +416,36 @@ class TestSnapshotOp:
         assert client.ping()
 
 
+class TestRefusedRequests:
+    def test_nan_join_is_refused_and_the_connection_keeps_serving(self, served):
+        _, client, engine = served
+        join = {"kind": "node-join", "node": float("nan"), "attach": []}
+        response = client.request({"op": "update", "deltas": [join]})
+        assert response["ok"] is False
+        assert "NaN is not a JSON number" in response["error"]
+        assert client.ping()
+        stats = client.stats()
+        assert stats["updates_applied"] == 0
+        assert stats["counters"]["errors"] == 1
+        assert engine.num_nodes == stats["num_nodes"]
+
+    def test_snapshot_of_unwritable_ids_answers_not_ok(self, tmp_path):
+        # A NaN id reaches an engine only through the library API; its
+        # repr does not parse back, so the snapshot op must refuse it.
+        engine = _engine()
+        anchor = engine.solved_arrays()[0].node_ids[0]
+        engine.apply(NodeJoin(float("nan"), (anchor,)))
+        with ServerThread(engine, ServeConfig()) as thread:
+            with connect(thread.address) as client:
+                response = client.request(
+                    {"op": "snapshot", "path": str(tmp_path / "x.rprosnp")}
+                )
+                assert response["ok"] is False
+                assert "literal-evaluable" in response["error"]
+                assert client.ping()
+                assert client.stats()["counters"]["errors"] == 1
+
+
 class TestLifecycle:
     def test_shutdown_op_stops_the_server(self):
         engine = _engine()

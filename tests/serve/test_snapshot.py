@@ -12,6 +12,8 @@ import ast
 from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.orientation import DynamicOrientation, EdgeDelete
 from repro.graphs.compact import (
@@ -22,8 +24,11 @@ from repro.graphs.compact import (
     write_array_snapshot,
 )
 from repro.serve.snapshot import (
+    CHECK_CHUNK,
     NODE_IDS_SECTION,
     STATE_KIND,
+    _encode_node_ids,
+    _plain_literal,
     load_state,
     save_state,
 )
@@ -283,6 +288,51 @@ class TestRoundTrip:
         save_state(engine, path)
         with load_state(path, validate=False) as restored:
             assert restored.loads() == engine.loads()
+
+
+class TestIdCheck:
+    """The save-time check that the written repr text parses back."""
+
+    @pytest.mark.parametrize(
+        "bad",
+        [float("nan"), float("inf"), object(), frozenset({1}), ("a", -float("inf"))],
+    )
+    def test_unparsable_ids_are_rejected(self, bad):
+        # bytes ids parse back but are not skipped, so the bad id sits in
+        # the second parsed chunk.
+        parsed = tuple(b"c%d" % i for i in range(CHECK_CHUNK))
+        ids = (1, "a", ("b", 2)) + parsed + (bad,)
+        with pytest.raises(SnapshotError, match="literal-evaluable"):
+            _encode_node_ids(ids)
+
+    def test_ids_that_parse_to_other_values_are_rejected(self):
+        class Shadow(int):
+            pass  # repr "3" parses back as a plain int, so it passes ...
+
+        class Liar:
+            def __repr__(self):
+                return "7"  # ... and this parses to 7, which it does not equal
+
+        assert _encode_node_ids((Shadow(3), "x"))[0]["encoding"] == "repr"
+        with pytest.raises(SnapshotError, match="round-trip"):
+            _encode_node_ids((Liar(), "x"))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.recursive(
+            st.none()
+            | st.booleans()
+            | st.integers()
+            | st.floats(allow_nan=False, allow_infinity=False)
+            | st.text(),
+            lambda inner: st.tuples(inner, inner) | st.tuples(inner),
+            max_leaves=6,
+        )
+    )
+    def test_plain_literals_parse_back(self, x):
+        # The ids the check skips parsing are exactly ones that parse back.
+        assert _plain_literal(x)
+        assert ast.literal_eval(repr(x)) == x
 
 
 class TestFileFormat:

@@ -1,26 +1,41 @@
 """The snapshot export of a churned engine, against the string-keyed path.
 
-:meth:`DynamicOrientation.solved_arrays` rebuilds the live graph through
-:meth:`DeltaOverlayGraph.to_compact`, which hands the stored canonical
-endpoints to the rank-pair builder behind :meth:`CompactGraph.from_edges`
-and maps heads through the returned edge order.  The oracle here is the
-path it replaced: ``from_edges`` over the overlay's canonical key tuples,
-then one lookup per live edge in a dict of the rebuilt graph's edge keys.
-The node and edge order are also checked against the reference
+:meth:`DynamicOrientation.solved_arrays` wraps the sections of
+:meth:`DeltaOverlayGraph.export_sections`, which merges the base CSR with
+the overlay's joined nodes and inserted edges, or, for ids that fail
+predicate P, rebuilds the live graph through :meth:`DeltaOverlayGraph.
+to_compact` and the rank-pair builder behind
+:meth:`CompactGraph.from_edges`.  The oracle here is the string-keyed
+path: ``from_edges`` over the overlay's canonical key tuples, then one
+lookup per live edge in a dict of the rebuilt graph's edge keys.  The
+node and edge order are also checked against the reference
 :class:`OrientationProblem` (``repr``-sorted strings), so the oracle does
-not lean on the builder under test.
+not lean on the builders under test.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
+import tracemalloc
 from array import array
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.orientation import DynamicOrientation
+import repro.graphs.compact as compact
+from repro.core.orientation import (
+    DynamicOrientation,
+    EdgeDelete,
+    EdgeInsert,
+    NodeJoin,
+    NodeLeave,
+)
 from repro.core.orientation.problem import OrientationError, OrientationProblem
 from repro.graphs.compact import CSR_FIELDS, CompactGraph
+from repro.serve.snapshot import load_state, save_state
 from repro.workloads import churn_smoke, churn_smoke_trace
 from repro.workloads.churn import churn_trace
 from repro.workloads.scenarios import scale_layered_orientation
@@ -57,8 +72,8 @@ def _flat(graph, heads, load):
     )
 
 
-def assert_export_matches_oracle(engine):
-    got = engine.solved_arrays()
+def assert_export_matches_oracle(engine, got=None):
+    got = got or engine.solved_arrays()
     assert _flat(*got) == _flat(*_string_keyed_export(engine))
     # The restored graph is a fresh build, so its edge lookup must agree.
     graph = got[0]
@@ -184,6 +199,153 @@ class TestExportMatchesTheStringKeyedPath:
         assert export_digest(engine) == (
             "46ae49a767cf8bd9a53bd37d1fb60266ab21c56a1758f79e5c6c0c6c6f76bd19"
         )
+
+
+def _refuse(*args):
+    raise AssertionError("_csr was called")
+
+
+def assert_merged_export_matches_oracle(engine, monkeypatch):
+    """The export takes the merge path (no ``_csr`` call) and matches."""
+    with monkeypatch.context() as patch:
+        patch.setattr(compact, "_csr", _refuse)
+        got = engine.solved_arrays()
+    assert_export_matches_oracle(engine, got)
+
+
+def _grid(width=6, height=5, ids=None):
+    """A grid graph engine; ``ids`` maps an int to the node id."""
+    ids = ids or (lambda i: i)
+    edges = []
+    for r in range(height):
+        for c in range(width):
+            i = r * width + c
+            if c + 1 < width:
+                edges.append((ids(i), ids(i + 1)))
+            if r + 1 < height:
+                edges.append((ids(i), ids(i + width)))
+    nodes = [ids(i) for i in range(width * height)]
+    graph = CompactGraph.from_edges(edges, nodes=nodes)
+    return DynamicOrientation(graph, seed=3)
+
+
+class TestMergePath:
+    """Churned exports that merge the base CSR, each against the oracle."""
+
+    def test_restored_mmap_base(self, tmp_path, monkeypatch):
+        graph = scale_layered_orientation(
+            num_levels=8, width=60, edge_probability=0.05, seed=3
+        )
+        path = tmp_path / "base.rprosnp"
+        save_state(DynamicOrientation(graph, seed=1), path)
+        trace = churn_trace(graph, num_updates=240, seed=2, mix="mixed")
+        with load_state(path) as engine:
+            assert isinstance(engine._overlay.base.indptr, memoryview)
+            for lo in range(0, len(trace), 8):
+                engine.apply_batch(trace[lo : lo + 8])
+            assert _has_tuple_ids(engine)
+            assert_merged_export_matches_oracle(engine, monkeypatch)
+
+    def test_base_id_leaves_and_rejoins(self, monkeypatch):
+        engine = _grid()
+        engine.apply_batch([NodeLeave(7), NodeLeave(20), NodeJoin(7, (0, 13))])
+        engine.apply(NodeJoin(20, (7,)))
+        assert engine._overlay.base.num_nodes == len(engine._overlay.node_ids)
+        assert_merged_export_matches_oracle(engine, monkeypatch)
+
+    def test_base_edge_deleted_then_reinserted(self, monkeypatch):
+        engine = _grid()
+        engine.apply_batch([EdgeDelete(0, 1), EdgeDelete(8, 14), EdgeInsert(1, 0)])
+        engine.apply(EdgeInsert(14, 8))
+        assert not engine._overlay.edge_alive[engine._overlay.base._csr_edge(0, 1)]
+        assert_merged_export_matches_oracle(engine, monkeypatch)
+
+    def test_str_joins_between_base_ids(self, monkeypatch):
+        engine = _grid(ids=lambda i: f"n{i:02d}")
+        engine.apply_batch(
+            [
+                NodeJoin("n05a", ("n05", "n06")),
+                NodeJoin("n1", ("n10",)),
+                NodeJoin("m", ("n00", "n29")),
+                NodeJoin("z", ()),
+                NodeLeave("n11"),
+                NodeJoin("n11!", ("n1", "n12")),
+                EdgeInsert("n05a", "n29"),
+            ]
+        )
+        assert_merged_export_matches_oracle(engine, monkeypatch)
+
+    def test_every_edge_deleted(self, monkeypatch):
+        engine = _grid(width=3, height=3)
+        keys = engine.solved_arrays()[0].edge_keys()
+        engine.apply_batch([EdgeDelete(u, v) for u, v in keys])
+        assert engine.num_edges == 0
+        assert_merged_export_matches_oracle(engine, monkeypatch)
+        graph, heads, load = engine.solved_arrays()
+        assert list(graph.indptr) == [0] * 10 and not heads and list(load) == [0] * 9
+
+    def test_ids_failing_p_still_take_the_rebuild(self, monkeypatch):
+        # Node ids break predicate P, so the export must rebuild through
+        # _csr; the patched builder proves that path is the one taken.
+        a, a_bang, b, c = Node("a"), Node("a!"), Node("b"), Node("c")
+        engine = DynamicOrientation(
+            CompactGraph.from_edges([(a, b), (a_bang, b), (a, c), (b, c)]), seed=2
+        )
+        engine.apply(EdgeDelete(a, c))
+        monkeypatch.setattr(compact, "_csr", _refuse)
+        with pytest.raises(AssertionError, match="_csr was called"):
+            engine.solved_arrays()
+
+    def test_join_that_breaks_p_takes_the_rebuild(self, monkeypatch):
+        # P holds on the base, but the joined a! follows its prefix a
+        # with "!", which sorts before ",": the merge must not apply.
+        a, b, c = Node("a"), Node("b"), Node("c")
+        engine = DynamicOrientation(
+            CompactGraph.from_edges([(a, b), (b, c), (a, c)]), seed=2
+        )
+        assert engine._overlay.base.lexicographic_reprs()
+        engine.apply(NodeJoin(Node("a!"), (b, c)))
+        assert_export_matches_oracle(engine)
+        monkeypatch.setattr(compact, "_csr", _refuse)
+        with pytest.raises(AssertionError, match="_csr was called"):
+            engine.solved_arrays()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        updates=st.integers(1, 120),
+        weights=st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any),
+        str_ids=st.booleans(),
+    )
+    def test_random_delta_mixes(self, seed, updates, weights, str_ids):
+        engine = _grid(ids=(lambda i: f"v{i}") if str_ids else None)
+        graph = engine.solved_arrays()[0]
+        mix = dict(zip(("insert", "delete", "join", "leave"), weights))
+        trace = churn_trace(graph, num_updates=updates, seed=seed, mix=mix)
+        for lo in range(0, len(trace), 8):
+            engine.apply_batch(trace[lo : lo + 8])
+        with mock.patch.object(compact, "_csr", _refuse):
+            got = engine.solved_arrays()
+        assert_export_matches_oracle(engine, got)
+
+
+class TestSnapshotMemory:
+    def test_save_state_peak_stays_near_the_file_size(self, tmp_path):
+        # The pinned churned 10k engine.  Rebuilding the live graph
+        # through _from_index_pairs peaked at ~4.7x the file size; the
+        # merge holds the sections plus a few remap arrays (~1.8x).
+        graph = scale_layered_orientation(
+            num_levels=50, width=200, edge_probability=0.01, seed=11
+        )
+        engine = _churned(graph, 400)
+        path = tmp_path / "state.rprosnp"
+        tracemalloc.start()
+        try:
+            save_state(engine, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * os.path.getsize(path)
 
 
 class TestCompactEdgeIndex:
