@@ -8,9 +8,11 @@ id, a snapshot, a
 restore-and-compare — then restarts a second server with
 ``--from-snapshot`` and requires its counts and point answers to equal
 the first server's.  Both servers are shut down over the wire and must
-exit cleanly.  This is the deployment path end to end: argument
-parsing, the solve-then-serve startup, the restart-from-snapshot
-startup, the frame codec, the coalescing updater, and the snapshot op.
+exit cleanly.  A third restart, from a snapshot whose header is not
+JSON, must exit with code 1 and a one-line error, no traceback.  This is
+the deployment path end to end: argument parsing, the solve-then-serve
+startup, the restart-from-snapshot startup, the frame codec, the
+coalescing updater, and the snapshot op.
 
 Usage (CI runs exactly this)::
 
@@ -30,7 +32,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.core.orientation import NodeJoin  # noqa: E402
-from repro.graphs.compact import ArraySnapshot  # noqa: E402
+from repro.graphs.compact import SNAPSHOT_MAGIC, ArraySnapshot  # noqa: E402
 from repro.serve import ServeClient, load_state  # noqa: E402
 from repro.workloads import serve_smoke, serve_smoke_trace  # noqa: E402
 
@@ -70,6 +72,29 @@ def _shutdown(proc, client) -> None:
         print(f"[server] {line.rstrip()}")
     if returncode != 0:
         raise RuntimeError(f"server exited with {returncode}")
+
+
+def _refuses_corrupt_snapshot() -> None:
+    """``serve --from-snapshot`` on a corrupt file fails in one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corrupt.rprosnp"
+        blob = b"{not json"
+        path.write_bytes(SNAPSHOT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+        # run() waits for the exit (killing the server on timeout), so
+        # no process is left running.
+        args = ["--port", "0", "--from-snapshot", str(path)]
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", *args],
+            cwd=REPO_ROOT,
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+    print(f"[corrupt] exit {done.returncode}: {done.stderr.rstrip()}")
+    assert done.returncode == 1, done
+    assert "Traceback" not in done.stderr, done.stderr
+    assert done.stderr.count("\n") == 1, done.stderr
 
 
 def _answers(client, graph) -> dict:
@@ -158,6 +183,7 @@ def main() -> int:
                 _shutdown(proc2, client2)
 
         _shutdown(proc, client)
+        _refuses_corrupt_snapshot()
     finally:
         for proc in procs:
             if proc.poll() is None:
@@ -167,7 +193,7 @@ def main() -> int:
     print(
         "serve smoke OK: queries, coalesced updates, refused NaN join, "
         "tuple-id join, "
-        "snapshot, restart from snapshot, shutdown"
+        "snapshot, restart from snapshot, shutdown, corrupt snapshot refused"
     )
     return 0
 

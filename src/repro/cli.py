@@ -405,10 +405,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import json
 
     from repro import obs
+    from repro.graphs.compact import SnapshotError
     from repro.serve import OrientationServer, ServeConfig, load_state
 
     if args.from_snapshot:
-        dynamic = load_state(args.from_snapshot)
+        try:
+            dynamic = load_state(args.from_snapshot)
+        except (SnapshotError, OSError) as exc:
+            print(f"serve: cannot load snapshot: {exc}", file=sys.stderr)
+            return 1
         origin = f"snapshot {args.from_snapshot}"
     else:
         from repro.api import Instance, solve

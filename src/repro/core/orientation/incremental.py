@@ -739,9 +739,10 @@ class DynamicOrientation(_SeededEngine):
         graph's own buffers while no update has structurally changed it),
         and whether predicate P of
         :meth:`~repro.graphs.compact.CompactGraph.lexicographic_reprs`
-        holds on the ids (``None`` when not known).  A churned state is
-        merged from the base CSR and the overlay by
-        :meth:`~repro.graphs.compact.DeltaOverlayGraph.export_sections`.
+        holds on the ids (``None`` when not known).  A churned state, for
+        any ids, is merged from the base CSR and the overlay by
+        :meth:`~repro.graphs.compact.DeltaOverlayGraph.export_sections`;
+        no CSR is rebuilt.
         """
         overlay = self._overlay
         if self._pristine():

@@ -36,7 +36,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from itertools import accumulate, compress, tee
 from operator import mul, sub
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 NodeId = Hashable
 
@@ -105,16 +105,19 @@ def _lexicographic(reprs: Iterable[str]) -> bool:
     return all(x < y and (not y.startswith(x) or y[len(x)] > ",") for x, y in zip(a, b))
 
 
-def _repr_cut(ids: Sequence[NodeId], r: str, lo: int) -> int:
-    """The first index ``>= lo`` of the ``repr``-sorted ``ids`` whose repr
-    exceeds ``r``: a bisect that probes ``lo`` first, as consecutive
-    sorted joins mostly share one cut."""
-    hi = len(ids)
-    if lo < hi and r < repr(ids[lo]):
+def _cut(key: Callable[[int], str], r: str, lo: int, hi: int) -> int:
+    """The first index in ``[lo, hi)`` whose ``key`` exceeds ``r``, or ``hi``.
+
+    ``bisect_right`` over the keys ``key(lo) .. key(hi - 1)``, ascending,
+    each built only when probed (``bisect`` takes a ``key`` only from
+    Python 3.10).  It probes ``lo`` first, as consecutive sorted
+    placements mostly share one cut.
+    """
+    if lo < hi and r < key(lo):
         return lo
     while lo < hi:
         mid = (lo + hi) // 2
-        if r < repr(ids[mid]):
+        if r < key(mid):
             hi = mid
         else:
             lo = mid + 1
@@ -144,12 +147,10 @@ def _csr(
 
     The CSR builder of the general-id path (:meth:`CompactGraph.from_edges`
     and :class:`CompactBipartite`; dense int ids have the NumPy
-    :meth:`CompactGraph.from_arrays`).  It stays pure Python because the
-    served ``snapshot`` op still reaches it, through
-    :meth:`DeltaOverlayGraph.to_compact`, for ids that fail predicate P
-    (every other churned export merges the base CSR instead, in
-    :meth:`DeltaOverlayGraph.export_sections`).  A stable counting sort, first
-    by column and then by row, over flat ``array('q')`` scratch (no
+    :meth:`CompactGraph.from_arrays`, and a churned export merges the
+    base CSR in :meth:`DeltaOverlayGraph.export_sections`).  It is pure
+    Python, like every general-id builder here.  A stable counting sort,
+    first by column and then by row, over flat ``array('q')`` scratch (no
     per-arc tuples).  Row ``r``'s columns are
     ``indices[indptr[r]:indptr[r+1]]``, ascending — dense ids are
     ``repr``-sorted, so that is reference order — and ``source[slot]``
@@ -196,6 +197,11 @@ SECTION_ORDER = CSR_FIELDS + ("heads", "load")
 
 class SnapshotError(ValueError):
     """Raised for malformed or truncated array-snapshot files."""
+
+
+#: The errors that parsing a malformed snapshot raises; readers re-raise
+#: them, chained, as :class:`SnapshotError`.
+_MALFORMED = (AttributeError, KeyError, SyntaxError, TypeError, ValueError)
 
 
 #: Magic prefix of the single-file array snapshot format (version in the
@@ -292,6 +298,10 @@ class ArraySnapshot:
             self.meta = header["meta"]
             self._sections: Dict[str, memoryview] = {}
             for name, length in header["sections"]:
+                if type(length) is not int or length < 0:
+                    raise SnapshotError(
+                        f"{path}: bad length {length!r} of section {name!r}"
+                    )
                 nbytes = length * _ITEMSIZE
                 if pos + nbytes > len(raw):
                     raise SnapshotError(f"{path}: truncated section {name!r}")
@@ -301,9 +311,11 @@ class ArraySnapshot:
                 self._views.append(cast)
                 self._sections[name] = cast
                 pos += nbytes
-        except Exception:
+        except Exception as exc:
             self.close()
-            raise
+            if isinstance(exc, SnapshotError) or not isinstance(exc, _MALFORMED):
+                raise
+            raise SnapshotError(f"{path}: malformed header: {exc}") from exc
 
     def section(self, name: str) -> memoryview:
         """Zero-copy ``'q'`` view of one named section."""
@@ -401,11 +413,20 @@ class CompactGraph:
         same node and edge order, without building the reference
         representation or any per-edge dict or tuple list, so
         million-edge streams fit: endpoints are interned first-seen into
-        growing ``array('q')`` buffers as the stream is consumed, and
-        :meth:`_from_index_pairs` orders the nodes and edges and builds
-        the CSR.
+        growing ``array('q')`` buffers as the stream is consumed.
+
+        The nodes are then ranked by ``repr``, computed once per node (a
+        stable sort, so ties keep input order, like the reference dict's
+        insertion order).  The edges sort by the ``repr`` of their
+        canonical key: when predicate P of :meth:`lexicographic_reprs`
+        holds on the sorted reprs, that is the order of the int keys
+        ``rank_u * n + rank_v``, and no string is built; otherwise each
+        key is assembled as ``"(" + R[u] + ", " + R[v] + ")"`` from the
+        per-node reprs.  Duplicate edges then sit in runs of equal keys
+        and raise, and both directions of every edge are counting-sorted
+        into CSR by :func:`_csr`.
         """
-        from repro.core.orientation.problem import edge_key
+        from repro.core.orientation.problem import OrientationError, edge_key
 
         tmp_index: Dict[NodeId, int] = {}
         tmp_nodes: List[NodeId] = []
@@ -427,39 +448,10 @@ class CompactGraph:
             stream_u.append(intern(ku))
             stream_v.append(intern(kv))
         del tmp_index
-        return cls._from_index_pairs(tmp_nodes, stream_u, stream_v)[0]
 
-    @classmethod
-    def _from_index_pairs(
-        cls,
-        nodes: Sequence[NodeId],
-        stream_u: Sequence[int],
-        stream_v: Sequence[int],
-    ) -> Tuple["CompactGraph", array, array]:
-        """The general-id builder behind :meth:`from_edges` and
-        :meth:`DeltaOverlayGraph.to_compact`.
-
-        ``nodes`` are the ids in any order, and input edge ``k`` is
-        ``(nodes[stream_u[k]], nodes[stream_v[k]])`` in canonical :func:`~repro.core.orientation.problem.edge_key`
-        order.  Returns ``(graph, rank, order)``: ``rank[i]`` is the dense
-        id of ``nodes[i]`` and graph edge ``e`` is input edge ``order[e]``.
-
-        The nodes are ranked by ``repr``, computed once per node (a
-        stable sort, so ties keep input order, like the reference dict's
-        insertion order).  The edges sort by the ``repr`` of their canonical key: when predicate
-        P of :meth:`lexicographic_reprs` holds on the sorted reprs, that
-        is the order of the int keys ``rank_u * n + rank_v``, and no
-        string is built; otherwise each key is assembled as ``"(" +
-        R[u] + ", " + R[v] + ")"`` from the per-node reprs.  Duplicate
-        edges then sit in runs of equal keys and raise, and both
-        directions of every edge are counting-sorted into CSR by
-        :func:`_csr`.
-        """
-        from repro.core.orientation.problem import OrientationError
-
-        n = len(nodes)
+        n = len(tmp_nodes)
         m = len(stream_u)
-        reprs = list(map(repr, nodes))
+        reprs = list(map(repr, tmp_nodes))
         node_order = sorted(range(n), key=reprs.__getitem__)
         rank = _zeros(n)
         for dense, i in enumerate(node_order):
@@ -495,7 +487,7 @@ class CompactGraph:
             k = j
         del keys
 
-        node_ids = tuple(nodes[i] for i in node_order)
+        node_ids = tuple(tmp_nodes[i] for i in node_order)
         edge_u = array(INDEX_TYPECODE, (rank[stream_u[k]] for k in order))
         edge_v = array(INDEX_TYPECODE, (rank[stream_v[k]] for k in order))
         # Arc k < m is edge k read u -> v, arc m + k the same edge v -> u.
@@ -511,7 +503,7 @@ class CompactGraph:
             edge_v,
         )
         graph.derived["lexicographic_reprs"] = lexicographic
-        return graph, rank, order
+        return graph
 
     @classmethod
     def from_arrays(cls, u, v, num_nodes: int) -> "CompactGraph":
@@ -1057,68 +1049,55 @@ class DeltaOverlayGraph:
         The sections are merged from the base CSR and the overlay, the
         base-plus-delta merge of an LSM tree (O'Neil et al., "The
         log-structured merge-tree", Acta Informatica 1996), with no
-        :class:`CompactGraph` or id dict built.  When P
-        holds on the base it holds on every subsequence of the base
-        order, so the live base ids keep their relative order and only
-        the pairs next to a joined id need checking.  Under P the edges
-        are in rank-pair order, which a monotone remap of the ids keeps:
-        the live base edges and CSR rows are copied through the remaps,
-        and only the joined nodes and inserted edges are sorted and
-        spliced in.  Where P fails, :meth:`to_compact` rebuilds the live
-        graph.
+        :class:`CompactGraph` or id dict built.  The base was stably
+        sorted by the same ``repr`` strings, so its live ids and edges keep
+        their order for any ids: the live base edges and CSR rows are
+        copied through the remaps, and the joined nodes and inserted
+        edges are sorted and spliced in, each after the equal keys of the
+        base, as a stable rebuild places them.  P chooses only the edge
+        key: the int rank pair where P holds on the merged ids (on the
+        base it holds on every subsequence, so only the pairs next to a
+        joined id are checked), else the key string ``"(" + R[u] + ", "
+        + R[v] + ")"``.  Ids that share one ``repr`` have no reference
+        order (:class:`OrientationProblem` sorts a set of them by
+        ``repr`` alone); they keep the rebuild's, base before joined.
         """
-        merged = self._merge(heads, load)
-        if merged is not None:
-            return merged
-        graph, dense, edges = self.to_compact()
-        sections = graph.snapshot_sections()
-        sections["heads"] = out = array(
-            INDEX_TYPECODE, map(dense.__getitem__, map(heads.__getitem__, edges))
-        )
-        sections["load"] = counts = _zeros(graph.num_nodes)
-        for h in out:
-            counts[h] += 1
-        return graph.node_ids, sections, graph.derived["lexicographic_reprs"]
-
-    def _merge(self, heads: Sequence[int], load: Sequence[int]):
-        """:meth:`export_sections` by merging, or ``None`` where P fails."""
         base = self.base
-        if not base.lexicographic_reprs():
-            return None
         ids, alive = self.node_ids, self.node_alive
         n_b, m_b = base.num_nodes, base.num_edges
 
         # Nodes: each live joined id goes after the ``cut[j]`` base ids
-        # (live or dead) whose repr is smaller.
+        # (live or dead) whose repr is not larger.
         reprs = {i: repr(ids[i]) for i in compress(range(n_b, len(ids)), alive[n_b:])}
         joined = sorted(reprs, key=reprs.__getitem__)
+
+        def rep(i: int) -> str:
+            return reprs[i] if i >= n_b else repr(ids[i])
+
         cut: Dict[int, int] = {}
         b = 0
         for j in joined:
-            b = cut[j] = _repr_cut(base.node_ids, reprs[j], b)
+            b = cut[j] = _cut(rep, reprs[j], b, n_b)
         live_base = array(INDEX_TYPECODE, compress(range(n_b), alive))
         where = [bisect_left(live_base, cut[j]) for j in joined]
         order = _splice(live_base, where, joined)
         del live_base
         n = len(order)
 
-        def rep(i: int) -> str:
-            return reprs[i] if i >= n_b else repr(ids[i])
-
-        for t, w in enumerate(where):
-            p = w + t
-            for a, c in ((p - 1, p), (p, p + 1)):
-                if a < 0 or c >= n:
-                    continue
-                if not _precedes(rep(order[a]), rep(order[c])):
-                    return None
+        if base.lexicographic_reprs():
+            lexicographic = all(
+                _precedes(rep(order[a]), rep(order[a + 1]))
+                for t, w in enumerate(where)
+                for a in (w + t - 1, w + t)
+                if 0 <= a < n - 1
+            )
+        else:
+            lexicographic = _lexicographic(map(rep, order))
         dense = array(INDEX_TYPECODE, [-1]) * len(ids)
         for p, i in enumerate(order):
             dense[i] = p
 
-        # Edges: the live base edges keep their (rank-pair) order under
-        # ``dense``; each inserted edge is placed by bisecting the
-        # remapped ``edge_u`` run, then ``edge_v`` among equal ``edge_u``.
+        # Edges: the live base edges keep their order under ``dense``.
         eu, ev, edge_alive = self.edge_u, self.edge_v, self.edge_alive
         base_alive = edge_alive[:m_b]
 
@@ -1129,19 +1108,38 @@ class DeltaOverlayGraph:
             )
 
         run_u, run_v = run(base.edge_u), run(base.edge_v)
-        inserted = array(
-            INDEX_TYPECODE,
-            sorted(
-                compress(range(m_b, len(eu)), edge_alive[m_b:]),
-                key=lambda e: dense[eu[e]] * n + dense[ev[e]],
-            ),
-        )
+
+        def key_str(u: int, v: int) -> str:
+            return "(" + rep(u) + ", " + rep(v) + ")"
+
+        def base_key(p: int) -> str:
+            """:func:`key_str` of the ``p``-th live base edge."""
+            return key_str(order[run_u[p]], order[run_v[p]])
+
+        live_inserted = compress(range(m_b, len(eu)), edge_alive[m_b:])
+        where = array(INDEX_TYPECODE)
+        if lexicographic:
+            # By rank pair: bisect the remapped ``edge_u`` run, then
+            # ``edge_v`` among equal ``edge_u``.
+            inserted = array(
+                INDEX_TYPECODE,
+                sorted(live_inserted, key=lambda e: dense[eu[e]] * n + dense[ev[e]]),
+            )
+            for e in inserted:
+                x, y = dense[eu[e]], dense[ev[e]]
+                lo = bisect_left(run_u, x)
+                where.append(bisect_left(run_v, y, lo, bisect_right(run_u, x, lo)))
+        else:
+            # By key string: after every live base edge whose key is not
+            # larger, where a stable sort of all the live edges puts it.
+            keys = {e: key_str(eu[e], ev[e]) for e in live_inserted}
+            inserted = array(INDEX_TYPECODE, sorted(keys, key=keys.__getitem__))
+            p = 0
+            for e in inserted:
+                p = _cut(base_key, keys[e], p, len(run_u))
+                where.append(p)
         du = array(INDEX_TYPECODE, (dense[eu[e]] for e in inserted))
         dv = array(INDEX_TYPECODE, (dense[ev[e]] for e in inserted))
-        where = array(INDEX_TYPECODE)
-        for x, y in zip(du, dv):
-            lo = bisect_left(run_u, x)
-            where.append(bisect_left(run_v, y, lo, bisect_right(run_u, x, lo)))
         sections = {
             "edge_u": _splice(run_u, where, du),
             "edge_v": _splice(run_v, where, dv),
@@ -1211,34 +1209,7 @@ class DeltaOverlayGraph:
         )
         sections["load"] = array(INDEX_TYPECODE, map(load.__getitem__, order))
         node_ids = tuple(map(ids.__getitem__, order))
-        return node_ids, {f: sections[f] for f in SECTION_ORDER}, True
-
-    def to_compact(self) -> Tuple[CompactGraph, array, List[int]]:
-        """Materialize the live graph as a fresh (repr-sorted) CompactGraph.
-
-        Returns ``(graph, dense, edges)``: ``dense[i]`` is the graph's
-        dense id of live overlay node ``i`` (``-1`` for a dead slot) and
-        ``edges[e]`` the overlay edge index of graph edge ``e``.  The
-        graph equals ``CompactGraph.from_edges(self.edge_keys(),
-        nodes=live ids)`` field for field; it is built by the same
-        builder straight from the stored canonical endpoints, with no
-        per-edge key tuple.  It is :meth:`export_sections`' path for ids
-        that fail predicate P, where the merge does not apply.
-        """
-        live = self.live_node_indices()
-        position = array(INDEX_TYPECODE, [-1]) * len(self.node_ids)
-        for p, i in enumerate(live):
-            position[i] = p
-        nodes = [self.node_ids[i] for i in live]
-        live_edges = self.live_edge_indices()
-        eu, ev = self.edge_u, self.edge_v
-        graph, rank, order = CompactGraph._from_index_pairs(
-            nodes,
-            array(INDEX_TYPECODE, (position[eu[e]] for e in live_edges)),
-            array(INDEX_TYPECODE, (position[ev[e]] for e in live_edges)),
-        )
-        dense = array(INDEX_TYPECODE, (rank[p] if p >= 0 else -1 for p in position))
-        return graph, dense, [live_edges[k] for k in order]
+        return node_ids, {f: sections[f] for f in SECTION_ORDER}, lexicographic
 
     def to_orientation_problem(self):
         """Materialize the live graph as a reference OrientationProblem."""

@@ -68,6 +68,7 @@ from typing import Optional, Sequence, Tuple
 from repro import obs
 from repro.core.orientation.incremental import DynamicOrientation
 from repro.graphs.compact import (
+    _MALFORMED,
     CSR_FIELDS,
     ArraySnapshot,
     CompactGraph,
@@ -233,6 +234,8 @@ def load_state(path, *, validate: bool = True) -> DynamicOrientation:
     :meth:`~repro.core.orientation.incremental.DynamicOrientation.close`,
     which a ``with load_state(path) as engine:`` block calls on exit.
     ``validate=False`` skips the O(m) stability re-check for trusted files.
+    A malformed or truncated file raises :class:`~repro.graphs.compact.
+    SnapshotError`, chained to the error that found it.
     """
     with obs.span("serve.snapshot.load", validate=validate) as sp:
         snapshot = ArraySnapshot(path)
@@ -256,9 +259,14 @@ def load_state(path, *, validate: bool = True) -> DynamicOrientation:
                 updates_applied=meta["updates_applied"],
                 validate=validate,
             )
-        except Exception:
+        except Exception as exc:
             snapshot.close()
-            raise
+            if isinstance(exc, SnapshotError) or not isinstance(exc, _MALFORMED):
+                raise
+            # A meta field or section is missing, id text does not parse,
+            # or from_solved_arrays rejects the arrays: the text is kept.
+            reason = f"missing {exc}" if isinstance(exc, KeyError) else exc
+            raise SnapshotError(f"{path}: {reason}") from exc
         # The graph's CSR views point into the mapping; tie the snapshot's
         # lifetime to the engine that owns them.
         dynamic._snapshot = snapshot

@@ -32,7 +32,7 @@ from repro.core.orientation import (
     ScratchDynamicOrientation,
     synchronous_repair_orientation_reference,
 )
-from repro.graphs.compact import CompactGraph, DeltaError, DeltaOverlayGraph
+from repro.graphs.compact import CSR_FIELDS, CompactGraph, DeltaError, DeltaOverlayGraph
 from repro.graphs.generators import bounded_degree_gnp
 from repro.workloads import (
     MIXES,
@@ -192,22 +192,24 @@ class TestDeltaOverlayGraph:
         assert set(after) == set(before) | {(1, 3)}
         assert base.edge_keys() == before  # the base memo is never touched
 
-    def test_to_compact_matches_mutated_edge_set(self):
-        overlay = DeltaOverlayGraph(self._base())
-        overlay.remove_edge(0, 1)
-        overlay.add_node("n")
-        overlay.add_edge("n", 2)
-        rebuilt, dense, edges = overlay.to_compact()
+    def test_solved_arrays_match_mutated_edge_set(self):
+        # A deleted base edge and a str join onto int ids, exported by
+        # merging the base CSR with the overlay.
+        engine = DynamicOrientation(self._base(), seed=1)
+        engine.apply_batch([EdgeDelete(0, 1), NodeJoin("n", (2,))])
+        graph, heads, load = engine.solved_arrays()
         fresh = CompactGraph.from_edges(
             [(1, 2), (2, 3), (0, 3), ("n", 2)], nodes=[0, 1, 2, 3, "n"]
         )
-        assert rebuilt.edge_keys() == fresh.edge_keys()
-        assert rebuilt.node_ids == fresh.node_ids
-        ids = overlay.node_ids
-        assert [rebuilt.node_ids[d] for d in dense] == ids
-        assert [
-            (ids[overlay.edge_u[e]], ids[overlay.edge_v[e]]) for e in edges
-        ] == list(rebuilt.edge_keys())
+        assert graph.node_ids == fresh.node_ids
+        assert graph.edge_keys() == fresh.edge_keys()
+        for field in CSR_FIELDS:
+            assert list(getattr(graph, field)) == list(getattr(fresh, field))
+        ids = graph.node_ids
+        assert [ids[h] for h in heads] == [
+            engine.head_of(u, v) for u, v in graph.edge_keys()
+        ]
+        assert dict(zip(ids, load)) == engine.loads()
 
     def test_degree_bookkeeping_stays_exact(self):
         overlay = DeltaOverlayGraph(self._base())

@@ -9,15 +9,18 @@ stream position is part of the state).
 from __future__ import annotations
 
 import ast
+import json
 from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import cli
 from repro.core.orientation import DynamicOrientation, EdgeDelete
 from repro.graphs.compact import (
     CSR_FIELDS,
+    SNAPSHOT_MAGIC,
     ArraySnapshot,
     CompactGraph,
     SnapshotError,
@@ -74,6 +77,30 @@ def _write_repr_layout(engine, path):
         "node_ids": {"encoding": "repr", "text": repr(tuple(solved.node_ids))},
     }
     write_array_snapshot(path, sections, meta=meta)
+
+
+def _edit(change):
+    """A corruption: rewrite a snapshot after ``change(meta, sections)``."""
+
+    def corrupt(path):
+        with ArraySnapshot(path) as snap:
+            meta = snap.meta
+            sections = {
+                name: array("q", snap.section(name)) for name in snap.section_names()
+            }
+        change(meta, sections)
+        write_array_snapshot(path, sections, meta=meta)
+
+    return corrupt
+
+
+def _header_not_json(path):
+    blob = b"{not json"
+    path.write_bytes(SNAPSHOT_MAGIC + len(blob).to_bytes(8, "little") + blob)
+
+
+#: A node-id spec whose ``repr`` text does not parse.
+_UNPARSABLE_IDS = {"encoding": "repr", "text": "(1, 2"}
 
 
 def _full_state(dynamic):
@@ -416,11 +443,84 @@ class TestFileFormat:
         with pytest.raises(SnapshotError):
             ArraySnapshot(path)
 
+    @pytest.mark.parametrize("length", [-1, 1.5])
+    def test_bad_section_length_rejected(self, tmp_path, length):
+        # A negative length used to shift every later section's offset.
+        header = {"version": 1, "meta": {}, "sections": [["a", length], ["b", 1]]}
+        blob = json.dumps(header).encode()
+        path = tmp_path / "bad.rprosnp"
+        path.write_bytes(
+            SNAPSHOT_MAGIC + len(blob).to_bytes(8, "little") + blob + bytes(32)
+        )
+        with pytest.raises(SnapshotError, match=f"bad length {length} of section 'a'"):
+            ArraySnapshot(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.rprosnp"
         path.write_bytes(b"")
         with pytest.raises(SnapshotError):
             ArraySnapshot(path)
+
+    @pytest.mark.parametrize(
+        "corrupt, text, cause",
+        [
+            (_header_not_json, "malformed header: Expecting", json.JSONDecodeError),
+            (_edit(lambda meta, _: meta.pop("seed")), "missing 'seed'", KeyError),
+            (
+                _edit(lambda meta, _: meta.pop("node_ids")),
+                "missing 'node_ids'",
+                KeyError,
+            ),
+            (
+                _edit(lambda meta, _: meta["node_ids"].pop("n")),
+                "missing 'n'",
+                KeyError,
+            ),
+            (
+                _edit(lambda _, sections: sections.pop("heads")),
+                "missing 'heads'",
+                KeyError,
+            ),
+            (
+                _edit(lambda meta, _: meta.update(node_ids=_UNPARSABLE_IDS)),
+                "state.rprosnp: ",
+                SyntaxError,
+            ),
+            (
+                _edit(lambda _, sections: sections["load"].append(0)),
+                "load array disagrees with the heads array",
+                ValueError,
+            ),
+        ],
+        ids=[
+            "header-not-json",
+            "meta-without-seed",
+            "meta-without-node-ids",
+            "section-spec-without-n",
+            "no-heads-section",
+            "unparsable-repr-text",
+            "load-disagrees-with-heads",
+        ],
+    )
+    def test_malformed_file_raises_snapshot_error(
+        self, tmp_path, capsys, corrupt, text, cause
+    ):
+        graph = scale_layered_orientation(
+            num_levels=4, width=20, edge_probability=0.1, seed=2
+        )
+        path = tmp_path / "state.rprosnp"
+        meta = save_state(DynamicOrientation(graph, seed=2), path)
+        assert meta["node_ids"]["encoding"] == "section"
+        corrupt(path)
+        with pytest.raises(SnapshotError, match=text) as info:
+            load_state(path)
+        assert type(info.value.__cause__) is cause
+        assert str(info.value.__cause__) in str(info.value)
+        # The CLI restart reports the same error in one line, no traceback.
+        assert cli.main(["serve", "--from-snapshot", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err == f"serve: cannot load snapshot: {info.value}\n"
 
     def test_array_snapshot_context_manager(self, tmp_path):
         engine, _ = _solved_engine(0)

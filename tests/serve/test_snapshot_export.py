@@ -2,21 +2,25 @@
 
 :meth:`DynamicOrientation.solved_arrays` wraps the sections of
 :meth:`DeltaOverlayGraph.export_sections`, which merges the base CSR with
-the overlay's joined nodes and inserted edges, or, for ids that fail
-predicate P, rebuilds the live graph through :meth:`DeltaOverlayGraph.
-to_compact` and the rank-pair builder behind
-:meth:`CompactGraph.from_edges`.  The oracle here is the string-keyed
-path: ``from_edges`` over the overlay's canonical key tuples, then one
-lookup per live edge in a dict of the rebuilt graph's edge keys.  The
-node and edge order are also checked against the reference
-:class:`OrientationProblem` (``repr``-sorted strings), so the oracle does
-not lean on the builders under test.
+the overlay's joined nodes and inserted edges for any ids: predicate P
+only chooses whether an inserted edge sorts by its int rank pair or by
+its key string.  Every export here runs with :func:`repro.graphs.
+compact._csr` refused, so none rebuilds the live graph.  The oracle is
+the string-keyed path: ``from_edges`` over the overlay's canonical key
+tuples, then one lookup per live edge in a dict of the rebuilt graph's
+edge keys.  Where ids have distinct ``repr``s the node and edge order are
+also checked against the reference :class:`OrientationProblem`
+(``repr``-sorted strings), so the oracle does not lean on the builders
+under test.  Distinct ids with one ``repr`` have no reference order (the
+reference sorts a set of them by ``repr`` alone); for them the oracle is
+the stable ``from_edges`` rebuild only.
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
+import random
 import tracemalloc
 from array import array
 from unittest import mock
@@ -43,16 +47,13 @@ from repro.workloads.scenarios import scale_layered_orientation
 pytestmark = pytest.mark.integration
 
 
-def _string_keyed_export(engine):
-    """``(graph, heads, load)`` rebuilt the way the export used to be."""
+def _rebuilt_export(engine):
+    """``(graph, heads, load)`` of a ``from_edges`` rebuild of the live graph."""
     overlay = engine._overlay
     ids = overlay.node_ids
     live = [ids[i] for i in overlay.live_node_indices()]
     graph = CompactGraph.from_edges(overlay.edge_keys(), nodes=live)
     edge_of = {key: e for e, key in enumerate(graph.edge_keys())}
-    problem = OrientationProblem(overlay.edge_keys(), nodes=live)
-    assert graph.node_ids == problem.nodes
-    assert graph.edge_keys() == problem.edges
     heads = [0] * graph.num_edges
     for e in overlay.live_edge_indices():
         key = (ids[overlay.edge_u[e]], ids[overlay.edge_v[e]])
@@ -63,18 +64,38 @@ def _string_keyed_export(engine):
     return graph, heads, load
 
 
+def _string_keyed_export(engine):
+    """:func:`_rebuilt_export`, its order checked against the reference."""
+    graph, heads, load = _rebuilt_export(engine)
+    problem = OrientationProblem(graph.edge_keys(), nodes=graph.node_ids)
+    assert graph.node_ids == problem.nodes
+    assert graph.edge_keys() == problem.edges
+    return graph, heads, load
+
+
 def _flat(graph, heads, load):
     return (
         graph.node_ids,
         *(list(getattr(graph, field)) for field in CSR_FIELDS),
         list(heads),
         list(load),
+        graph.lexicographic_reprs(),
     )
 
 
-def assert_export_matches_oracle(engine, got=None):
-    got = got or engine.solved_arrays()
-    assert _flat(*got) == _flat(*_string_keyed_export(engine))
+def _refuse(*args):
+    raise AssertionError("_csr was called")
+
+
+def _merged_export(engine):
+    """``engine.solved_arrays()`` with the CSR rebuild refused."""
+    with mock.patch.object(compact, "_csr", _refuse):
+        return engine.solved_arrays()
+
+
+def assert_export_matches_oracle(engine, oracle=_string_keyed_export):
+    got = _merged_export(engine)
+    assert _flat(*got) == _flat(*oracle(engine))
     # The restored graph is a fresh build, so its edge lookup must agree.
     graph = got[0]
     for e, (u, v) in enumerate(graph.edge_keys()):
@@ -137,7 +158,7 @@ class TestExportMatchesTheStringKeyedPath:
         )
         engine = _churned(graph, 300)
         assert _has_tuple_ids(engine)
-        exported = engine.solved_arrays()[0]
+        exported = _merged_export(engine)[0]
         assert exported.derived["lexicographic_reprs"] is True
         assert_export_matches_oracle(engine)
 
@@ -163,7 +184,7 @@ class TestExportMatchesTheStringKeyedPath:
         no_leaves = {"insert": 1.0, "delete": 1.0, "join": 1.0}
         trace = churn_trace(graph, num_updates=20, seed=4, mix=no_leaves)
         engine.apply_batch(trace)
-        exported = engine.solved_arrays()[0]
+        exported = _merged_export(engine)[0]
         assert exported.derived["lexicographic_reprs"] is False
         assert exported.lexicographic_reprs() is False
         assert_export_matches_oracle(engine)
@@ -201,18 +222,6 @@ class TestExportMatchesTheStringKeyedPath:
         )
 
 
-def _refuse(*args):
-    raise AssertionError("_csr was called")
-
-
-def assert_merged_export_matches_oracle(engine, monkeypatch):
-    """The export takes the merge path (no ``_csr`` call) and matches."""
-    with monkeypatch.context() as patch:
-        patch.setattr(compact, "_csr", _refuse)
-        got = engine.solved_arrays()
-    assert_export_matches_oracle(engine, got)
-
-
 def _grid(width=6, height=5, ids=None):
     """A grid graph engine; ``ids`` maps an int to the node id."""
     ids = ids or (lambda i: i)
@@ -229,10 +238,67 @@ def _grid(width=6, height=5, ids=None):
     return DynamicOrientation(graph, seed=3)
 
 
+class Twin:
+    """An id whose ``repr`` is its name alone: distinct twins (and a
+    :class:`Node` of the same name) share one ``repr``."""
+
+    def __init__(self, name, tag):
+        self.name = name
+        self.tag = tag
+
+    def __repr__(self):
+        return self.name
+
+    def __eq__(self, other):
+        return isinstance(other, Twin) and vars(other) == vars(self)
+
+    def __hash__(self):
+        return hash((self.name, self.tag))
+
+
+#: Names that break predicate P: "a" is a prefix of "a!", "a!" of "a!b"
+#: and "c" of "c)", each followed by a character below ",".
+_P_FAILING_NAMES = ("a", "a!", "a!b", "c", "c)", "b")
+
+
+def _p_failing_id(i):
+    """Id ``i`` of a family that fails P, five ids to each ``repr``."""
+    name = _P_FAILING_NAMES[i % len(_P_FAILING_NAMES)]
+    copy = i // len(_P_FAILING_NAMES)
+    return Node(name) if copy == 0 else Twin(name, copy)
+
+
+def _random_delta(engine, kind, rng, pool):
+    """A valid delta of ``kind`` for ``engine``, or ``None`` if there is none.
+
+    Joins take a dead id from ``pool`` or a base id that left.
+    """
+    overlay = engine._overlay
+    ids = overlay.node_ids
+    live = [ids[i] for i in overlay.live_node_indices()]
+    if kind == "insert":
+        if len(live) >= 2:
+            u, v = rng.sample(live, 2)
+            if not overlay.has_edge(u, v):
+                return EdgeInsert(u, v)
+    elif kind == "delete":
+        keys = overlay.edge_keys()
+        if keys:
+            return EdgeDelete(*rng.choice(keys))
+    elif kind == "join":
+        dead = [x for x in pool + list(ids) if not overlay.has_node(x)]
+        if dead:
+            attach = rng.sample(live, min(len(live), rng.randrange(4)))
+            return NodeJoin(rng.choice(dead), tuple(attach))
+    elif len(live) > 4:
+        return NodeLeave(rng.choice(live))
+    return None
+
+
 class TestMergePath:
     """Churned exports that merge the base CSR, each against the oracle."""
 
-    def test_restored_mmap_base(self, tmp_path, monkeypatch):
+    def test_restored_mmap_base(self, tmp_path):
         graph = scale_layered_orientation(
             num_levels=8, width=60, edge_probability=0.05, seed=3
         )
@@ -244,23 +310,23 @@ class TestMergePath:
             for lo in range(0, len(trace), 8):
                 engine.apply_batch(trace[lo : lo + 8])
             assert _has_tuple_ids(engine)
-            assert_merged_export_matches_oracle(engine, monkeypatch)
+            assert_export_matches_oracle(engine)
 
-    def test_base_id_leaves_and_rejoins(self, monkeypatch):
+    def test_base_id_leaves_and_rejoins(self):
         engine = _grid()
         engine.apply_batch([NodeLeave(7), NodeLeave(20), NodeJoin(7, (0, 13))])
         engine.apply(NodeJoin(20, (7,)))
         assert engine._overlay.base.num_nodes == len(engine._overlay.node_ids)
-        assert_merged_export_matches_oracle(engine, monkeypatch)
+        assert_export_matches_oracle(engine)
 
-    def test_base_edge_deleted_then_reinserted(self, monkeypatch):
+    def test_base_edge_deleted_then_reinserted(self):
         engine = _grid()
         engine.apply_batch([EdgeDelete(0, 1), EdgeDelete(8, 14), EdgeInsert(1, 0)])
         engine.apply(EdgeInsert(14, 8))
         assert not engine._overlay.edge_alive[engine._overlay.base._csr_edge(0, 1)]
-        assert_merged_export_matches_oracle(engine, monkeypatch)
+        assert_export_matches_oracle(engine)
 
-    def test_str_joins_between_base_ids(self, monkeypatch):
+    def test_str_joins_between_base_ids(self):
         engine = _grid(ids=lambda i: f"n{i:02d}")
         engine.apply_batch(
             [
@@ -273,42 +339,49 @@ class TestMergePath:
                 EdgeInsert("n05a", "n29"),
             ]
         )
-        assert_merged_export_matches_oracle(engine, monkeypatch)
+        assert_export_matches_oracle(engine)
 
-    def test_every_edge_deleted(self, monkeypatch):
+    def test_every_edge_deleted(self):
         engine = _grid(width=3, height=3)
         keys = engine.solved_arrays()[0].edge_keys()
         engine.apply_batch([EdgeDelete(u, v) for u, v in keys])
         assert engine.num_edges == 0
-        assert_merged_export_matches_oracle(engine, monkeypatch)
+        assert_export_matches_oracle(engine)
         graph, heads, load = engine.solved_arrays()
         assert list(graph.indptr) == [0] * 10 and not heads and list(load) == [0] * 9
 
-    def test_ids_failing_p_still_take_the_rebuild(self, monkeypatch):
-        # Node ids break predicate P, so the export must rebuild through
-        # _csr; the patched builder proves that path is the one taken.
+    def test_ids_failing_p_merge_without_csr(self):
+        # Node ids break predicate P, so inserted edges sort by key string;
+        # the export still merges, with _csr refused.
         a, a_bang, b, c = Node("a"), Node("a!"), Node("b"), Node("c")
         engine = DynamicOrientation(
             CompactGraph.from_edges([(a, b), (a_bang, b), (a, c), (b, c)]), seed=2
         )
-        engine.apply(EdgeDelete(a, c))
-        monkeypatch.setattr(compact, "_csr", _refuse)
-        with pytest.raises(AssertionError, match="_csr was called"):
-            engine.solved_arrays()
+        engine.apply_batch([EdgeDelete(a, c), EdgeInsert(a_bang, c)])
+        assert_export_matches_oracle(engine)
 
-    def test_join_that_breaks_p_takes_the_rebuild(self, monkeypatch):
+    def test_base_failing_p_holds_once_a_left(self):
+        # With a gone, P holds on the live ids though not on the base.
+        a, a_bang, b, c = Node("a"), Node("a!"), Node("b"), Node("c")
+        engine = DynamicOrientation(
+            CompactGraph.from_edges([(a, b), (a_bang, b), (a, c), (b, c)]), seed=2
+        )
+        engine.apply_batch([NodeLeave(a), EdgeInsert(a_bang, c)])
+        assert _merged_export(engine)[0].lexicographic_reprs() is True
+        assert_export_matches_oracle(engine)
+
+    def test_join_that_breaks_p_merges_without_csr(self):
         # P holds on the base, but the joined a! follows its prefix a
-        # with "!", which sorts before ",": the merge must not apply.
+        # with "!", which sorts before ",": the inserted edges of a! must
+        # sort by key string, and still no _csr call is made.
         a, b, c = Node("a"), Node("b"), Node("c")
         engine = DynamicOrientation(
             CompactGraph.from_edges([(a, b), (b, c), (a, c)]), seed=2
         )
         assert engine._overlay.base.lexicographic_reprs()
         engine.apply(NodeJoin(Node("a!"), (b, c)))
+        assert _merged_export(engine)[0].lexicographic_reprs() is False
         assert_export_matches_oracle(engine)
-        monkeypatch.setattr(compact, "_csr", _refuse)
-        with pytest.raises(AssertionError, match="_csr was called"):
-            engine.solved_arrays()
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -324,9 +397,26 @@ class TestMergePath:
         trace = churn_trace(graph, num_updates=updates, seed=seed, mix=mix)
         for lo in range(0, len(trace), 8):
             engine.apply_batch(trace[lo : lo + 8])
-        with mock.patch.object(compact, "_csr", _refuse):
-            got = engine.solved_arrays()
-        assert_export_matches_oracle(engine, got)
+        assert_export_matches_oracle(engine)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        updates=st.integers(1, 80),
+        weights=st.lists(st.integers(0, 4), min_size=4, max_size=4).filter(any),
+    )
+    def test_random_delta_mixes_on_ids_failing_p(self, seed, updates, weights):
+        engine = _grid(ids=_p_failing_id)
+        assert not engine._overlay.base.lexicographic_reprs()
+        rng = random.Random(seed)
+        pool = [_p_failing_id(i) for i in range(30, 42)]
+        pool += [Node(name) for name in ("a!!", "c))", "b!", "a ", "")]
+        kinds = ("insert", "delete", "join", "leave")
+        for _ in range(updates):
+            delta = _random_delta(engine, rng.choices(kinds, weights)[0], rng, pool)
+            if delta is not None:
+                engine.apply(delta)
+        assert_export_matches_oracle(engine, oracle=_rebuilt_export)
 
 
 class TestSnapshotMemory:
